@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from mldistill.corpus import (
     Corpus,
     Document,
-    FeatureMatrix,
     HashingTfidfVectorizer,
     LabelVocabulary,
     featurize,
@@ -30,7 +29,6 @@ from mldistill.distill import (
     kd_loss,
     soft_loss,
     teacher_cv_predictions,
-    train_teacher,
 )
 from mldistill.hypertune import (
     HyperSpace,
@@ -40,7 +38,7 @@ from mldistill.hypertune import (
     pso_optimize,
 )
 from mldistill.metrics import MetricsReport, auc, example_f1, full_report, macro_f1, micro_f1, weighted_f1
-from mldistill.model import EncoderSpec, ModelState, forward, init_model, predict_proba, sgd_step, softmax_t
+from mldistill.model import EncoderSpec, ModelState, init_model, sgd_step, softmax_t
 from mldistill.predictions import PredictionSet, read_predictions, write_predictions
 from mldistill.splits import FoldAssignment, stratified_kfold, stratified_sample
 from mldistill.stats import anova, describe, t_test
@@ -50,7 +48,6 @@ __all__ = [
     "Document",
     "DistillConfig",
     "EncoderSpec",
-    "FeatureMatrix",
     "FoldAssignment",
     "HashingTfidfVectorizer",
     "HyperSpace",
@@ -71,7 +68,6 @@ __all__ = [
     "distill_sequential",
     "example_f1",
     "featurize",
-    "forward",
     "full_report",
     "hard_loss",
     "init_model",
@@ -79,7 +75,6 @@ __all__ = [
     "load_corpus",
     "macro_f1",
     "micro_f1",
-    "predict_proba",
     "pso_optimize",
     "read_predictions",
     "sgd_step",
@@ -90,7 +85,6 @@ __all__ = [
     "t_test",
     "teacher_cv_predictions",
     "tokenize",
-    "train_teacher",
     "weighted_f1",
     "write_predictions",
 ]

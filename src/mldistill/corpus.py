@@ -89,21 +89,6 @@ class Corpus:
         return Corpus(tuple(self.documents[i] for i in indices), self.vocab)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Sparse per-document feature rows with their document ids."""
-
-    matrix: sparse.csr_matrix
-    doc_ids: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-
 def load_vocab(path: str | Path) -> LabelVocabulary:
     """Read one label per line; line order defines the label index."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -253,7 +238,7 @@ class HashingTfidfVectorizer:
         return self.fit(docs_tokens).transform(docs_tokens)
 
 
-def featurize(corpus: Corpus, dim: int = DEFAULT_FEATURE_DIM, max_length: int | None = None) -> FeatureMatrix:
+def featurize(corpus: Corpus, dim: int = DEFAULT_FEATURE_DIM, max_length: int | None = None) -> sparse.csr_matrix:
     """Hashed TF-IDF features for a whole corpus (IDF fitted on it)."""
     if dim < 2:
         raise ValueError(f"feature dim must be >= 2, got {dim}")
@@ -261,5 +246,4 @@ def featurize(corpus: Corpus, dim: int = DEFAULT_FEATURE_DIM, max_length: int | 
         raise ValueError("cannot featurize an empty corpus")
     tokens = [tokenize(d.text) for d in corpus.documents]
     vectorizer = HashingTfidfVectorizer(dim=dim, max_length=max_length)
-    matrix = vectorizer.fit_transform(tokens)
-    return FeatureMatrix(matrix=matrix, doc_ids=tuple(d.id for d in corpus.documents))
+    return vectorizer.fit_transform(tokens)

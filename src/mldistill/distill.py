@@ -1,19 +1,29 @@
-"""Distillation losses and the sequential multi-label training procedures.
+"""Distillation losses and the cross-validated multi-label training procedures.
 
 The student trains against a temperature-scaled combination of two
 terms: the KL divergence from the frozen teacher's softened distribution
 to the student's (scaled by T^2 to compensate for the softening), and
-the ordinary cross entropy against the true bit.  Training walks a
-nested loop: folds outside, labels in vocabulary order inside, epochs
-innermost; in the sequential variants the encoders persist across
-labels within a fold, which is the channel that carries cross-label
-information.
+the ordinary cross entropy against the true bit.  The teacher is
+fine-tuned by the same training loop on the hard loss alone.
+
+Every mode runs through one fold loop, ``_cross_validate``.  It checks
+the folds and the label order, featurizes each fold (IDF from its
+training part only), runs the folds, and merges the out-of-fold
+predictions in fold order.  A mode supplies a per-fold generator that
+trains label by label, in vocabulary order unless a permutation is
+given, and yields each label's validation probabilities.  The
+distillation modes fine-tune the teacher and distill it into the
+student (``teacher_cv_predictions`` records the teacher alone); the
+classifier-chains baseline trains one logistic classifier per label.
+Epochs are innermost.  In the sequential variants the encoders persist
+across labels within a fold, which is the channel that carries
+cross-label information.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +32,7 @@ from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
     ModelState,
+    active_columns,
     backward_batch,
     forward_batch,
     glorot_uniform,
@@ -227,31 +238,6 @@ def _onehot(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_teacher(
-    X: sparse.csr_matrix,
-    y: np.ndarray,
-    label: int,
-    teacher: ModelState,
-    cfg: DistillConfig,
-    rng: np.random.Generator,
-    lr: float | None = None,
-) -> ModelState:
-    """Fine-tune encoder plus one label head on the hard loss alone."""
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("cannot train on an empty split")
-    lr = cfg.learning_rate if lr is None else lr
-    for _ in range(cfg.epochs):
-        for batch in _epoch_batches(n, cfg.batch_size, rng):
-            Xb = X[batch]
-            yb = y[batch]
-            cache = forward_batch(teacher, Xb, label)
-            dlogits = (softmax_t(cache.logits, 1.0) - _onehot(yb)) / batch.size
-            grads = backward_batch(teacher, cache, dlogits)
-            teacher = sgd_step(teacher, grads, lr)
-    return teacher
-
-
 def train_student(
     X: sparse.csr_matrix,
     y: np.ndarray,
@@ -266,10 +252,10 @@ def train_student(
 ) -> tuple[ModelState, np.ndarray | None]:
     """Train the student with the combined loss against a frozen teacher.
 
-    ``teacher=None`` trains on the hard loss alone (the alpha = 0 run is
-    update-for-update identical).  When a projection matrix is given the
-    total loss becomes (1 - beta) * combined + beta * contrastive and the
-    projection is trained jointly.
+    ``teacher=None`` trains on the hard loss alone at full weight, which
+    is how the teacher itself is fine-tuned.  When a projection matrix is
+    given the total loss becomes (1 - beta) * combined + beta *
+    contrastive and the projection is trained jointly.
     """
     n = X.shape[0]
     if n == 0:
@@ -283,13 +269,15 @@ def train_student(
             Xb = X[batch]
             yb = y[batch]
             cache = forward_batch(student, Xb, label)
-            dlogits = (1.0 - cfg.alpha) * (softmax_t(cache.logits, 1.0) - _onehot(yb))
+            dlogits = softmax_t(cache.logits, 1.0) - _onehot(yb)
             teacher_cache = None
-            if teacher is not None and cfg.alpha > 0.0:
-                teacher_cache = forward_batch(teacher, Xb, label)
-                dlogits += cfg.alpha * cfg.temperature * (
-                    softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_cache.logits, cfg.temperature)
-                )
+            if teacher is not None:
+                dlogits *= 1.0 - cfg.alpha
+                if cfg.alpha > 0.0:
+                    teacher_cache = forward_batch(teacher, Xb, label)
+                    dlogits += cfg.alpha * cfg.temperature * (
+                        softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_cache.logits, cfg.temperature)
+                    )
             dlogits /= batch.size
 
             dhidden = None
@@ -312,14 +300,8 @@ def train_student(
 
 
 # ---------------------------------------------------------------------------
-# Cross-validated distillation
+# Cross-validation
 # ---------------------------------------------------------------------------
-
-
-def _check_folds(corpus: Corpus, folds: FoldAssignment) -> None:
-    ids = {d.id for d in corpus.documents}
-    if set(folds.fold_of) != ids:
-        raise ValueError("fold assignment does not cover exactly the corpus documents")
 
 
 def _resolve_label_order(num_labels: int, label_order) -> list[int]:
@@ -333,7 +315,6 @@ def _resolve_label_order(num_labels: int, label_order) -> list[int]:
 
 
 def _fold_features(
-    corpus: Corpus,
     tokens: list[list[str]],
     train_idx: list[int],
     val_idx: list[int],
@@ -348,96 +329,36 @@ def _fold_features(
     return X_train, X_val
 
 
-def _distill_one_fold(
+def _cross_validate(
     corpus: Corpus,
     folds: FoldAssignment,
-    fold: int,
-    tokens: list[list[str]],
-    labels_matrix: np.ndarray,
-    teacher_spec: EncoderSpec,
-    student_spec: EncoderSpec,
-    cfg: DistillConfig,
-    seed: int,
-    fresh_per_label: bool,
-    contrastive_weight: float | None,
-    lr: float,
-    label_order: list[int],
-) -> list[tuple[str, int, float, int]]:
-    num_labels = len(corpus.vocab)
-    train_idx = folds.train_indices(corpus, fold)
-    val_idx = folds.val_indices(corpus, fold)
-    if not train_idx or not val_idx:
-        raise ValueError(f"fold {fold} leaves an empty training or validation split")
-    X_train, X_val = _fold_features(corpus, tokens, train_idx, val_idx, teacher_spec.input_dim, cfg.max_length)
-    y_train = labels_matrix[train_idx]
-    val_ids = [corpus.documents[i].id for i in val_idx]
-    y_val = labels_matrix[val_idx]
-
-    records: list[tuple[str, int, float, int]] = []
-    teacher = student = projection = None
-    for j in label_order:
-        init_label = j if fresh_per_label else label_order[0]
-        if teacher is None or fresh_per_label:
-            teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, init_label))
-            student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, init_label))
-            projection = None
-            if contrastive_weight is not None:
-                proj_rng = np.random.Generator(
-                    np.random.PCG64(derive_seed(seed, "init", "projection", fold, init_label))
-                )
-                projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
-
-        teacher = train_teacher(
-            X_train, y_train[:, j], j, teacher, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
-        )
-        student, projection = train_student(
-            X_train,
-            y_train[:, j],
-            j,
-            student,
-            teacher,
-            cfg,
-            rng_for(seed, "batches", "student", fold, j),
-            lr=lr,
-            projection=projection,
-            contrastive_weight=contrastive_weight,
-        )
-
-        probs = softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
-        for doc_id, prob, true_bit in zip(val_ids, probs, y_val[:, j]):
-            records.append((doc_id, j, float(prob), int(true_bit)))
-    return records
-
-
-def _run_distillation(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    teacher_spec: EncoderSpec,
-    student_spec: EncoderSpec,
-    cfg: DistillConfig,
-    seed: int,
-    fresh_per_label: bool,
-    contrastive_weight: float | None,
-    lr_scale: float,
+    dim: int,
+    max_length: int,
+    label_order,
+    fit_fold: Callable[..., Iterator[np.ndarray]],
     workers: int = 1,
-    label_order=None,
 ) -> PredictionSet:
-    if len(corpus.vocab) < 1:
-        raise ValueError("corpus has no labels")
-    if teacher_spec.input_dim != student_spec.input_dim:
-        raise ValueError("teacher and student must share the feature dimensionality")
-    _check_folds(corpus, folds)
-    order = _resolve_label_order(len(corpus.vocab), label_order)
+    """Out-of-fold predictions of ``fit_fold`` run on every fold.
 
+    ``fit_fold(fold, X_train, Y_train, X_val, order)`` trains on one fold
+    and yields the validation positive-class probabilities of each label
+    in ``order``, one array per label.  Folds run in a thread pool when
+    ``workers > 1``.  Their results merge in fold order, so the
+    prediction set is independent of completion order.
+    """
+    if set(folds.fold_of) != {d.id for d in corpus.documents}:
+        raise ValueError("fold assignment does not cover exactly the corpus documents")
+    order = _resolve_label_order(len(corpus.vocab), label_order)
     labels_matrix = corpus.label_matrix()
     tokens = [tokenize(d.text) for d in corpus.documents]
-    lr = cfg.learning_rate * lr_scale
 
-    def fold_job(fold: int) -> list[tuple[str, int, float, int]]:
-        return _distill_one_fold(
-            corpus, folds, fold, tokens, labels_matrix, teacher_spec, student_spec,
-            cfg, seed, fresh_per_label, contrastive_weight, lr, order,
-        )
+    def fold_job(fold: int) -> tuple[list[int], list[np.ndarray]]:
+        train_idx = folds.train_indices(corpus, fold)
+        val_idx = folds.val_indices(corpus, fold)
+        if not train_idx or not val_idx:
+            raise ValueError(f"fold {fold} leaves an empty training or validation split")
+        X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
+        return val_idx, list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order))
 
     fold_ids = list(range(folds.k))
     if workers > 1:
@@ -448,13 +369,74 @@ def _run_distillation(
     else:
         per_fold = [fold_job(fold) for fold in fold_ids]
 
-    # Merge in fold order: the result is independent of completion order.
     predictions = PredictionSet(corpus.vocab.labels)
-    for fold, records in zip(fold_ids, per_fold):
-        for doc_id, j, prob, true_bit in records:
-            predictions.add(doc_id, j, prob, true_bit, fold)
+    for fold, (val_idx, per_label) in zip(fold_ids, per_fold):
+        val_ids = [corpus.documents[i].id for i in val_idx]
+        for j, probs in zip(order, per_label, strict=True):
+            for doc_id, prob, true_bit in zip(val_ids, probs, labels_matrix[val_idx, j]):
+                predictions.add(doc_id, j, float(prob), int(true_bit), fold)
     predictions.validate_complete()
     return predictions
+
+
+def _run_distillation(
+    corpus: Corpus,
+    folds: FoldAssignment,
+    teacher_spec: EncoderSpec,
+    student_spec: EncoderSpec | None,
+    cfg: DistillConfig,
+    seed: int,
+    fresh_per_label: bool,
+    contrastive_weight: float | None,
+    lr_scale: float,
+    workers: int = 1,
+    label_order=None,
+) -> PredictionSet:
+    """Per label: fine-tune the teacher on the hard loss, then distill it
+    into the student and record the student's validation probabilities.
+
+    Without a ``student_spec`` the teacher's own probabilities are
+    recorded.  Sequential runs initialize once per fold and carry the
+    encoders across labels; ``fresh_per_label`` initializes anew for each
+    label.
+    """
+    if student_spec is not None and teacher_spec.input_dim != student_spec.input_dim:
+        raise ValueError("teacher and student must share the feature dimensionality")
+    lr = cfg.learning_rate * lr_scale
+
+    def fit_fold(fold, X_train, Y_train, X_val, order):
+        num_labels = Y_train.shape[1]
+        teacher = student = projection = None
+        for j in order:
+            if teacher is None or fresh_per_label:
+                teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, j))
+                if student_spec is not None:
+                    student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, j))
+                if contrastive_weight is not None:
+                    proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, j)))
+                    projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
+
+            teacher, _ = train_student(
+                X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
+            )
+            if student_spec is None:
+                yield softmax_t(forward_batch(teacher, X_val, j).logits, 1.0)[:, 1]
+                continue
+            student, projection = train_student(
+                X_train,
+                Y_train[:, j],
+                j,
+                student,
+                teacher,
+                cfg,
+                rng_for(seed, "batches", "student", fold, j),
+                lr=lr,
+                projection=projection,
+                contrastive_weight=contrastive_weight,
+            )
+            yield softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
+
+    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers)
 
 
 def distill_sequential(
@@ -507,38 +489,13 @@ def teacher_cv_predictions(
 ) -> PredictionSet:
     """Out-of-fold predictions of the teacher alone (no distillation).
 
-    Uses the same initialization and batch streams as the sequential
-    run, so the recorded teacher matches the one the student distills
-    from.
+    This is the sequential run without a student, so the recorded
+    teacher is the one the student distills from.
     """
-    _check_folds(corpus, folds)
-    num_labels = len(corpus.vocab)
-    labels_matrix = corpus.label_matrix()
-    tokens = [tokenize(d.text) for d in corpus.documents]
-    lr = cfg.learning_rate * lr_scale
-    predictions = PredictionSet(corpus.vocab.labels)
-
-    for fold in range(folds.k):
-        train_idx = folds.train_indices(corpus, fold)
-        val_idx = folds.val_indices(corpus, fold)
-        if not train_idx or not val_idx:
-            raise ValueError(f"fold {fold} leaves an empty training or validation split")
-        X_train, X_val = _fold_features(corpus, tokens, train_idx, val_idx, teacher_spec.input_dim, cfg.max_length)
-        y_train = labels_matrix[train_idx]
-        val_ids = [corpus.documents[i].id for i in val_idx]
-        y_val = labels_matrix[val_idx]
-
-        teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, 0))
-        for j in range(num_labels):
-            teacher = train_teacher(
-                X_train, y_train[:, j], j, teacher, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
-            )
-            probs = softmax_t(forward_batch(teacher, X_val, j).logits, 1.0)[:, 1]
-            for doc_id, prob, true_bit in zip(val_ids, probs, y_val[:, j]):
-                predictions.add(doc_id, j, float(prob), int(true_bit), fold)
-
-    predictions.validate_complete()
-    return predictions
+    return _run_distillation(
+        corpus, folds, teacher_spec, None, cfg, seed,
+        fresh_per_label=False, contrastive_weight=None, lr_scale=lr_scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -570,13 +527,8 @@ def _train_logistic(
         for batch in _epoch_batches(n, batch_size, rng):
             Xb = X[batch]
             g = (_sigmoid(np.asarray(Xb @ w) + b) - y[batch]) / batch.size
-            if Xb.nnz:
-                active = np.unique(Xb.indices)
-                cols = np.searchsorted(active, Xb.indices)
-                rows = np.repeat(np.arange(Xb.shape[0]), np.diff(Xb.indptr))
-                dense_slice = np.zeros((Xb.shape[0], active.size))
-                dense_slice[rows, cols] = Xb.data
-                w[active] -= lr * (dense_slice.T @ g)
+            active, block = active_columns(Xb)
+            w[active] -= lr * (block.T @ g)
             b -= lr * float(g.sum())
     return w, b
 
@@ -596,35 +548,18 @@ def baseline_classifier_chains(
     earlier in the chain: the true bits while training, its own
     thresholded predictions at validation time.
     """
-    _check_folds(corpus, folds)
-    order = _resolve_label_order(len(corpus.vocab), label_order)
-    labels_matrix = corpus.label_matrix()
-    tokens = [tokenize(d.text) for d in corpus.documents]
-    predictions = PredictionSet(corpus.vocab.labels)
 
-    for fold in range(folds.k):
-        train_idx = folds.train_indices(corpus, fold)
-        val_idx = folds.val_indices(corpus, fold)
-        if not train_idx or not val_idx:
-            raise ValueError(f"fold {fold} leaves an empty training or validation split")
-        X_train, X_val = _fold_features(corpus, tokens, train_idx, val_idx, feature_dim, cfg.max_length)
-        y_train = labels_matrix[train_idx].astype(np.float64)
-        val_ids = [corpus.documents[i].id for i in val_idx]
-        y_val = labels_matrix[val_idx]
-
-        chain_train = np.zeros((len(train_idx), 0))
-        chain_val = np.zeros((len(val_idx), 0))
+    def fit_fold(fold, X_train, Y_train, X_val, order):
+        y_train = Y_train.astype(np.float64)
+        chain_train = np.zeros((X_train.shape[0], 0))
+        chain_val = np.zeros((X_val.shape[0], 0))
         for j in order:
             X_j = sparse.hstack([X_train, sparse.csr_matrix(chain_train)], format="csr")
-            w, b = _train_logistic(
-                X_j, y_train[:, j], cfg.epochs, cfg.batch_size, lr, rng_for(seed, "chain", fold, j)
-            )
+            w, b = _train_logistic(X_j, y_train[:, j], cfg.epochs, cfg.batch_size, lr, rng_for(seed, "chain", fold, j))
             X_val_j = sparse.hstack([X_val, sparse.csr_matrix(chain_val)], format="csr")
             probs = _sigmoid(np.asarray(X_val_j @ w) + b)
-            for doc_id, prob, true_bit in zip(val_ids, probs, y_val[:, j]):
-                predictions.add(doc_id, j, float(prob), int(true_bit), fold)
+            yield probs
             chain_train = np.hstack([chain_train, y_train[:, j][:, None]])
             chain_val = np.hstack([chain_val, (probs >= 0.5).astype(np.float64)[:, None]])
 
-    predictions.validate_complete()
-    return predictions
+    return _cross_validate(corpus, folds, feature_dim, cfg.max_length, label_order, fit_fold)

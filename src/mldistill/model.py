@@ -73,12 +73,6 @@ class ModelState:
         )
 
 
-@dataclass(frozen=True)
-class ForwardResult:
-    hidden: np.ndarray
-    logits: np.ndarray
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -143,24 +137,6 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     return BatchCache(activations=activations, logits=logits, label=label)
 
 
-def _as_row(features) -> sparse.csr_matrix | np.ndarray:
-    if sparse.issparse(features):
-        return features.tocsr()
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return arr
-
-
-def forward(model: ModelState, features, label: int) -> ForwardResult:
-    """Hidden representation and two-logit output for one document."""
-    cache = forward_batch(model, _as_row(features), label)
-    result = ForwardResult(hidden=cache.hidden[0], logits=cache.logits[0])
-    if not np.all(np.isfinite(result.logits)):
-        raise ValueError("forward produced non-finite logits")
-    return result
-
-
 def softmax_t(logits, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax, computed in the max-shifted stable form."""
     if temperature <= 0:
@@ -169,17 +145,6 @@ def softmax_t(logits, temperature: float) -> np.ndarray:
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def predict_proba(model: ModelState, features, label: int) -> float:
-    """Positive-class probability at temperature 1."""
-    result = forward(model, features, label)
-    return float(softmax_t(result.logits, 1.0)[1])
-
-
-def predict_proba_batch(model: ModelState, X, label: int) -> np.ndarray:
-    cache = forward_batch(model, X, label)
-    return softmax_t(cache.logits, 1.0)[:, 1]
 
 
 @dataclass
@@ -205,18 +170,22 @@ class Gradients:
     head: tuple[np.ndarray, np.ndarray]
 
 
-def _first_layer_grad(X, dz: np.ndarray, shape: tuple[int, int]) -> np.ndarray | RowSliceGrad:
-    if not sparse.issparse(X):
-        return np.asarray(X).T @ dz
-    X = X.tocsr()
-    if X.nnz == 0:
-        return RowSliceGrad(rows=np.empty(0, dtype=np.int64), block=np.zeros((0, shape[1])), shape=shape)
+def active_columns(X: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted ids of the columns a sparse batch touches, and the dense
+    (rows x active columns) block of its values."""
     active = np.unique(X.indices)
     cols = np.searchsorted(active, X.indices)
     rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-    dense_slice = np.zeros((X.shape[0], active.size))
-    dense_slice[rows, cols] = X.data
-    return RowSliceGrad(rows=active.astype(np.int64), block=dense_slice.T @ dz, shape=shape)
+    block = np.zeros((X.shape[0], active.size))
+    block[rows, cols] = X.data
+    return active, block
+
+
+def _first_layer_grad(X, dz: np.ndarray, shape: tuple[int, int]) -> np.ndarray | RowSliceGrad:
+    if not sparse.issparse(X):
+        return np.asarray(X).T @ dz
+    active, block = active_columns(X.tocsr())
+    return RowSliceGrad(rows=active.astype(np.int64), block=block.T @ dz, shape=shape)
 
 
 def backward_batch(

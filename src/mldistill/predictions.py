@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from mldistill.errors import DataError
 
 PREDICTIONS_FORMAT = "mldistill-predictions/1"
@@ -87,14 +85,6 @@ class PredictionSet:
             out.append((doc_id, [float(p) for p in self._probs[idx]], [int(t) for t in self._truth[idx]]))
         return out
 
-    def truth_matrix(self) -> np.ndarray:
-        rows = self.canonical_rows()
-        return np.array([t for _, _, t in rows], dtype=np.int8)
-
-    def prob_matrix(self) -> np.ndarray:
-        rows = self.canonical_rows()
-        return np.array([p for _, p, _ in rows], dtype=np.float64)
-
 
 def write_predictions(pred: PredictionSet, path: str | Path, meta: dict | None = None) -> None:
     """Write the header line plus one record per (document, label)."""
@@ -114,6 +104,13 @@ def write_predictions(pred: PredictionSet, path: str | Path, meta: dict | None =
                     "fold": fold,
                 }
                 fh.write(json.dumps(record) + "\n")
+
+
+def _integral(value, field: str) -> int:
+    # int() would truncate 0.7 to 0; JSON numbers arrive as int or float.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def read_predictions(path: str | Path) -> PredictionSet:
@@ -150,7 +147,8 @@ def read_predictions(path: str | Path) -> PredictionSet:
         if name not in label_index:
             raise DataError(f"line {lineno}: label {name!r} not in header label list")
         try:
-            pred.add(str(obj["doc_id"]), label_index[name], float(obj["prob"]), int(obj["true"]), int(obj["fold"]))
+            true_bit, fold = _integral(obj["true"], "true"), _integral(obj["fold"], "fold")
+            pred.add(str(obj["doc_id"]), label_index[name], float(obj["prob"]), true_bit, fold)
         except (DataError, ValueError, TypeError) as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
     pred.validate_complete()

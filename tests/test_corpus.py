@@ -140,8 +140,8 @@ def brute_force_tfidf(docs_tokens, dim, max_length):
 class TestFeaturize:
     def test_single_token_doc_unit_weight(self):
         corpus = make_corpus([[]], ["A"], texts=["hello"])
-        fm = featurize(corpus, dim=64)
-        row = fm.matrix.getrow(0)
+        X = featurize(corpus, dim=64)
+        row = X.getrow(0)
         assert row.nnz == 1
         assert abs(abs(row.data[0]) - 1.0) < 1e-12
 
@@ -152,9 +152,9 @@ class TestFeaturize:
 
     def test_disjoint_tokens_disjoint_support(self):
         corpus = make_corpus([[], []], ["A"], texts=["apple banana cherry", "dates elderberry fig"])
-        fm = featurize(corpus, dim=2 ** 20)
-        s0 = set(fm.matrix.getrow(0).indices.tolist())
-        s1 = set(fm.matrix.getrow(1).indices.tolist())
+        X = featurize(corpus, dim=2 ** 20)
+        s0 = set(X.getrow(0).indices.tolist())
+        s1 = set(X.getrow(1).indices.tolist())
         assert s0 and s1 and not (s0 & s1)
 
     def test_matches_brute_force_recomputation(self):
@@ -162,30 +162,30 @@ class TestFeaturize:
         from mldistill.corpus import tokenize as tok
 
         docs_tokens = [tok(d.text) for d in corpus.documents]
-        fm = featurize(corpus, dim=512, max_length=10)
+        X = featurize(corpus, dim=512, max_length=10)
         expected = brute_force_tfidf(docs_tokens, dim=512, max_length=10)
         for i, weights in enumerate(expected):
-            row = fm.matrix.getrow(i)
+            row = X.getrow(i)
             got = dict(zip(row.indices.tolist(), row.data.tolist()))
             assert set(got) == set(weights)
             for b in weights:
                 assert got[b] == pytest.approx(weights[b], abs=1e-12)
 
     def test_row_norms_unit(self, small_corpus):
-        fm = featurize(small_corpus, dim=1024, max_length=64)
+        X = featurize(small_corpus, dim=1024, max_length=64)
         for i in range(len(small_corpus)):
-            row = fm.matrix.getrow(i)
+            row = X.getrow(i)
             if row.nnz:
                 assert abs(np.sqrt((row.data ** 2).sum()) - 1.0) < 1e-9
 
     def test_max_length_truncates(self):
         corpus = make_corpus([[]], ["A"], texts=["one two three four five six"])
         short = featurize(corpus, dim=2 ** 16, max_length=2)
-        assert short.matrix.getrow(0).nnz == 2
+        assert short.getrow(0).nnz == 2
 
     def test_determinism(self, small_corpus):
-        a = featurize(small_corpus, dim=256, max_length=32).matrix
-        b = featurize(small_corpus, dim=256, max_length=32).matrix
+        a = featurize(small_corpus, dim=256, max_length=32)
+        b = featurize(small_corpus, dim=256, max_length=32)
         assert (a != b).nnz == 0
 
     def test_dim_validation(self, small_corpus):

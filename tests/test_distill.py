@@ -14,7 +14,6 @@ from mldistill.distill import (
     hard_loss,
     teacher_cv_predictions,
     train_student,
-    train_teacher,
 )
 from mldistill.metrics import example_f1
 from mldistill.model import (
@@ -70,22 +69,25 @@ class TestDistillConfig:
 
 
 class TestTrainTeacher:
+    """Teacher fine-tuning: ``train_student`` without a teacher trains on
+    the hard loss alone."""
+
     def test_loss_decreases_on_separable_data(self, small_corpus):
-        fm = featurize(small_corpus, dim=DIM, max_length=64)
+        X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 0]
         teacher = init_model(default_teacher_spec(DIM), 3, seed=4)
         cfg = DistillConfig(epochs=3)
-        before = mean_hard_loss(teacher, fm.matrix, y, 0)
-        teacher = train_teacher(fm.matrix, y, 0, teacher, cfg, rng_for(0, "t"), lr=0.5)
-        after = mean_hard_loss(teacher, fm.matrix, y, 0)
+        before = mean_hard_loss(teacher, X, y, 0)
+        teacher, _ = train_student(X, y, 0, teacher, None, cfg, rng_for(0, "t"), lr=0.5)
+        after = mean_hard_loss(teacher, X, y, 0)
         assert after < before
 
     def test_zero_lr_leaves_parameters(self, small_corpus):
-        fm = featurize(small_corpus, dim=DIM, max_length=64)
+        X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 0]
         teacher = init_model(default_teacher_spec(DIM), 3, seed=4)
         snapshot = teacher.copy()
-        teacher = train_teacher(fm.matrix, y, 0, teacher, cfg=DistillConfig(epochs=2), rng=rng_for(0, "t"), lr=0.0)
+        teacher, _ = train_student(X, y, 0, teacher, None, cfg=DistillConfig(epochs=2), rng=rng_for(0, "t"), lr=0.0)
         assert models_equal(teacher, snapshot)
 
     def test_empty_split_rejected(self):
@@ -94,41 +96,54 @@ class TestTrainTeacher:
         teacher = init_model(default_teacher_spec(8), 1, seed=0)
         empty = sparse.csr_matrix((0, 8))
         with pytest.raises(ValueError):
-            train_teacher(empty, np.zeros(0), 0, teacher, DistillConfig(), rng_for(0, "t"))
+            train_student(empty, np.zeros(0), 0, teacher, None, DistillConfig(), rng_for(0, "t"))
 
     def test_deterministic(self, small_corpus):
-        fm = featurize(small_corpus, dim=DIM, max_length=64)
+        X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 1]
         results = []
         for _ in range(2):
             teacher = init_model(default_teacher_spec(DIM), 3, seed=4)
-            teacher = train_teacher(fm.matrix, y, 1, teacher, DistillConfig(epochs=2), rng_for(5, "t"), lr=0.3)
+            teacher, _ = train_student(X, y, 1, teacher, None, DistillConfig(epochs=2), rng_for(5, "t"), lr=0.3)
             results.append(teacher)
         assert models_equal(results[0], results[1])
 
 
 class TestStudentEquivalences:
     def test_alpha_zero_equals_teacher_ignored(self, small_corpus):
-        fm = featurize(small_corpus, dim=DIM, max_length=64)
+        X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 0]
         teacher = init_model(default_teacher_spec(DIM), 3, seed=9)
         cfg = DistillConfig(alpha=0.0, epochs=2)
         with_teacher = init_model(default_student_spec(DIM), 3, seed=10)
         without_teacher = with_teacher.copy()
-        with_teacher, _ = train_student(fm.matrix, y, 0, with_teacher, teacher, cfg, rng_for(1, "s"), lr=0.4)
-        without_teacher, _ = train_student(fm.matrix, y, 0, without_teacher, None, cfg, rng_for(1, "s"), lr=0.4)
+        with_teacher, _ = train_student(X, y, 0, with_teacher, teacher, cfg, rng_for(1, "s"), lr=0.4)
+        without_teacher, _ = train_student(X, y, 0, without_teacher, None, cfg, rng_for(1, "s"), lr=0.4)
         assert models_equal(with_teacher, without_teacher)
 
+    def test_no_teacher_ignores_alpha(self, small_corpus):
+        # without a teacher the hard loss keeps full weight at every alpha
+        X = featurize(small_corpus, dim=DIM, max_length=64)
+        y = small_corpus.label_matrix()[:, 0]
+        start = init_model(default_student_spec(DIM), 3, seed=10)
+        trained = []
+        for alpha in (0.0, 0.5):
+            model, _ = train_student(
+                X, y, 0, start.copy(), None, DistillConfig(alpha=alpha, epochs=2), rng_for(1, "s"), lr=0.4
+            )
+            trained.append(model)
+        assert models_equal(trained[0], trained[1])
+
     def test_distillation_moves_student_toward_teacher(self, small_corpus):
-        fm = featurize(small_corpus, dim=DIM, max_length=64)
+        X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 0]
         teacher = init_model(default_teacher_spec(DIM), 3, seed=9)
-        teacher = train_teacher(fm.matrix, y, 0, teacher, DistillConfig(epochs=4), rng_for(2, "t"), lr=0.5)
+        teacher, _ = train_student(X, y, 0, teacher, None, DistillConfig(epochs=4), rng_for(2, "t"), lr=0.5)
         student = init_model(default_student_spec(DIM), 3, seed=10)
         cfg = DistillConfig(alpha=1.0, temperature=2.0, epochs=20)
-        student, _ = train_student(fm.matrix, y, 0, student, teacher, cfg, rng_for(3, "s"), lr=1.0)
-        t_logits = forward_batch(teacher, fm.matrix, 0).logits
-        s_logits = forward_batch(student, fm.matrix, 0).logits
+        student, _ = train_student(X, y, 0, student, teacher, cfg, rng_for(3, "s"), lr=1.0)
+        t_logits = forward_batch(teacher, X, 0).logits
+        s_logits = forward_batch(student, X, 0).logits
         t_hard = np.argmax(t_logits, axis=1)
         s_hard = np.argmax(s_logits, axis=1)
         assert (t_hard == s_hard).mean() > 0.9
@@ -221,12 +236,21 @@ class TestCrossValidatedRuns:
         assert len(preds) == len(corpus) * 2
         assert example_f1(preds) > 0.9
 
-    def test_fold_mismatch_rejected(self, cv_setup):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda c, f, t, s, cfg: distill_sequential(c, f, t, s, cfg, seed=5),
+            lambda c, f, t, s, cfg: teacher_cv_predictions(c, f, t, cfg, seed=5),
+            lambda c, f, t, s, cfg: baseline_classifier_chains(c, f, cfg, seed=5, feature_dim=DIM),
+        ],
+        ids=["distill_sequential", "teacher_cv_predictions", "baseline_classifier_chains"],
+    )
+    def test_fold_mismatch_rejected(self, cv_setup, run):
         corpus, folds, teacher, student, cfg = cv_setup
         other = generate_synthetic(10, num_labels=2, seed=1)
         other_folds = stratified_kfold(other, 2, seed=1)
-        with pytest.raises(ValueError):
-            distill_sequential(corpus, other_folds, teacher, student, cfg, seed=5)
+        with pytest.raises(ValueError, match="fold assignment"):
+            run(corpus, other_folds, teacher, student, cfg)
 
     def test_label_order_permutation_changes_sequence_not_coverage(self, cv_setup):
         corpus, folds, teacher, student, cfg = cv_setup

@@ -10,11 +10,9 @@ from mldistill.model import (
     backward_batch,
     default_student_spec,
     default_teacher_spec,
-    forward,
     forward_batch,
     init_model,
     load_model,
-    predict_proba,
     save_model,
     sgd_step,
     softmax_t,
@@ -61,48 +59,46 @@ class TestInit:
 class TestForward:
     def test_zero_input_zero_bias_gives_zero(self):
         m = init_model(tiny_spec(), 1, seed=2)
-        result = forward(m, np.zeros(8), 0)
-        assert np.allclose(result.hidden, 0.0)
-        assert np.array_equal(result.logits, np.zeros(2))
+        cache = forward_batch(m, np.zeros((1, 8)), 0)
+        assert np.allclose(cache.hidden, 0.0)
+        assert np.array_equal(cache.logits, np.zeros((1, 2)))
 
     def test_identity_layer_relu_passes_nonnegative_input(self):
         m = init_model(tiny_spec(input_dim=4, hidden=(4,), activation="relu"), 1, seed=0)
         m.layers[0] = (np.eye(4), np.zeros(4))
         x = np.array([0.5, 0.0, 2.0, 1.0])
-        result = forward(m, x, 0)
-        assert np.allclose(result.hidden, x)
+        assert np.allclose(forward_batch(m, x[None], 0).hidden[0], x)
 
     def test_matches_dense_reimplementation(self):
         rng = np.random.default_rng(4)
         spec = tiny_spec(input_dim=8, hidden=(5, 3))
         m = init_model(spec, 2, seed=11)
         x = rng.normal(size=8)
-        result = forward(m, x, 1)
+        cache = forward_batch(m, x[None], 1)
 
         a = x.copy()
         for W, b in m.layers:
             a = np.tanh(a @ W + b)
         expected_logits = a @ m.heads[1][0] + m.heads[1][1]
-        assert np.allclose(result.hidden, a, atol=1e-12)
-        assert np.allclose(result.logits, expected_logits, atol=1e-12)
+        assert np.allclose(cache.hidden[0], a, atol=1e-12)
+        assert np.allclose(cache.logits[0], expected_logits, atol=1e-12)
 
     def test_sparse_and_dense_inputs_agree(self):
         m = init_model(tiny_spec(), 1, seed=5)
-        x = np.array([0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.5, 0.0])
-        dense = forward(m, x, 0)
-        sparse_row = sparse.csr_matrix(x.reshape(1, -1))
-        sp = forward(m, sparse_row, 0)
+        x = np.array([[0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.5, 0.0]])
+        dense = forward_batch(m, x, 0)
+        sp = forward_batch(m, sparse.csr_matrix(x), 0)
         assert np.allclose(dense.logits, sp.logits, atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         m = init_model(tiny_spec(), 1, seed=5)
         with pytest.raises(ValueError):
-            forward(m, np.zeros(9), 0)
+            forward_batch(m, np.zeros((1, 9)), 0)
 
     def test_bad_label_rejected(self):
         m = init_model(tiny_spec(), 2, seed=5)
         with pytest.raises(ValueError):
-            forward(m, np.zeros(8), 2)
+            forward_batch(m, np.zeros((1, 8)), 2)
 
 
 class TestSoftmaxT:
@@ -206,7 +202,7 @@ class TestPredictProba:
         for W, b in m.layers:
             W[:] = 0.0
         m.heads[0] = (np.zeros((4, 2)), np.zeros(2))
-        assert predict_proba(m, np.ones(8), 0) == pytest.approx(0.5)
+        assert softmax_t(forward_batch(m, np.ones((1, 8)), 0).logits, 1.0)[0, 1] == pytest.approx(0.5)
 
     def test_closed_form_value(self):
         m = init_model(tiny_spec(input_dim=2, hidden=(2,)), 1, seed=3)
@@ -214,7 +210,8 @@ class TestPredictProba:
         # hidden = tanh(x); choose x = atanh([1/2, 1/2]) scaled weights so
         # logits = [0, ln 3] exactly via the head
         m.heads[0] = (np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, math.log(3.0)]))
-        assert predict_proba(m, np.zeros(2), 0) == pytest.approx(0.75, abs=1e-12)
+        probs = softmax_t(forward_batch(m, np.zeros((1, 2)), 0).logits, 1.0)
+        assert probs[0, 1] == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_positive_logit(self):
         probs = []
@@ -256,3 +253,13 @@ class TestBatchBackward:
         assert np.allclose(g_dense.layers[0][0], dW_sparse, atol=1e-12)
         assert np.allclose(g_dense.layers[0][1], g_sparse.layers[0][1], atol=1e-12)
         assert np.allclose(g_dense.head[0], g_sparse.head[0], atol=1e-12)
+
+    def test_all_zero_sparse_batch_leaves_first_layer(self):
+        # no active columns: an empty row block and a no-op update
+        m = init_model(tiny_spec(input_dim=10, hidden=(4,)), 1, seed=6)
+        W0 = m.layers[0][0].copy()
+        X = sparse.csr_matrix((3, 10))
+        grads = backward_batch(m, forward_batch(m, X, 0), np.ones((3, 2)))
+        assert grads.layers[0][0].rows.size == 0
+        sgd_step(m, grads, 0.5)
+        assert np.array_equal(m.layers[0][0], W0)

@@ -100,3 +100,23 @@ class TestExternalFiles:
         path.write_text("")
         with pytest.raises(DataError):
             read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("true", 0.7), ("true", 1.9), ("true", float("nan")), ("fold", 1.5), ("fold", float("inf"))],
+    )
+    def test_non_integral_bit_or_fold_rejected(self, tmp_path, field, value):
+        # int() would silently truncate these instead
+        good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n")
+        with pytest.raises(DataError, match=f"line 1: {field} must be an integer"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("true_bit, fold", [(1, 2), (1.0, 2.0)])
+    def test_integral_bit_and_fold_accepted(self, tmp_path, true_bit, fold):
+        path = tmp_path / "ext.jsonl"
+        path.write_text(json.dumps({"doc_id": "x", "label": "a", "prob": 0.5, "true": true_bit, "fold": fold}) + "\n")
+        pred = read_predictions(path)
+        assert pred.canonical_rows() == [("x", [0.5], [1])]
+        assert pred.fold_of == {"x": 2}
