@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from mldistill.corpus import DEFAULT_FEATURE_DIM
+from mldistill.corpus import DEFAULT_FEATURE_DIM, Corpus
 from mldistill.distill import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
 from mldistill.errors import DataError, UsageError
-from mldistill.model import STUDENT_HIDDEN, TEACHER_HIDDEN
+from mldistill.model import ACTIVATIONS, STUDENT_HIDDEN, TEACHER_HIDDEN
 
 PRESETS: dict[str, DistillConfig] = {
     "trial_and_error": DistillConfig(
@@ -199,6 +199,8 @@ def resolve_config(
             raise ValueError("run.feature_dim must be >= 2")
         if parsed["run.lr_scale"] <= 0:
             raise ValueError("run.lr_scale must be positive")
+        if parsed["model.activation"] not in ACTIVATIONS:
+            raise ValueError(f"model.activation must be one of {ACTIVATIONS}, got {parsed['model.activation']!r}")
         config = RunConfig(
             mode=mode,
             distill=distill,
@@ -216,6 +218,17 @@ def resolve_config(
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return config
+
+
+def check_corpus(config: RunConfig, corpus: Corpus) -> None:
+    """Reject settings that cannot run on ``corpus``, before any training."""
+    if config.k > len(corpus):
+        raise UsageError(f"run.k must not exceed the corpus size {len(corpus)}, got {config.k}")
+    order = config.resolved.get("run.label_order")
+    if order is not None and sorted(order) != list(range(len(corpus.vocab))):
+        raise UsageError(
+            f"run.label_order must be a permutation of 0..{len(corpus.vocab) - 1}, got {','.join(map(str, order))}"
+        )
 
 
 def swarm_settings(config: RunConfig) -> dict[str, Any]:

@@ -35,6 +35,7 @@ from mldistill.model import (
     active_columns,
     backward_batch,
     forward_batch,
+    forward_rows,
     glorot_uniform,
     init_model,
     sgd_step,
@@ -225,11 +226,27 @@ def _batch_contrastive(
 # ---------------------------------------------------------------------------
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Seeded shuffle once per epoch; the last partial batch is kept."""
+def _epoch_batches(
+    X: sparse.csr_matrix, batch_size: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, sparse.csr_matrix]]:
+    """Seeded shuffle once per epoch; yields (row ids, rows of X) per batch,
+    the last partial batch kept.
+
+    The matrix is permuted once per epoch and each batch is a contiguous
+    row range of it, built from slices of its arrays: cheaper than
+    indexing the rows of every batch, with the same rows in the same order.
+    """
+    n, dim = X.shape
     order = rng.permutation(n)
+    Xp = X[order]
+    indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
     for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+        stop = min(start + batch_size, n)
+        lo, hi = indptr[start], indptr[stop]
+        batch = sparse.csr_matrix(
+            (data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo), shape=(stop - start, dim)
+        )
+        yield order[start:stop], batch
 
 
 def _onehot(y: np.ndarray) -> np.ndarray:
@@ -256,6 +273,12 @@ def train_student(
     is how the teacher itself is fine-tuned.  When a projection matrix is
     given the total loss becomes (1 - beta) * combined + beta *
     contrastive and the projection is trained jointly.
+
+    The teacher is forwarded once per call, over the whole split, and only
+    when its logits (``alpha > 0``) or its hidden state (a projection) are
+    needed; each batch takes its rows from that pass through
+    ``forward_rows``.  Each step checks every update, the projection's
+    included, before it writes any of them.
     """
     n = X.shape[0]
     if n == 0:
@@ -264,38 +287,38 @@ def train_student(
     beta = contrastive_weight
     if projection is not None and beta is None:
         beta = DEFAULT_CONTRASTIVE_WEIGHT
+    soft = teacher is not None and cfg.alpha > 0.0
+    contrastive = teacher is not None and projection is not None
+    teacher_cache = forward_batch(teacher, X, label) if soft or contrastive else None
+    targets = _onehot(y)
     for _ in range(cfg.epochs):
-        for batch in _epoch_batches(n, cfg.batch_size, rng):
-            Xb = X[batch]
-            yb = y[batch]
+        for rows, Xb in _epoch_batches(X, cfg.batch_size, rng):
             cache = forward_batch(student, Xb, label)
-            dlogits = softmax_t(cache.logits, 1.0) - _onehot(yb)
-            teacher_cache = None
+            dlogits = softmax_t(cache.logits, 1.0) - targets[rows]
+            if teacher_cache is not None:
+                teacher_hidden, teacher_logits = forward_rows(teacher, teacher_cache, rows)
             if teacher is not None:
                 dlogits *= 1.0 - cfg.alpha
-                if cfg.alpha > 0.0:
-                    teacher_cache = forward_batch(teacher, Xb, label)
-                    dlogits += cfg.alpha * cfg.temperature * (
-                        softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_cache.logits, cfg.temperature)
-                    )
-            dlogits /= batch.size
+            if soft:
+                dlogits += cfg.alpha * cfg.temperature * (
+                    softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_logits, cfg.temperature)
+                )
+            dlogits /= rows.size
 
             dhidden = None
-            d_proj = None
-            if projection is not None and teacher is not None:
-                if teacher_cache is None:
-                    teacher_cache = forward_batch(teacher, Xb, label)
-                _, d_hidden_s, d_proj_sum = _batch_contrastive(cache.hidden, teacher_cache.hidden, projection)
+            new_projection = None
+            if contrastive:
+                _, d_hidden_s, d_proj_sum = _batch_contrastive(cache.hidden, teacher_hidden, projection)
                 dlogits *= 1.0 - beta
-                dhidden = (beta / batch.size) * d_hidden_s
-                d_proj = (beta / batch.size) * d_proj_sum
+                dhidden = (beta / rows.size) * d_hidden_s
+                new_projection = projection - lr * ((beta / rows.size) * d_proj_sum)
+                if not np.isfinite(new_projection).all():
+                    raise ValueError("non-finite gradient step in contrastive projection")
 
             grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
             student = sgd_step(student, grads, lr)
-            if d_proj is not None:
-                if not np.all(np.isfinite(d_proj)):
-                    raise ValueError("non-finite gradient in contrastive projection")
-                projection -= lr * d_proj
+            if new_projection is not None:
+                projection[...] = new_projection
     return student, projection
 
 
@@ -520,13 +543,11 @@ def _train_logistic(
     lr: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    n, dim = X.shape
-    w = np.zeros(dim)
+    w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
-        for batch in _epoch_batches(n, batch_size, rng):
-            Xb = X[batch]
-            g = (_sigmoid(np.asarray(Xb @ w) + b) - y[batch]) / batch.size
+        for rows, Xb in _epoch_batches(X, batch_size, rng):
+            g = (_sigmoid(np.asarray(Xb @ w) + b) - y[rows]) / rows.size
             active, block = active_columns(Xb)
             w[active] -= lr * (block.T @ g)
             b -= lr * float(g.sum())

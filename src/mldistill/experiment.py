@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 import mldistill
-from mldistill.config import RunConfig, swarm_settings
+from mldistill.config import RunConfig, check_corpus, swarm_settings
 from mldistill.corpus import Corpus
 from mldistill.distill import (
     DistillConfig,
@@ -134,6 +134,7 @@ class RunResult:
 
 
 def run_experiment(corpus: Corpus, config: RunConfig) -> RunResult:
+    check_corpus(config, corpus)
     started = time.perf_counter()
     stage = "fold assignment"
     try:
@@ -181,6 +182,7 @@ class AblationRow:
 
 def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], dict]:
     """All four distillation variants on one shared fold assignment."""
+    check_corpus(config, corpus)
     started = time.perf_counter()
     folds = folds_for(corpus, config)
     shared_hash = folds.content_hash()
@@ -247,6 +249,7 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
     """Swarm-search the hyperparameter space; the objective is the
     example-based F1 of a full cross-validated run of the configured
     training mode at the decoded position."""
+    check_corpus(config, corpus)
     started = time.perf_counter()
     folds = folds_for(corpus, config)
     objective_seed = derive_seed(config.seed, "tune-objective")

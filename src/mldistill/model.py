@@ -21,6 +21,7 @@ CHECKPOINT_FORMAT = "mldistill-model/1"
 
 TEACHER_HIDDEN = (128, 64)
 STUDENT_HIDDEN = (32,)
+ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class EncoderSpec:
             raise ValueError("input_dim must be positive")
         if not self.hidden_sizes:
             raise ValueError("hidden_sizes must be non-empty")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.role not in ("teacher", "student"):
             raise ValueError(f"unknown role {self.role!r}")
@@ -137,6 +138,22 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     return BatchCache(activations=activations, logits=logits, label=label)
 
 
+def forward_rows(model: ModelState, cache: BatchCache, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, logits) of some rows of the batch ``cache`` was run on.
+
+    The first layer is a row-wise sparse product, so its output rows are
+    gathered from the cache.  The dense layers and the head run again on
+    the gathered rows, because BLAS may round a row differently in a batch
+    of another size.  The result has the bits ``forward_batch`` gives on
+    those rows alone.
+    """
+    a = cache.activations[1][rows]
+    for W, b in model.layers[1:]:
+        a = _activate(np.asarray(a @ W + b), model.spec.activation)
+    W_head, b_head = model.heads[cache.label]
+    return a, a @ W_head + b_head
+
+
 def softmax_t(logits, temperature: float) -> np.ndarray:
     """Temperature-scaled softmax, computed in the max-shifted stable form."""
     if temperature <= 0:
@@ -221,41 +238,32 @@ def backward_batch(
     return Gradients(layers=layer_grads, head_label=cache.label, head=(d_head_W, d_head_b))
 
 
-def _check_finite(grad, where: str) -> None:
-    values = grad.block if isinstance(grad, RowSliceGrad) else grad
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite gradient in {where}")
-
-
-def _check_updated(values: np.ndarray, where: str) -> None:
-    # Parameters must stay finite after every step.
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite parameters in {where} after update")
-
-
 def sgd_step(model: ModelState, grads: Gradients, lr: float) -> ModelState:
-    """Apply p <- p - lr * g in place and return the model."""
+    """Apply p <- p - lr * g in place and return the model.
+
+    Every updated array is computed before any is written, and all of them
+    are checked for finiteness at once.  A step that would leave a NaN or
+    an Inf in the parameters (a non-finite gradient always does) raises a
+    ValueError naming the array and leaves the model unchanged.
+    """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
+    updates = []  # (parameter, index, updated values, name)
     for idx, ((dW, db), (W, b)) in enumerate(zip(grads.layers, model.layers)):
-        _check_finite(dW, f"encoder layer {idx} weights")
-        _check_finite(db, f"encoder layer {idx} bias")
         if isinstance(dW, RowSliceGrad):
-            W[dW.rows] -= lr * dW.block
-            _check_updated(W[dW.rows], f"encoder layer {idx}")
+            updates.append((W, dW.rows, W[dW.rows] - lr * dW.block, f"encoder layer {idx} weights"))
         else:
-            W -= lr * dW
-            _check_updated(W, f"encoder layer {idx}")
-        b -= lr * db
-        _check_updated(b, f"encoder layer {idx} bias")
+            updates.append((W, ..., W - lr * dW, f"encoder layer {idx} weights"))
+        updates.append((b, ..., b - lr * db, f"encoder layer {idx} bias"))
     dW, db = grads.head
-    _check_finite(dW, f"head {grads.head_label} weights")
-    _check_finite(db, f"head {grads.head_label} bias")
     W, b = model.heads[grads.head_label]
-    W -= lr * dW
-    b -= lr * db
-    _check_updated(W, f"head {grads.head_label}")
-    _check_updated(b, f"head {grads.head_label} bias")
+    updates.append((W, ..., W - lr * dW, f"head {grads.head_label} weights"))
+    updates.append((b, ..., b - lr * db, f"head {grads.head_label} bias"))
+    if not np.isfinite(np.concatenate([new.ravel() for _, _, new, _ in updates])).all():
+        where = next(name for _, _, new, name in updates if not np.isfinite(new).all())
+        raise ValueError(f"non-finite gradient step in {where}")
+    for param, index, new, _ in updates:
+        param[index] = new
     return model
 
 

@@ -132,14 +132,29 @@ class TestRun:
 
     def test_failed_run_leaves_no_partial_outputs(self, data_dir, tmp_path):
         out = tmp_path / "fail"
-        # k larger than the corpus is caught during training setup
+        # unbounded activations at this step size diverge during training
         code = run_cli(
             ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
-             "--out", out, "--run.k", 4900, "--run.feature_dim", 512]
+             "--out", out, "--model.activation", "relu", "--run.lr_scale", 1e150, "--run.feature_dim", 512]
         )
         assert code == 3
         assert not (out / "predictions.jsonl").exists()
         assert not (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "tune"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("run.k", 49), ("model.activation", "sigmoid"), ("run.label_order", "0,0")],
+    )
+    def test_bad_setting_is_usage_error_naming_key(self, data_dir, tmp_path, capsys, command, key, value):
+        out = tmp_path / "bad"
+        code = run_cli(
+            [command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", out, *FAST, f"--{key}", value]
+        )
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestEvaluate:

@@ -4,10 +4,12 @@ relevance distillation, and the classifier-chains baseline."""
 import numpy as np
 import pytest
 
+from mldistill import distill
 from mldistill.corpus import featurize
 from mldistill.distill import (
     DistillConfig,
     TrainingMode,
+    _batch_contrastive,
     baseline_classifier_chains,
     distill_binary_relevance,
     distill_sequential,
@@ -17,10 +19,14 @@ from mldistill.distill import (
 )
 from mldistill.metrics import example_f1
 from mldistill.model import (
+    RowSliceGrad,
+    backward_batch,
     default_student_spec,
     default_teacher_spec,
     forward_batch,
+    glorot_uniform,
     init_model,
+    softmax_t,
 )
 from mldistill.seeding import rng_for
 from mldistill.splits import stratified_kfold
@@ -147,6 +153,139 @@ class TestStudentEquivalences:
         t_hard = np.argmax(t_logits, axis=1)
         s_hard = np.argmax(s_logits, axis=1)
         assert (t_hard == s_hard).mean() > 0.9
+
+
+def _write_then_check_sgd_step(model, grads, lr):
+    """The SGD step as it was before updates were checked ahead of writes."""
+    for idx, ((dW, db), (W, b)) in enumerate(zip(grads.layers, model.layers)):
+        if isinstance(dW, RowSliceGrad):
+            W[dW.rows] -= lr * dW.block
+        else:
+            W -= lr * dW
+        b -= lr * db
+        if not (np.isfinite(W).all() and np.isfinite(b).all()):
+            raise ValueError(f"non-finite parameters in encoder layer {idx}")
+    dW, db = grads.head
+    W, b = model.heads[grads.head_label]
+    W -= lr * dW
+    b -= lr * db
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ValueError(f"non-finite parameters in head {grads.head_label}")
+    return model
+
+
+def per_batch_train_student(X, y, label, student, teacher, cfg, rng, lr, projection=None, beta=None):
+    """Reference for ``train_student``: the loop that indexes the rows of
+    every batch out of X, forwards the teacher on every batch, and checks
+    parameters after writing them."""
+    n = X.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            Xb, yb = X[batch], y[batch]
+            cache = forward_batch(student, Xb, label)
+            onehot = np.zeros((batch.size, 2))
+            onehot[np.arange(batch.size), yb.astype(np.int64)] = 1.0
+            dlogits = softmax_t(cache.logits, 1.0) - onehot
+            teacher_cache = None
+            if teacher is not None:
+                dlogits *= 1.0 - cfg.alpha
+                if cfg.alpha > 0.0:
+                    teacher_cache = forward_batch(teacher, Xb, label)
+                    dlogits += cfg.alpha * cfg.temperature * (
+                        softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_cache.logits, cfg.temperature)
+                    )
+            dlogits /= batch.size
+            dhidden = d_proj = None
+            if projection is not None and teacher is not None:
+                if teacher_cache is None:
+                    teacher_cache = forward_batch(teacher, Xb, label)
+                _, d_hidden_s, d_proj_sum = _batch_contrastive(cache.hidden, teacher_cache.hidden, projection)
+                dlogits *= 1.0 - beta
+                dhidden = (beta / batch.size) * d_hidden_s
+                d_proj = (beta / batch.size) * d_proj_sum
+            grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
+            student = _write_then_check_sgd_step(student, grads, lr)
+            if d_proj is not None:
+                projection -= lr * d_proj
+    return student, projection
+
+
+# (alpha, with a teacher, with a projection)
+STEP_CASES = {
+    "no_teacher": (0.5, False, False),
+    "kd_alpha_half": (0.5, True, False),
+    "kd_alpha_zero": (0.0, True, False),
+    "kd_contrastive": (0.5, True, True),
+}
+
+
+def _step_case(small_corpus, case, batch_size):
+    alpha, with_teacher, with_projection = STEP_CASES[case]
+    X = featurize(small_corpus, dim=DIM, max_length=64)
+    y = small_corpus.label_matrix()[:, 1]
+    teacher = init_model(default_teacher_spec(DIM), 3, seed=9) if with_teacher else None
+    student = init_model(default_student_spec(DIM), 3, seed=10)
+    projection = None
+    if with_projection:
+        projection = glorot_uniform(np.random.default_rng(11), teacher.spec.hidden_dim, student.spec.hidden_dim)
+    cfg = DistillConfig(alpha=alpha, epochs=2, batch_size=batch_size)
+    return X, y, student, teacher, projection, cfg
+
+
+class TestTrainingStep:
+    """``train_student`` forwards the teacher once per call, gathers batches
+    from one permutation per epoch and checks updates before writing them;
+    none of that may move a bit."""
+
+    # 60 documents: 7 leaves a partial last batch of 4, and 1 runs every
+    # row through the single-row matrix products
+    @pytest.mark.parametrize("batch_size", [7, 1])
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_matches_per_batch_loop(self, small_corpus, case, batch_size):
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, batch_size)
+        ref_student, ref_projection = per_batch_train_student(
+            X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), 0.4,
+            projection=None if projection is None else projection.copy(), beta=0.5,
+        )
+        new_student, new_projection = train_student(
+            X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), lr=0.4,
+            projection=None if projection is None else projection.copy(), contrastive_weight=0.5,
+        )
+        assert models_equal(new_student, ref_student)
+        assert not models_equal(new_student, student)
+        if projection is not None:
+            assert np.array_equal(new_projection, ref_projection)
+
+    @pytest.mark.parametrize("case, expected", [("kd_alpha_half", 1), ("kd_contrastive", 1), ("kd_alpha_zero", 0)])
+    def test_teacher_forwarded_once_per_call(self, small_corpus, monkeypatch, case, expected):
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+        roles = []
+
+        def counting_forward(model, *args):
+            roles.append(model.spec.role)
+            return forward_batch(model, *args)
+
+        monkeypatch.setattr(distill, "forward_batch", counting_forward)
+        train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+        assert roles.count("teacher") == expected
+        assert roles.count("student") == 2 * 9  # two epochs of ceil(60 / 7) batches
+
+    def test_nonfinite_projection_step_writes_nothing(self, small_corpus, monkeypatch):
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, "kd_contrastive", 7)
+
+        def nan_projection_grad(*args):
+            losses, d_hidden, d_proj = _batch_contrastive(*args)
+            d_proj[0, 0] = np.nan
+            return losses, d_hidden, d_proj
+
+        monkeypatch.setattr(distill, "_batch_contrastive", nan_projection_grad)
+        trained, start_projection = student.copy(), projection.copy()
+        with pytest.raises(ValueError, match="contrastive projection"):
+            train_student(X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+        assert models_equal(trained, student)
+        assert np.array_equal(projection, start_projection)
 
 
 @pytest.fixture(scope="module")

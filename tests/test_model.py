@@ -7,6 +7,7 @@ from scipy import sparse
 from mldistill.model import (
     EncoderSpec,
     Gradients,
+    RowSliceGrad,
     backward_batch,
     default_student_spec,
     default_teacher_spec,
@@ -194,6 +195,34 @@ class TestSgdStep:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="encoder layer 0"):
             sgd_step(m, grads, 0.1)
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            (lambda g: g.layers[0][0].block, "encoder layer 0 weights"),
+            (lambda g: g.layers[1][0], "encoder layer 1 weights"),
+            (lambda g: g.layers[1][1], "encoder layer 1 bias"),
+            (lambda g: g.head[1], "head 1 bias"),
+        ],
+        ids=["layer0_rows", "layer1_weights", "layer1_bias", "head_bias"],
+    )
+    def test_nonfinite_step_writes_nothing(self, where, message):
+        m = init_model(tiny_spec(hidden=(4, 3)), 2, seed=1)
+        rng = np.random.default_rng(3)
+        grads = Gradients(
+            layers=[
+                (RowSliceGrad(rows=np.array([1, 5]), block=rng.normal(size=(2, 4)), shape=(8, 4)), rng.normal(size=4)),
+                (rng.normal(size=(4, 3)), rng.normal(size=3)),
+            ],
+            head_label=1,
+            head=(rng.normal(size=(3, 2)), rng.normal(size=2)),
+        )
+        where(grads).flat[0] = np.nan
+        snapshot = m.copy()
+        with pytest.raises(ValueError, match=message):
+            sgd_step(m, grads, 0.1)
+        for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
 
 
 class TestPredictProba:
