@@ -199,6 +199,9 @@ def resolve_config(
             raise ValueError("run.feature_dim must be >= 2")
         if parsed["run.lr_scale"] <= 0:
             raise ValueError("run.lr_scale must be positive")
+        for key in ("model.teacher_hidden", "model.student_hidden"):
+            if min(parsed[key]) < 1:
+                raise ValueError(f"{key} widths must be positive, got {','.join(map(str, parsed[key]))}")
         if parsed["model.activation"] not in ACTIVATIONS:
             raise ValueError(f"model.activation must be one of {ACTIVATIONS}, got {parsed['model.activation']!r}")
         config = RunConfig(

@@ -32,7 +32,7 @@ from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
     ModelState,
-    active_columns,
+    SparseBatch,
     backward_batch,
     forward_batch,
     forward_rows,
@@ -40,6 +40,7 @@ from mldistill.model import (
     init_model,
     sgd_step,
     softmax_t,
+    sparse_batches,
 )
 from mldistill.predictions import PredictionSet
 from mldistill.seeding import derive_seed, rng_for
@@ -77,17 +78,17 @@ class DistillConfig:
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError("distill.temperature must be positive")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError("distill.alpha must lie in [0, 1]")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ValueError("distill.learning_rate must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("distill.batch_size must be >= 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError("distill.epochs must be >= 1")
         if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
+            raise ValueError("distill.max_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -228,25 +229,19 @@ def _batch_contrastive(
 
 def _epoch_batches(
     X: sparse.csr_matrix, batch_size: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, sparse.csr_matrix]]:
+) -> Iterator[tuple[np.ndarray, SparseBatch]]:
     """Seeded shuffle once per epoch; yields (row ids, rows of X) per batch,
     the last partial batch kept.
 
-    The matrix is permuted once per epoch and each batch is a contiguous
-    row range of it, built from slices of its arrays: cheaper than
-    indexing the rows of every batch, with the same rows in the same order.
+    The matrix is permuted once per epoch and split into contiguous row
+    ranges of it by ``sparse_batches``, which plans every batch's active
+    columns at once: the same rows in the same order as indexing the rows
+    of every batch, with no per-step sparse matrix or set operation.
     """
-    n, dim = X.shape
+    n = X.shape[0]
     order = rng.permutation(n)
-    Xp = X[order]
-    indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        lo, hi = indptr[start], indptr[stop]
-        batch = sparse.csr_matrix(
-            (data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo), shape=(stop - start, dim)
-        )
-        yield order[start:stop], batch
+    for start, batch in zip(range(0, n, batch_size), sparse_batches(X[order], batch_size)):
+        yield order[start : start + batch_size], batch
 
 
 def _onehot(y: np.ndarray) -> np.ndarray:
@@ -432,6 +427,8 @@ def _run_distillation(
         teacher = student = projection = None
         for j in order:
             if teacher is None or fresh_per_label:
+                # drop the previous label's models before allocating the next
+                teacher = student = projection = None
                 teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, j))
                 if student_spec is not None:
                     student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, j))
@@ -547,9 +544,8 @@ def _train_logistic(
     b = 0.0
     for _ in range(epochs):
         for rows, Xb in _epoch_batches(X, batch_size, rng):
-            g = (_sigmoid(np.asarray(Xb @ w) + b) - y[rows]) / rows.size
-            active, block = active_columns(Xb)
-            w[active] -= lr * (block.T @ g)
+            g = (_sigmoid(Xb @ w + b) - y[rows]) / rows.size
+            w[Xb.active] -= lr * (Xb.active_block().T @ g)
             b -= lr * float(g.sum())
     return w, b
 

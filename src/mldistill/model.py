@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 CHECKPOINT_FORMAT = "mldistill-model/1"
 
@@ -109,10 +110,85 @@ def _activation_prime(a: np.ndarray, activation: str) -> np.ndarray:
 
 
 @dataclass
+class SparseBatch:
+    """Consecutive rows of a CSR matrix and the plan of the columns they touch.
+
+    ``indptr``/``indices``/``data`` are the rows' CSR arrays, ``indptr``
+    starting at 0.  ``active`` holds the sorted ids of the columns the rows
+    touch; ``nz_rows`` and ``nz_cols`` give each stored value's row and its
+    column's position in ``active``.  Batches come from ``sparse_batches``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    active: np.ndarray
+    nz_rows: np.ndarray
+    nz_cols: np.ndarray
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        """``csr_matrix(rows) @ W``, computed by the kernel scipy runs for it
+        (the vector kernel for one column, the multivector kernel for more),
+        so the bits are the same."""
+        n, dim = self.shape
+        if W.ndim not in (1, 2) or W.shape[0] != dim:
+            raise ValueError(f"matmul: dimension mismatch, {self.shape} @ {W.shape}")
+        dtype = np.result_type(self.data.dtype, W.dtype)
+        if W.ndim == 1 or W.shape[1] == 1:
+            out = np.zeros(n, dtype=dtype)
+            _sparsetools.csr_matvec(n, dim, self.indptr, self.indices, self.data, W.ravel(), out)
+            return out if W.ndim == 1 else out.reshape(n, 1)
+        out = np.zeros((n, W.shape[1]), dtype=dtype)
+        _sparsetools.csr_matvecs(n, dim, W.shape[1], self.indptr, self.indices, self.data, W.ravel(), out.ravel())
+        return out
+
+    def active_block(self) -> np.ndarray:
+        """The dense (rows x active columns) block of the rows' values."""
+        block = np.zeros((self.shape[0], self.active.size))
+        block[self.nz_rows, self.nz_cols] = self.data
+        return block
+
+
+def sparse_batches(X: sparse.csr_matrix, batch_size: int) -> list[SparseBatch]:
+    """Split ``X`` into batches of ``batch_size`` consecutive rows, the last
+    one partial (an empty ``X`` is one empty batch), and plan every batch's
+    active columns with one set operation over all of them."""
+    n, dim = X.shape
+    indptr, indices, data = X.indptr, X.indices, X.data
+    nz_row = np.repeat(np.arange(n), np.diff(indptr))
+    nz_batch = nz_row // batch_size
+    # keys sort by batch, then by column: each batch's active columns are a
+    # contiguous run of the unique keys
+    keys, key_of_nz = np.unique(nz_batch * dim + indices, return_inverse=True)
+    starts = range(0, max(n, 1), batch_size)
+    key_bounds = np.searchsorted(keys, np.arange(len(starts) + 1) * dim)
+    columns = keys % dim
+    nz_rows = nz_row - nz_batch * batch_size
+    nz_cols = key_of_nz - key_bounds[nz_batch]
+    batches = []
+    for b, start in enumerate(starts):
+        stop = min(start + batch_size, n)
+        lo, hi = indptr[start], indptr[stop]
+        batches.append(
+            SparseBatch(
+                indptr=indptr[start : stop + 1] - lo,
+                indices=indices[lo:hi],
+                data=data[lo:hi],
+                shape=(stop - start, dim),
+                active=columns[key_bounds[b] : key_bounds[b + 1]],
+                nz_rows=nz_rows[lo:hi],
+                nz_cols=nz_cols[lo:hi],
+            )
+        )
+    return batches
+
+
+@dataclass
 class BatchCache:
     """Forward-pass intermediates needed for backpropagation."""
 
-    activations: list  # [input, post-activation per layer]; input may be sparse
+    activations: list  # [input, post-activation per layer]; input may be a SparseBatch
     logits: np.ndarray  # (n, 2)
     label: int
 
@@ -127,6 +203,8 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
         raise ValueError(f"label index {label} out of range for {model.num_labels} heads")
     if X.shape[1] != model.spec.input_dim:
         raise ValueError(f"feature dim {X.shape[1]} != encoder input dim {model.spec.input_dim}")
+    if sparse.issparse(X):
+        X = sparse_batches(X.tocsr(), max(X.shape[0], 1))[0]
     activations = [X]
     a = X
     for W, b in model.layers:
@@ -187,22 +265,10 @@ class Gradients:
     head: tuple[np.ndarray, np.ndarray]
 
 
-def active_columns(X: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted ids of the columns a sparse batch touches, and the dense
-    (rows x active columns) block of its values."""
-    active = np.unique(X.indices)
-    cols = np.searchsorted(active, X.indices)
-    rows = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
-    block = np.zeros((X.shape[0], active.size))
-    block[rows, cols] = X.data
-    return active, block
-
-
 def _first_layer_grad(X, dz: np.ndarray, shape: tuple[int, int]) -> np.ndarray | RowSliceGrad:
-    if not sparse.issparse(X):
+    if not isinstance(X, SparseBatch):
         return np.asarray(X).T @ dz
-    active, block = active_columns(X.tocsr())
-    return RowSliceGrad(rows=active.astype(np.int64), block=block.T @ dz, shape=shape)
+    return RowSliceGrad(rows=X.active, block=X.active_block().T @ dz, shape=shape)
 
 
 def backward_batch(

@@ -144,7 +144,16 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "ablate", "tune"])
     @pytest.mark.parametrize(
         "key, value",
-        [("run.k", 49), ("model.activation", "sigmoid"), ("run.label_order", "0,0")],
+        [
+            ("run.k", 49),
+            ("model.activation", "sigmoid"),
+            ("run.label_order", "0,0"),
+            ("model.student_hidden", "0"),
+            ("model.teacher_hidden", "64,-3"),
+            ("distill.batch_size", 0),
+            ("distill.epochs", 0),
+            ("distill.max_length", 0),
+        ],
     )
     def test_bad_setting_is_usage_error_naming_key(self, data_dir, tmp_path, capsys, command, key, value):
         out = tmp_path / "bad"

@@ -272,6 +272,23 @@ class TestTrainingStep:
         assert roles.count("teacher") == expected
         assert roles.count("student") == 2 * 9  # two epochs of ceil(60 / 7) batches
 
+    @pytest.mark.parametrize("case, extra", [("no_teacher", 0), ("kd_alpha_half", 1)])
+    def test_one_set_operation_per_epoch(self, small_corpus, monkeypatch, case, extra):
+        # the batches' active columns are planned once per epoch, not per
+        # step; the teacher's whole-split pass plans its one batch
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args[0].size)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4)
+        assert len(calls) == cfg.epochs + extra
+        assert calls == [X.nnz] * len(calls)
+
     def test_nonfinite_projection_step_writes_nothing(self, small_corpus, monkeypatch):
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, "kd_contrastive", 7)
 

@@ -17,6 +17,7 @@ from mldistill.model import (
     save_model,
     sgd_step,
     softmax_t,
+    sparse_batches,
 )
 
 
@@ -292,3 +293,59 @@ class TestBatchBackward:
         assert grads.layers[0][0].rows.size == 0
         sgd_step(m, grads, 0.5)
         assert np.array_equal(m.layers[0][0], W0)
+
+
+def random_csr(n, dim, index_dtype, seed, unsorted=False):
+    """A CSR matrix with every third row empty and the given index dtype."""
+    rng = np.random.default_rng(seed)
+    X = sparse.random(n, dim, density=0.15, format="csr", random_state=rng, data_rvs=rng.standard_normal)
+    X = sparse.csr_matrix(X.toarray() * (np.arange(n) % 3 != 0)[:, None])
+    if unsorted:
+        for i in range(n):
+            lo, hi = X.indptr[i], X.indptr[i + 1]
+            X.indices[lo:hi] = X.indices[lo:hi][::-1].copy()
+            X.data[lo:hi] = X.data[lo:hi][::-1].copy()
+        X.has_sorted_indices = False
+    # the constructor picks the smallest index dtype that fits; set it afterwards
+    X.indices = X.indices.astype(index_dtype)
+    X.indptr = X.indptr.astype(index_dtype)
+    assert X.indices.dtype == index_dtype and (X.getnnz(axis=1) == 0).any()
+    return X
+
+
+class TestSparseBatches:
+    """Every batch of a plan must equal, bit for bit, the same rows as a
+    scipy CSR matrix: its products (which call scipy's kernels directly),
+    its active columns and its dense active block."""
+
+    # 23 rows: batches of 5 leave a partial last batch of 3; 23 is one batch
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("batch_size", [5, 1, 23])
+    @pytest.mark.parametrize("unsorted", [False, True])
+    def test_batches_equal_csr_rows(self, index_dtype, batch_size, unsorted):
+        n, dim = 23, 40
+        X = random_csr(n, dim, index_dtype, seed=batch_size, unsorted=unsorted)
+        rng = np.random.default_rng(1)
+        weights = [rng.normal(size=(dim, 6)), rng.normal(size=(dim, 1)), rng.normal(size=dim)]
+        batches = sparse_batches(X, batch_size)
+        assert len(batches) == -(-n // batch_size)
+        for b, batch in enumerate(batches):
+            rows = X[b * batch_size : (b + 1) * batch_size]
+            assert batch.shape == rows.shape and batch.indices.dtype == index_dtype
+            for W in weights:
+                ref = rows @ W
+                got = batch @ W
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+            assert np.array_equal(batch.active, np.unique(rows.indices))
+            assert np.array_equal(batch.active_block(), rows.toarray()[:, batch.active])
+
+    def test_empty_matrix_is_one_empty_batch(self):
+        (batch,) = sparse_batches(sparse.csr_matrix((0, 6)), 1)
+        assert batch.shape == (0, 6) and batch.active.size == 0
+        assert (batch @ np.ones((6, 3))).shape == (0, 3)
+
+    def test_dimension_mismatch_rejected(self):
+        (batch,) = sparse_batches(sparse.csr_matrix(np.eye(3)), 3)
+        with pytest.raises(ValueError):
+            batch @ np.ones((4, 2))
