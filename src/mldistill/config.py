@@ -15,6 +15,7 @@ from typing import Any
 from mldistill.corpus import DEFAULT_FEATURE_DIM, Corpus
 from mldistill.distill import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
 from mldistill.errors import DataError, UsageError
+from mldistill.hypertune import SwarmConfig
 from mldistill.model import ACTIVATIONS, STUDENT_HIDDEN, TEACHER_HIDDEN
 
 PRESETS: dict[str, DistillConfig] = {
@@ -218,6 +219,7 @@ def resolve_config(
             activation=parsed["model.activation"],
             resolved=parsed,
         )
+        SwarmConfig(**swarm_settings(config))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return config

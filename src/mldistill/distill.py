@@ -7,17 +7,17 @@ the ordinary cross entropy against the true bit.  The teacher is
 fine-tuned by the same training loop on the hard loss alone.
 
 Every mode runs through one fold loop, ``_cross_validate``.  It checks
-the folds and the label order, featurizes each fold (IDF from its
-training part only), runs the folds, and merges the out-of-fold
-predictions in fold order.  A mode supplies a per-fold generator that
-trains label by label, in vocabulary order unless a permutation is
-given, and yields each label's validation probabilities.  The
-distillation modes fine-tune the teacher and distill it into the
-student (``teacher_cv_predictions`` records the teacher alone); the
-classifier-chains baseline trains one logistic classifier per label.
-Epochs are innermost.  In the sequential variants the encoders persist
-across labels within a fold, which is the channel that carries
-cross-label information.
+the folds and the label order, then runs the folds one at a time, with
+no thread: it featurizes each fold (IDF from its training part only),
+trains it and records its out-of-fold predictions.  A mode supplies a
+per-fold generator that trains label by label, in vocabulary order
+unless a permutation is given, and yields each label's validation
+probabilities.  The distillation modes fine-tune the teacher and
+distill it into the student (``teacher_cv_predictions`` records the
+teacher alone); the classifier-chains baseline trains one logistic
+classifier per label.  Epochs are innermost.  In the sequential variants
+the encoders persist across labels within a fold, which is the channel
+that carries cross-label information.
 """
 
 from __future__ import annotations
@@ -354,15 +354,15 @@ def _cross_validate(
     max_length: int,
     label_order,
     fit_fold: Callable[..., Iterator[np.ndarray]],
-    workers: int = 1,
 ) -> PredictionSet:
     """Out-of-fold predictions of ``fit_fold`` run on every fold.
 
     ``fit_fold(fold, X_train, Y_train, X_val, order)`` trains on one fold
     and yields the validation positive-class probabilities of each label
-    in ``order``, one array per label.  Folds run in a thread pool when
-    ``workers > 1``.  Their results merge in fold order, so the
-    prediction set is independent of completion order.
+    in ``order``, one array per label.  Folds run one at a time, in fold
+    order.  The training step is bound by Python overhead, so fold threads
+    would only contend for the GIL: on 2 cores they made runs slower and
+    larger.
     """
     if set(folds.fold_of) != {d.id for d in corpus.documents}:
         raise ValueError("fold assignment does not cover exactly the corpus documents")
@@ -370,26 +370,15 @@ def _cross_validate(
     labels_matrix = corpus.label_matrix()
     tokens = [tokenize(d.text) for d in corpus.documents]
 
-    def fold_job(fold: int) -> tuple[list[int], list[np.ndarray]]:
+    predictions = PredictionSet(corpus.vocab.labels)
+    for fold in range(folds.k):
         train_idx = folds.train_indices(corpus, fold)
         val_idx = folds.val_indices(corpus, fold)
         if not train_idx or not val_idx:
             raise ValueError(f"fold {fold} leaves an empty training or validation split")
         X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
-        return val_idx, list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order))
-
-    fold_ids = list(range(folds.k))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fold = list(pool.map(fold_job, fold_ids))
-    else:
-        per_fold = [fold_job(fold) for fold in fold_ids]
-
-    predictions = PredictionSet(corpus.vocab.labels)
-    for fold, (val_idx, per_label) in zip(fold_ids, per_fold):
         val_ids = [corpus.documents[i].id for i in val_idx]
+        per_label = fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order)
         for j, probs in zip(order, per_label, strict=True):
             for doc_id, prob, true_bit in zip(val_ids, probs, labels_matrix[val_idx, j]):
                 predictions.add(doc_id, j, float(prob), int(true_bit), fold)
@@ -407,7 +396,6 @@ def _run_distillation(
     fresh_per_label: bool,
     contrastive_weight: float | None,
     lr_scale: float,
-    workers: int = 1,
     label_order=None,
 ) -> PredictionSet:
     """Per label: fine-tune the teacher on the hard loss, then distill it
@@ -456,7 +444,7 @@ def _run_distillation(
             )
             yield softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
 
-    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers)
+    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold)
 
 
 def distill_sequential(
@@ -468,14 +456,13 @@ def distill_sequential(
     seed: int,
     contrastive_weight: float | None = None,
     lr_scale: float = DEFAULT_LR_SCALE,
-    workers: int = 1,
     label_order=None,
 ) -> PredictionSet:
     """Teacher and student encoders persist across labels within a fold."""
     return _run_distillation(
         corpus, folds, teacher_spec, student_spec, cfg, seed,
         fresh_per_label=False, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        workers=workers, label_order=label_order,
+        label_order=label_order,
     )
 
 
@@ -488,14 +475,13 @@ def distill_binary_relevance(
     seed: int,
     contrastive_weight: float | None = None,
     lr_scale: float = DEFAULT_LR_SCALE,
-    workers: int = 1,
     label_order=None,
 ) -> PredictionSet:
     """Fresh teacher and student per (fold, label): labels never interact."""
     return _run_distillation(
         corpus, folds, teacher_spec, student_spec, cfg, seed,
         fresh_per_label=True, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        workers=workers, label_order=label_order,
+        label_order=label_order,
     )
 
 

@@ -116,7 +116,6 @@ def dispatch_mode(
         seed,
         contrastive_weight=mode.contrastive_weight,
         lr_scale=config.lr_scale,
-        workers=config.workers,
         label_order=label_order,
     )
 

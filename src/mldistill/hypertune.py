@@ -5,8 +5,9 @@ Velocities blend inertia with pulls toward both bests, scaled by
 per-dimension uniform random vectors.  Integer dimensions travel in
 continuous space and are rounded only when a position is decoded into a
 configuration.  Evaluation of the particles within one iteration may
-run in parallel; each particle owns a counter-based random stream, so
-the result is bit-identical at every worker count.
+run in parallel, in one thread pool per run; each particle owns a
+counter-based random stream, so the result is bit-identical at every
+worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -59,6 +61,9 @@ class HyperSpace:
         return np.array([d.upper for d in self.dimensions], dtype=np.float64)
 
 
+DIMENSION_NAMES = ("temperature", "alpha", "learning_rate", "batch_size", "epochs", "max_length")
+
+
 def default_space() -> HyperSpace:
     """The six-dimensional tuning space with its default ranges."""
     return HyperSpace(
@@ -98,7 +103,19 @@ def load_space(path: str | Path) -> HyperSpace:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"space file dimension {i}: {exc}") from exc
-    return HyperSpace(tuple(dims))
+    space = HyperSpace(tuple(dims))
+    for name in space.names:
+        if name not in DIMENSION_NAMES or space.names.count(name) > 1:
+            raise DataError(f"space file: dimension {name!r} is unknown or repeated")
+    # A missing name fails to decode.  Each DistillConfig check bounds one
+    # coordinate and decoding is monotone in each, so the two corners
+    # stand for the whole box.
+    try:
+        decode(space.lower, space)
+        decode(space.upper, space)
+    except ValueError as exc:
+        raise DataError(f"space file: {exc}") from exc
+    return space
 
 
 def _round_half_away(x: float) -> int:
@@ -122,9 +139,9 @@ def decode_values(position: np.ndarray, space: HyperSpace) -> dict[str, float | 
 def decode(position: np.ndarray, space: HyperSpace) -> DistillConfig:
     """Decode a position into a training configuration by dimension name."""
     values = decode_values(position, space)
-    missing = {"temperature", "alpha", "learning_rate", "batch_size", "epochs", "max_length"} - set(values)
+    missing = set(DIMENSION_NAMES) - set(values)
     if missing:
-        raise ValueError(f"space is missing dimensions {sorted(missing)}")
+        raise ValueError(f"missing dimensions {', '.join(sorted(missing))}")
     return DistillConfig(
         temperature=float(values["temperature"]),
         alpha=float(values["alpha"]),
@@ -167,14 +184,13 @@ class SwarmConfig:
     relative_threshold: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one particle")
-        if min(self.w, self.c1, self.c2) < 0:
-            raise ValueError("w, c1, c2 must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        # Named by their config keys: resolve_config builds one to check them.
+        for key in ("n", "max_iters", "patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"pso.{key} must be >= 1")
+        for key in ("w", "c1", "c2"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"pso.{key} must be non-negative")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -256,7 +272,9 @@ def pso_optimize(
 
     The objective is maximized and must be a pure function of the
     position.  Non-finite objective values are treated as -inf and the
-    offending particle indices are flagged in the trace entry.
+    offending particle indices are flagged in the trace entry.  With
+    ``parallelism > 1`` one thread pool serves the whole run, so at most
+    that many objective calls are live at once.
     """
     state = init_swarm(space, cfg)
     rngs = [particle_rng(cfg.seed, i) for i in range(cfg.n)]
@@ -265,44 +283,42 @@ def pso_optimize(
     def evaluate(position: np.ndarray) -> float:
         return float(objective(position.copy()))
 
-    for iteration in range(1, cfg.max_iters + 1):
-        state.iteration = iteration
-        positions = [p.position.copy() for p in state.particles]
-        if cfg.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-                raw_scores = list(pool.map(evaluate, positions))
-        else:
-            raw_scores = [evaluate(pos) for pos in positions]
+    pool = ThreadPoolExecutor(max_workers=cfg.parallelism) if cfg.parallelism > 1 else None
+    with pool or nullcontext():
+        for iteration in range(1, cfg.max_iters + 1):
+            state.iteration = iteration
+            positions = [p.position.copy() for p in state.particles]
+            raw_scores = list((pool.map if pool else map)(evaluate, positions))
 
-        nonfinite = tuple(i for i, s in enumerate(raw_scores) if not math.isfinite(s))
-        scores = [s if math.isfinite(s) else -math.inf for s in raw_scores]
+            nonfinite = tuple(i for i, s in enumerate(raw_scores) if not math.isfinite(s))
+            scores = [s if math.isfinite(s) else -math.inf for s in raw_scores]
 
-        for i, particle in enumerate(state.particles):
-            if scores[i] > particle.pbest_score:
-                particle.pbest_score = scores[i]
-                particle.pbest_pos = positions[i].copy()
-            if scores[i] > state.gbest_score:
-                state.gbest_score = scores[i]
-                state.gbest_pos = positions[i].copy()
-
-        assert state.gbest_score == max(p.pbest_score for p in state.particles)
-
-        if state.gbest_pos is not None:
             for i, particle in enumerate(state.particles):
-                velocity_update(particle, state.gbest_pos, cfg, rngs[i])
-                constrain_particle(particle, space)
+                if scores[i] > particle.pbest_score:
+                    particle.pbest_score = scores[i]
+                    particle.pbest_pos = positions[i].copy()
+                if scores[i] > state.gbest_score:
+                    state.gbest_score = scores[i]
+                    state.gbest_pos = positions[i].copy()
 
-        trace.append(
-            TraceEntry(
-                iteration=iteration,
-                gbest_score=state.gbest_score,
-                gbest_position=tuple(float(x) for x in (state.gbest_pos if state.gbest_pos is not None else [])),
-                nonfinite_particles=nonfinite,
+            assert state.gbest_score == max(p.pbest_score for p in state.particles)
+
+            if state.gbest_pos is not None:
+                for i, particle in enumerate(state.particles):
+                    velocity_update(particle, state.gbest_pos, cfg, rngs[i])
+                    constrain_particle(particle, space)
+
+            trace.append(
+                TraceEntry(
+                    iteration=iteration,
+                    gbest_score=state.gbest_score,
+                    gbest_position=tuple(float(x) for x in (state.gbest_pos if state.gbest_pos is not None else [])),
+                    nonfinite_particles=nonfinite,
+                )
             )
-        )
 
-        if early_stop_check(state, cfg.threshold, cfg.patience, cfg.relative_threshold):
-            break
+            if early_stop_check(state, cfg.threshold, cfg.patience, cfg.relative_threshold):
+                break
 
     if state.gbest_pos is None:
         raise ValueError("no particle produced a finite objective value")

@@ -126,17 +126,12 @@ def macro_f1(pred: PredictionSet) -> float:
     return total / len(counts)
 
 
-def weighted_f1(pred: PredictionSet, literal_weights: bool = False) -> float:
-    """Support-weighted mean of per-label F1.
-
-    Weights are positives_j normalized to sum to 1.  With
-    ``literal_weights=True`` the raw fractions positives_j / n_docs are
-    used instead; on multi-label data those sum past 1 and can push the
-    score above the best per-label F1, so they are off by default.
-    """
+def weighted_f1(pred: PredictionSet) -> float:
+    """Support-weighted mean of per-label F1; weights are positives_j
+    normalized to sum to 1."""
     counts = confusion_per_label(pred)
     supports = [c.tp + c.fn for c in counts]
-    denominator = float(len(pred.canonical_rows())) if literal_weights else float(sum(supports))
+    denominator = float(sum(supports))
     if denominator <= 0:
         return 0.0
     total = 0.0

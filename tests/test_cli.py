@@ -153,6 +153,11 @@ class TestRun:
             ("distill.batch_size", 0),
             ("distill.epochs", 0),
             ("distill.max_length", 0),
+            ("pso.n", 0),
+            ("pso.max_iters", 0),
+            ("pso.patience", 0),
+            ("pso.w", -1),
+            ("pso.c1", -0.5),
         ],
     )
     def test_bad_setting_is_usage_error_naming_key(self, data_dir, tmp_path, capsys, command, key, value):
@@ -229,6 +234,31 @@ class TestTune:
             outs.append(out)
         assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
         assert (outs[0] / "best_config.txt").read_bytes() == (outs[1] / "best_config.txt").read_bytes()
+
+    def test_tune_threads_within_workers(self, data_dir, tmp_path, monkeypatch):
+        # Every objective trains its folds serially, so the particle pool
+        # is the only source of threads: at most --workers of them.
+        import threading
+
+        import mldistill.distill as distill
+
+        train_student = distill.train_student
+        peak = 0
+
+        def counting(*args, **kwargs):
+            nonlocal peak
+            peak = max(peak, threading.active_count())
+            return train_student(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "train_student", counting)
+        before = threading.active_count()
+        code = run_cli(
+            ["tune", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", tmp_path / "t", "--seed", 4, "--workers", 2, "--run.k", 2,
+             "--run.feature_dim", 256, "--pso.n", 4, "--pso.max_iters", 1]
+        )
+        assert code == 0
+        assert 0 < peak - before <= 2
 
 
 class TestAblate:

@@ -270,6 +270,26 @@ class TestSpaceFile:
         assert (by_name["epochs"].lower, by_name["epochs"].upper) == (3, 5)
         assert (by_name["max_length"].lower, by_name["max_length"].upper) == (128, 512)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda dims: dims[:3] + dims[4:], "batch_size"),
+            (lambda dims: dims + [{"name": "bogus", "lower": 0.0, "upper": 1.0, "kind": "continuous"}], "bogus"),
+            (lambda dims: dims + [dict(dims[1])], "alpha"),
+            (lambda dims: [dict(d, lower=-4.0, upper=-2.0) if d["name"] == "temperature" else d for d in dims],
+             "temperature"),
+            (lambda dims: [dict(d, lower=0.2) if d["name"] == "batch_size" else d for d in dims], "batch_size"),
+        ],
+        ids=["missing", "unknown", "duplicate", "bad-bounds", "rounds-to-zero"],
+    )
+    def test_unusable_space_is_data_error_naming_dimension(self, tmp_path, change, named):
+        from mldistill.errors import DataError
+
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(change(json.loads(space_to_json(default_space())))))
+        with pytest.raises(DataError, match=named):
+            load_space(path)
+
     def test_malformed_space_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"name": "x", "lower": 1.0}]))

@@ -186,14 +186,6 @@ class TestLabelBasedF1:
         ex, mic, mac, weighted, _ = oracle_metrics(probs, truth, [f"d{i}" for i in range(7)])
         assert weighted_f1(pred) == weighted
 
-    def test_literal_weights_flag(self):
-        probs = [[0.9, 0.9]]
-        truth = [[1, 1]]
-        pred = build_prediction_set(probs, truth)
-        # literal weights sum to 2 here, doubling the score
-        assert weighted_f1(pred, literal_weights=True) == pytest.approx(2.0)
-        assert weighted_f1(pred) == pytest.approx(1.0)
-
 
 class TestAuc:
     def test_perfectly_separated(self):
