@@ -8,6 +8,7 @@ The fully resolved mapping is embedded into every output file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -39,6 +40,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    # float() accepts "nan" and "inf"; the range checks compare, and every
+    # comparison with NaN is False.
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
 def _parse_int_tuple(raw: str) -> tuple[int, ...]:
     parts = [p for p in raw.replace(",", " ").split() if p]
     if not parts:
@@ -59,13 +69,13 @@ KEY_REGISTRY: dict[str, tuple[Any, Any]] = {
     "run.k": (int, 5),
     "run.seed": (int, 0),
     "run.feature_dim": (int, DEFAULT_FEATURE_DIM),
-    "run.lr_scale": (float, DEFAULT_LR_SCALE),
+    "run.lr_scale": (_parse_float, DEFAULT_LR_SCALE),
     "run.workers": (int, 1),
-    "run.contrastive_weight": (float, 0.5),
+    "run.contrastive_weight": (_parse_float, 0.5),
     "run.label_order": (_parse_optional_int_tuple, None),
-    "distill.temperature": (float, 2.0),
-    "distill.alpha": (float, 0.5),
-    "distill.learning_rate": (float, 2e-5),
+    "distill.temperature": (_parse_float, 2.0),
+    "distill.alpha": (_parse_float, 0.5),
+    "distill.learning_rate": (_parse_float, 2e-5),
     "distill.batch_size": (int, 16),
     "distill.epochs": (int, 5),
     "distill.max_length": (int, 128),
@@ -73,11 +83,11 @@ KEY_REGISTRY: dict[str, tuple[Any, Any]] = {
     "model.student_hidden": (_parse_int_tuple, STUDENT_HIDDEN),
     "model.activation": (str, "tanh"),
     "pso.n": (int, 10),
-    "pso.w": (float, 0.7),
-    "pso.c1": (float, 1.5),
-    "pso.c2": (float, 1.5),
+    "pso.w": (_parse_float, 0.7),
+    "pso.c1": (_parse_float, 1.5),
+    "pso.c2": (_parse_float, 1.5),
     "pso.max_iters": (int, 10),
-    "pso.threshold": (float, 0.001),
+    "pso.threshold": (_parse_float, 0.001),
     "pso.patience": (int, 1),
     "pso.relative_threshold": (_parse_bool, False),
 }

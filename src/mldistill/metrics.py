@@ -5,10 +5,11 @@ true label sets; the label-based scores pool counts (micro), average
 per-label F1 (macro), or weight it by support (weighted).  AUC is the
 Mann-Whitney statistic with ties counted half.
 
-All arithmetic runs in plain Python floats over a canonical order
-(documents sorted by id, labels in vocabulary order), so every value is
-exactly reproducible by a naive reimplementation and is invariant to
-how prediction records were stored.
+Every metric reads one canonical order (documents sorted by id, labels
+in vocabulary order).  Counts and ranks are exact integer and
+half-integer numpy arithmetic; every float sum runs left to right in
+plain Python, so each value is exactly reproducible by a naive
+reimplementation and is invariant to how prediction records were stored.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from mldistill.errors import DataError
 from mldistill.predictions import PredictionSet
@@ -66,28 +69,33 @@ def prf1(c: ConfusionCounts) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _predicted(prob: float) -> int:
-    return 1 if prob >= DECISION_THRESHOLD else 0
+def _canonical(pred: PredictionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(probs, predicted, true) over the canonical document order; the last two are boolean."""
+    _, probs, truth = pred.canonical_arrays()
+    return probs, probs >= DECISION_THRESHOLD, truth == 1
+
+
+def _confusion(predicted: np.ndarray, true: np.ndarray) -> list[ConfusionCounts]:
+    tp = np.count_nonzero(predicted & true, axis=0).tolist()
+    fp = np.count_nonzero(predicted & ~true, axis=0).tolist()
+    fn = np.count_nonzero(~predicted & true, axis=0).tolist()
+    tn = np.count_nonzero(~predicted & ~true, axis=0).tolist()
+    return [ConfusionCounts(*c) for c in zip(tp, fp, fn, tn)]
 
 
 def confusion_per_label(pred: PredictionSet) -> list[ConfusionCounts]:
-    rows = pred.canonical_rows()
-    counts = []
-    for j in range(pred.num_labels):
-        tp = fp = fn = tn = 0
-        for _, probs, truth in rows:
-            yhat = _predicted(probs[j])
-            y = truth[j]
-            if yhat == 1 and y == 1:
-                tp += 1
-            elif yhat == 1 and y == 0:
-                fp += 1
-            elif yhat == 0 and y == 1:
-                fn += 1
-            else:
-                tn += 1
-        counts.append(ConfusionCounts(tp, fp, fn, tn))
-    return counts
+    _, predicted, true = _canonical(pred)
+    return _confusion(predicted, true)
+
+
+def _example_f1(predicted: np.ndarray, true: np.ndarray) -> float:
+    sizes = np.count_nonzero(true, axis=1) + np.count_nonzero(predicted, axis=1)
+    inter = np.count_nonzero(predicted & true, axis=1)
+    terms = np.where(sizes == 0, 1.0, 2.0 * inter / np.maximum(sizes, 1))
+    total = 0.0
+    for term in terms.tolist():  # left to right: np.sum is pairwise, sum() compensates from 3.12
+        total += term
+    return total / len(terms)
 
 
 def example_f1(pred: PredictionSet) -> float:
@@ -95,49 +103,60 @@ def example_f1(pred: PredictionSet) -> float:
 
     A document with both sets empty counts as a perfect 1.0.
     """
-    rows = pred.canonical_rows()
-    total = 0.0
-    for _, probs, truth in rows:
-        true_size = sum(truth)
-        pred_size = sum(_predicted(p) for p in probs)
-        inter = sum(1 for p, y in zip(probs, truth) if _predicted(p) == 1 and y == 1)
-        if true_size == 0 and pred_size == 0:
-            total += 1.0
-        else:
-            total += 2.0 * inter / (true_size + pred_size)
-    return total / len(rows)
+    _, predicted, true = _canonical(pred)
+    return _example_f1(predicted, true)
 
 
-def micro_f1(pred: PredictionSet) -> float:
-    counts = confusion_per_label(pred)
+def _label_based(counts: list[ConfusionCounts]) -> tuple[float, float, float]:
+    """(micro, macro, weighted) F1 from per-label counts."""
     tp = sum(c.tp for c in counts)
     fp = sum(c.fp for c in counts)
     fn = sum(c.fn for c in counts)
     precision = _ratio(tp, tp + fp)
     recall = _ratio(tp, tp + fn)
-    return _ratio(2.0 * precision * recall, precision + recall)
+    micro = _ratio(2.0 * precision * recall, precision + recall)
+    macro = 0.0
+    for c in counts:
+        macro += prf1(c)[2]
+    supports = [c.tp + c.fn for c in counts]
+    denominator = float(sum(supports))
+    weighted = 0.0
+    if denominator > 0:
+        for c, support in zip(counts, supports):
+            weighted += (support / denominator) * prf1(c)[2]
+    return micro, macro / len(counts), weighted
+
+
+def micro_f1(pred: PredictionSet) -> float:
+    return _label_based(confusion_per_label(pred))[0]
 
 
 def macro_f1(pred: PredictionSet) -> float:
-    counts = confusion_per_label(pred)
-    total = 0.0
-    for c in counts:
-        total += prf1(c)[2]
-    return total / len(counts)
+    return _label_based(confusion_per_label(pred))[1]
 
 
 def weighted_f1(pred: PredictionSet) -> float:
     """Support-weighted mean of per-label F1; weights are positives_j
     normalized to sum to 1."""
-    counts = confusion_per_label(pred)
-    supports = [c.tp + c.fn for c in counts]
-    denominator = float(sum(supports))
-    if denominator <= 0:
-        return 0.0
-    total = 0.0
-    for c, support in zip(counts, supports):
-        total += (support / denominator) * prf1(c)[2]
-    return total
+    return _label_based(confusion_per_label(pred))[2]
+
+
+def _auc(values: np.ndarray, positive: np.ndarray) -> float | None:
+    n = len(values)
+    pos = int(np.count_nonzero(positive))
+    neg = n - pos
+    if pos == 0 or neg == 0:
+        return None
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n)
+    # Each tie group [start, end) shares the mean of its 1-based ranks.
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
+    # Half-integers summing far below 2**52: exact in any order.
+    rank_sum = float(ranks[positive].sum())
+    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
 def auc(scores: list[tuple[float, int]]) -> float | None:
@@ -146,52 +165,26 @@ def auc(scores: list[tuple[float, int]]) -> float | None:
     Computed from tie-averaged ranks, which is exactly the fraction of
     (positive, negative) pairs ordered correctly.
     """
-    n = len(scores)
-    pos = sum(1 for _, bit in scores if bit == 1)
-    neg = n - pos
-    if pos == 0 or neg == 0:
-        return None
-    values = [float(s) for s, _ in scores]
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg_rank
-        i = j + 1
-    rank_sum = 0.0
-    for idx, (_, bit) in enumerate(scores):
-        if bit == 1:
-            rank_sum += ranks[idx]
-    return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+    values = np.array([float(s) for s, _ in scores], dtype=float)
+    return _auc(values, np.array([bit == 1 for _, bit in scores], dtype=bool))
 
 
 def auc_per_label(pred: PredictionSet) -> list[float | None]:
-    rows = pred.canonical_rows()
-    out = []
-    for j in range(pred.num_labels):
-        out.append(auc([(probs[j], truth[j]) for _, probs, truth in rows]))
-    return out
+    probs, _, true = _canonical(pred)
+    return [_auc(probs[:, j], true[:, j]) for j in range(pred.num_labels)]
 
 
 def full_report(pred: PredictionSet) -> MetricsReport:
-    counts = confusion_per_label(pred)
-    aucs = auc_per_label(pred)
+    """Every metric from one canonical view of the set."""
+    probs, predicted, true = _canonical(pred)
+    counts = _confusion(predicted, true)
     per_label = {}
-    for name, c, label_auc in zip(pred.labels, counts, aucs):
+    for j, (name, c) in enumerate(zip(pred.labels, counts)):
         precision, recall, f1 = prf1(c)
+        label_auc = _auc(probs[:, j], true[:, j])
         per_label[name] = LabelMetrics(precision=precision, recall=recall, f1=f1, auc=label_auc, counts=c)
-    return MetricsReport(
-        example_f1=example_f1(pred),
-        micro_f1=micro_f1(pred),
-        macro_f1=macro_f1(pred),
-        weighted_f1=weighted_f1(pred),
-        per_label=per_label,
-    )
+    micro, macro, weighted = _label_based(counts)
+    return MetricsReport(_example_f1(predicted, true), micro, macro, weighted, per_label)
 
 
 def _fixed(value: float | None) -> float | None:

@@ -280,6 +280,8 @@ def read_replications(path: str | Path) -> dict[str, list[float]]:
                 score = float(raw)
             except ValueError as exc:
                 raise DataError(f"line {lineno}: score {raw!r} is not a number") from exc
+            if not math.isfinite(score):
+                raise DataError(f"line {lineno}: score {raw!r} is not a finite number")
             groups.setdefault(name, []).append(score)
     if not groups:
         raise DataError("replication file contains no scores")

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mldistill.cli import main
-from mldistill.config import PRESETS, parse_config_file, resolve_config
+from mldistill.config import KEY_REGISTRY, PRESETS, parse_config_file, resolve_config
 from mldistill.errors import UsageError
 from mldistill.metrics import read_report
 
@@ -27,6 +27,9 @@ FAST = [
     "--distill.epochs", "2",
     "--distill.batch_size", "8",
 ]
+
+
+FLOAT_KEYS = [key for key, (_, default) in KEY_REGISTRY.items() if isinstance(default, float)]
 
 
 def run_cli(args) -> int:
@@ -158,6 +161,7 @@ class TestRun:
             ("pso.patience", 0),
             ("pso.w", -1),
             ("pso.c1", -0.5),
+            *[(key, value) for key in FLOAT_KEYS for value in ("nan", "inf")],
         ],
     )
     def test_bad_setting_is_usage_error_naming_key(self, data_dir, tmp_path, capsys, command, key, value):
@@ -350,6 +354,14 @@ class TestStatsCommand:
         code = run_cli(["stats", "--replications", reps, "--out", out])
         assert code == 0
         assert "eta_squared\t1.000000" in (out / "stats.txt").read_text()
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_is_data_error(self, tmp_path, capsys, score):
+        reps = tmp_path / "reps.txt"
+        reps.write_text(f"A 0.82\nA 0.83\nB {score}\nB 0.71\n")
+        code = run_cli(["stats", "--replications", reps, "--out", tmp_path / "stats"])
+        assert code == 2
+        assert f"line 2: score {score!r} is not a finite number" in capsys.readouterr().err
 
 
 class TestConfigResolution:

@@ -6,8 +6,11 @@ import pytest
 from mldistill.errors import DataError
 from mldistill.metrics import (
     ConfusionCounts,
+    LabelMetrics,
+    MetricsReport,
     auc,
     auc_per_label,
+    confusion_per_label,
     example_f1,
     full_report,
     macro_f1,
@@ -298,3 +301,125 @@ class TestInvariants:
         pred = PredictionSet(["L0"])
         with pytest.raises(DataError):
             example_f1(pred)
+
+
+# ---------------------------------------------------------------------------
+# The list-based implementation that preceded the array one, kept verbatim in
+# its arithmetic: rows sorted by id, counts and sums in plain Python loops.
+# The array implementation must give an equal report, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def list_based_report(doc_ids, probs, truth, labels):
+    rows = [(doc_ids[i], probs[i], truth[i]) for i in sorted(range(len(doc_ids)), key=lambda i: doc_ids[i])]
+
+    def predicted(p):
+        return 1 if p >= 0.5 else 0
+
+    counts = []
+    for j in range(len(labels)):
+        tp = fp = fn = tn = 0
+        for _, ps, ys in rows:
+            yhat, y = predicted(ps[j]), ys[j]
+            if yhat == 1 and y == 1:
+                tp += 1
+            elif yhat == 1 and y == 0:
+                fp += 1
+            elif yhat == 0 and y == 1:
+                fn += 1
+            else:
+                tn += 1
+        counts.append(ConfusionCounts(tp, fp, fn, tn))
+
+    total = 0.0
+    for _, ps, ys in rows:
+        true_size = sum(ys)
+        pred_size = sum(predicted(p) for p in ps)
+        inter = sum(1 for p, y in zip(ps, ys) if predicted(p) == 1 and y == 1)
+        total += 1.0 if true_size == 0 and pred_size == 0 else 2.0 * inter / (true_size + pred_size)
+    example = total / len(rows)
+
+    tp, fp, fn = sum(c.tp for c in counts), sum(c.fp for c in counts), sum(c.fn for c in counts)
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    micro = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+
+    macro = 0.0
+    for c in counts:
+        macro += prf1(c)[2]
+    macro = macro / len(counts)
+
+    supports = [c.tp + c.fn for c in counts]
+    denominator = float(sum(supports))
+    weighted = 0.0
+    if denominator > 0:
+        for c, support in zip(counts, supports):
+            weighted += (support / denominator) * prf1(c)[2]
+
+    def rank_auc(scores):
+        n = len(scores)
+        pos = sum(1 for _, bit in scores if bit == 1)
+        neg = n - pos
+        if pos == 0 or neg == 0:
+            return None
+        values = [float(s) for s, _ in scores]
+        order = sorted(range(n), key=lambda i: values[i])
+        ranks = [0.0] * n
+        i = 0
+        while i < n:
+            k = i
+            while k + 1 < n and values[order[k + 1]] == values[order[i]]:
+                k += 1
+            for t in range(i, k + 1):
+                ranks[order[t]] = (i + k) / 2.0 + 1.0
+            i = k + 1
+        rank_sum = 0.0
+        for idx, (_, bit) in enumerate(scores):
+            if bit == 1:
+                rank_sum += ranks[idx]
+        return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+
+    per_label = {}
+    for j, (name, c) in enumerate(zip(labels, counts)):
+        p, r, f1 = prf1(c)
+        label_auc = rank_auc([(ps[j], ys[j]) for _, ps, ys in rows])
+        per_label[name] = LabelMetrics(precision=p, recall=r, f1=f1, auc=label_auc, counts=c)
+    return MetricsReport(example_f1=example, micro_f1=micro, macro_f1=macro, weighted_f1=weighted, per_label=per_label)
+
+
+def grid_instance(rng, n_docs, width):
+    """Ids whose text order differs from insertion and numeric order,
+    probabilities on a 3-decimal grid (AUC sees ties), a one-class label
+    and documents with empty true and predicted sets."""
+    doc_ids = ["9", "10", "d2", "d10", "100", "0"] + [str(k) for k in rng.permutation(1000)[: n_docs - 6] + 11]
+    rng.shuffle(doc_ids)
+    probs = np.round(rng.random((n_docs, width)), 3)
+    truth = (rng.random((n_docs, width)) < 0.4).astype(int)
+    truth[:, 0] = 0  # one class only: AUC None
+    empty = rng.choice(n_docs, size=3, replace=False)
+    truth[empty] = 0
+    probs[empty] = np.round(rng.random((3, width)) * 0.499, 3)
+    return doc_ids, probs.tolist(), truth.tolist()
+
+
+class TestListBasedEquality:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_report_equals_list_based(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n_docs, width = int(rng.integers(6, 400)), int(rng.integers(1, 6))
+        doc_ids, probs, truth = grid_instance(rng, n_docs, width)
+        labels = [f"L{j}" for j in range(width)]
+        pred = build_prediction_set(probs, truth, labels=labels, doc_ids=doc_ids, fold=seed)
+        expected = list_based_report(doc_ids, probs, truth, labels)
+        report = full_report(pred)
+        assert report == expected
+        assert report.per_label["L0"].auc is None
+        assert (example_f1(pred), micro_f1(pred), macro_f1(pred), weighted_f1(pred)) == (
+            expected.example_f1, expected.micro_f1, expected.macro_f1, expected.weighted_f1
+        )
+        assert auc_per_label(pred) == [m.auc for m in expected.per_label.values()]
+        assert confusion_per_label(pred) == [m.counts for m in expected.per_label.values()]
+
+    def test_canonical_order_is_text_order(self):
+        pred = build_prediction_set([[0.1]] * 4, [[0]] * 4, doc_ids=["9", "10", "d2", "d10"])
+        assert [row[0] for row in pred.canonical_rows()] == ["10", "9", "d10", "d2"]

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mldistill.errors import DataError
@@ -120,3 +122,124 @@ class TestExternalFiles:
         pred = read_predictions(path)
         assert pred.canonical_rows() == [("x", [0.5], [1])]
         assert pred.fold_of == {"x": 2}
+
+
+def collect_then_add(path):
+    """The reader that preceded streaming: keep every record, fix the labels
+    from the last header (else the sorted record labels), then add."""
+    records, labels = [], None
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.strip():
+            obj = json.loads(line)
+            if "_meta" in obj:
+                labels = obj["_meta"]["labels"]
+            else:
+                records.append(obj)
+    labels = labels if labels is not None else sorted({obj["label"] for obj in records})
+    pred = PredictionSet(labels)
+    for obj in records:
+        pred.add(obj["doc_id"], labels.index(obj["label"]), obj["prob"], obj["true"], obj["fold"])
+    return pred
+
+
+def record_lines(seed):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for doc in ["9", "10", "d2", "d10", "x"]:
+        fold = int(rng.integers(0, 3))
+        for name in ("b", "a", "c"):
+            prob, true_bit = float(np.round(rng.random(), 3)), int(rng.integers(0, 2))
+            lines.append(json.dumps({"doc_id": doc, "label": name, "prob": prob, "true": true_bit, "fold": fold}))
+    rng.shuffle(lines)
+    return lines
+
+
+def header(labels):
+    return json.dumps({"_meta": {"format": "mldistill-predictions/1", "labels": list(labels)}})
+
+
+class TestStreamingRead:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "header_first",
+            "headerless",
+            "header_after_records",
+            "second_header_adds",
+            "second_header_reorders",
+            "blank_lines",
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loads_same_set_as_collect_then_add(self, tmp_path, layout, seed):
+        lines = record_lines(seed)
+        if layout == "header_first":
+            lines.insert(0, header(["c", "a", "b"]))
+        elif layout == "header_after_records":
+            lines.insert(7, header(["c", "b", "a"]))
+        elif layout == "second_header_adds":
+            # the first list lacks "c", the last one wins
+            lines[:0] = [header(["a", "b"]), lines.pop(), header(["b", "a"])]
+            lines.insert(9, header(["c", "b", "a"]))
+        elif layout == "second_header_reorders":
+            lines.insert(0, header(["a", "b", "c"]))
+            lines.insert(9, header(["c", "a", "b"]))
+        elif layout == "blank_lines":
+            lines[:0] = [header(["a", "b", "c"]), ""]
+            lines.insert(5, "   ")
+        path = tmp_path / "pred.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got, expected = read_predictions(path), collect_then_add(path)
+        assert got.labels == expected.labels
+        assert got.canonical_rows() == expected.canonical_rows()
+        assert got.fold_of == expected.fold_of
+        assert got.doc_ids == expected.doc_ids
+
+    def test_header_first_parses_each_line_once(self, tmp_path, monkeypatch):
+        pred = sample_set()
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        calls = []
+        real_loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, *a, **k: calls.append(text) or real_loads(text, *a, **k))
+        again = read_predictions(path)
+        assert again.canonical_rows() == pred.canonical_rows()
+        assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    @pytest.mark.parametrize("with_header", [True, False])
+    def test_first_faulty_line_is_reported(self, tmp_path, with_header):
+        good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
+        lines = [
+            json.dumps(good),
+            json.dumps({**good, "doc_id": "y", "prob": 1.5}),
+            json.dumps({**good, "doc_id": "z"}),
+            json.dumps({**good, "doc_id": "w"}),
+            "not json",
+        ]
+        if with_header:
+            lines[0] = header(["a"])
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"^line 1: probability 1.5 outside \[0, 1\]"):
+            read_predictions(path)
+
+
+class TestArrayStorage:
+    def test_grows_past_initial_capacity(self):
+        pred = PredictionSet(["a", "b"])
+        for i in range(100):
+            pred.add(f"d{i}", 1, i / 100, i % 2, i % 3)
+            pred.add(f"d{i}", 0, 1 - i / 100, 1 - i % 2, i % 3)
+        assert len(pred) == 200 and pred.num_docs == 100
+        assert pred.canonical_rows()[0] == ("d0", [1.0, 0.0], [1, 0])
+        with pytest.raises(DataError, match="duplicate"):
+            pred.add("d57", 1, 0.5, 1, 57 % 3)
+
+    def test_first_missing_cell_reported(self):
+        pred = PredictionSet(["a", "b", "c"])
+        pred.add("d1", 0, 0.5, 1, 0)
+        pred.add("d0", 2, 0.5, 1, 0)
+        pred.add("d1", 2, 0.5, 1, 0)
+        with pytest.raises(DataError, match="missing prediction for doc 'd1', label 'b'"):
+            pred.validate_complete()
+        assert len(pred) == 3
