@@ -3,8 +3,9 @@
 The package trains a small teacher network and distills it into an even
 smaller student, label by label, under stratified cross-validation.  It
 ships the full evaluation suite (example-based and label-based F1, AUC),
-a parallel particle-swarm hyperparameter tuner, replication statistics,
-and a CLI that orchestrates end-to-end experiments.
+a particle-swarm hyperparameter tuner, replication statistics, and a CLI
+that orchestrates end-to-end experiments.  Folds and particles run on
+forked worker processes, up to the ``--workers`` cap.
 """
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import mldistill
+from mldistill import parallel
 from mldistill.config import KEY_REGISTRY, RunConfig, parse_config_file, resolve_config
 from mldistill.corpus import Corpus, load_corpus, save_corpus, save_vocab
 from mldistill.errors import DataError, UsageError
@@ -279,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Forked workers inherit the pin, so --workers N caps the whole concurrency.
+        parallel.pin_blas_threads()
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

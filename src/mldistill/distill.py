@@ -7,9 +7,10 @@ the ordinary cross entropy against the true bit.  The teacher is
 fine-tuned by the same training loop on the hard loss alone.
 
 Every mode runs through one fold loop, ``_cross_validate``.  It checks
-the folds and the label order, then runs the folds one at a time, with
-no thread: it featurizes each fold (IDF from its training part only),
-trains it and records its out-of-fold predictions.  A mode supplies a
+the folds and the label order, then runs the folds, serially or on
+forked worker processes (``parallel.map``): each fold is featurized (IDF
+from its training part only) and trained, and its out-of-fold
+predictions are recorded in fold order.  A mode supplies a
 per-fold generator that trains label by label, in vocabulary order
 unless a permutation is given, and yields each label's validation
 probabilities.  The distillation modes fine-tune the teacher and
@@ -28,6 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy import sparse
 
+from mldistill import parallel
 from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
@@ -354,31 +356,40 @@ def _cross_validate(
     max_length: int,
     label_order,
     fit_fold: Callable[..., Iterator[np.ndarray]],
+    workers: int = 1,
 ) -> PredictionSet:
     """Out-of-fold predictions of ``fit_fold`` run on every fold.
 
     ``fit_fold(fold, X_train, Y_train, X_val, order)`` trains on one fold
     and yields the validation positive-class probabilities of each label
-    in ``order``, one array per label.  Folds run one at a time, in fold
-    order.  The training step is bound by Python overhead, so fold threads
-    would only contend for the GIL: on 2 cores they made runs slower and
-    larger.
+    in ``order``, one array per label.  The folds are featurized and
+    trained on up to ``workers`` forked processes (``parallel.map``).  The
+    checks, the token lists and the recording of predictions, in fold
+    order, stay in the caller, so the output does not depend on
+    ``workers``.
     """
     if set(folds.fold_of) != {d.id for d in corpus.documents}:
         raise ValueError("fold assignment does not cover exactly the corpus documents")
     order = _resolve_label_order(len(corpus.vocab), label_order)
     labels_matrix = corpus.label_matrix()
     tokens = [tokenize(d.text) for d in corpus.documents]
-
-    predictions = PredictionSet(corpus.vocab.labels)
+    splits = []
     for fold in range(folds.k):
         train_idx = folds.train_indices(corpus, fold)
         val_idx = folds.val_indices(corpus, fold)
         if not train_idx or not val_idx:
             raise ValueError(f"fold {fold} leaves an empty training or validation split")
+        splits.append((train_idx, val_idx))
+
+    def run_fold(fold: int) -> list[np.ndarray]:
+        train_idx, val_idx = splits[fold]
         X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
+        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order))
+
+    predictions = PredictionSet(corpus.vocab.labels)
+    for fold, per_label in enumerate(parallel.map(run_fold, range(folds.k), workers)):
+        _, val_idx = splits[fold]
         val_ids = [corpus.documents[i].id for i in val_idx]
-        per_label = fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order)
         for j, probs in zip(order, per_label, strict=True):
             for doc_id, prob, true_bit in zip(val_ids, probs, labels_matrix[val_idx, j]):
                 predictions.add(doc_id, j, float(prob), int(true_bit), fold)
@@ -397,6 +408,7 @@ def _run_distillation(
     contrastive_weight: float | None,
     lr_scale: float,
     label_order=None,
+    workers: int = 1,
 ) -> PredictionSet:
     """Per label: fine-tune the teacher on the hard loss, then distill it
     into the student and record the student's validation probabilities.
@@ -444,7 +456,7 @@ def _run_distillation(
             )
             yield softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
 
-    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold)
+    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers)
 
 
 def distill_sequential(
@@ -457,12 +469,13 @@ def distill_sequential(
     contrastive_weight: float | None = None,
     lr_scale: float = DEFAULT_LR_SCALE,
     label_order=None,
+    workers: int = 1,
 ) -> PredictionSet:
     """Teacher and student encoders persist across labels within a fold."""
     return _run_distillation(
         corpus, folds, teacher_spec, student_spec, cfg, seed,
         fresh_per_label=False, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        label_order=label_order,
+        label_order=label_order, workers=workers,
     )
 
 
@@ -476,12 +489,13 @@ def distill_binary_relevance(
     contrastive_weight: float | None = None,
     lr_scale: float = DEFAULT_LR_SCALE,
     label_order=None,
+    workers: int = 1,
 ) -> PredictionSet:
     """Fresh teacher and student per (fold, label): labels never interact."""
     return _run_distillation(
         corpus, folds, teacher_spec, student_spec, cfg, seed,
         fresh_per_label=True, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        label_order=label_order,
+        label_order=label_order, workers=workers,
     )
 
 
@@ -544,6 +558,7 @@ def baseline_classifier_chains(
     feature_dim: int = 32768,
     lr: float = BASELINE_LEARNING_RATE,
     label_order=None,
+    workers: int = 1,
 ) -> PredictionSet:
     """TF-IDF + chained linear classifiers trained with logistic loss.
 
@@ -565,4 +580,4 @@ def baseline_classifier_chains(
             chain_train = np.hstack([chain_train, y_train[:, j][:, None]])
             chain_val = np.hstack([chain_val, (probs >= 0.5).astype(np.float64)[:, None]])
 
-    return _cross_validate(corpus, folds, feature_dim, cfg.max_length, label_order, fit_fold)
+    return _cross_validate(corpus, folds, feature_dim, cfg.max_length, label_order, fit_fold, workers)

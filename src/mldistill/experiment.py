@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import resource
 import tempfile
 import time
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 import mldistill
+from mldistill import parallel
 from mldistill.config import RunConfig, check_corpus, swarm_settings
 from mldistill.corpus import Corpus
 from mldistill.distill import (
@@ -94,7 +94,8 @@ def dispatch_mode(
     distill_cfg: DistillConfig | None = None,
     seed: int | None = None,
 ) -> PredictionSet:
-    """Run one training mode end to end and return its predictions."""
+    """Run one training mode end to end, its folds on up to
+    ``config.workers`` processes, and return its predictions."""
     mode = mode if mode is not None else config.mode
     cfg = distill_cfg if distill_cfg is not None else config.distill
     seed = config.seed if seed is None else seed
@@ -102,7 +103,7 @@ def dispatch_mode(
 
     if mode.variant == "classifier_chains_baseline":
         return baseline_classifier_chains(
-            corpus, folds, cfg, seed, feature_dim=config.feature_dim, label_order=label_order
+            corpus, folds, cfg, seed, feature_dim=config.feature_dim, label_order=label_order, workers=config.workers
         )
 
     teacher_spec, student_spec = _encoder_specs(config)
@@ -117,6 +118,7 @@ def dispatch_mode(
         contrastive_weight=mode.contrastive_weight,
         lr_scale=config.lr_scale,
         label_order=label_order,
+        workers=config.workers,
     )
 
 
@@ -156,7 +158,7 @@ def run_experiment(corpus: Corpus, config: RunConfig) -> RunResult:
         "config": config.audit_dict(),
         "workers": config.workers,
         "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_rss_kb": parallel.peak_rss_kb(),
     }
     return RunResult(predictions=predictions, report=report, folds=folds, manifest=manifest)
 
@@ -218,7 +220,7 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
         "config": config.audit_dict(),
         "workers": config.workers,
         "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_rss_kb": parallel.peak_rss_kb(),
     }
     return rows, manifest
 
@@ -276,7 +278,7 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
         "config": config.audit_dict(),
         "workers": config.workers,
         "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_rss_kb": parallel.peak_rss_kb(),
     }
     return TuneResult(best_config=best_config, best_score=best_score, trace=trace, manifest=manifest)
 

@@ -4,24 +4,23 @@ Each particle keeps a personal best; the swarm keeps a global best.
 Velocities blend inertia with pulls toward both bests, scaled by
 per-dimension uniform random vectors.  Integer dimensions travel in
 continuous space and are rounded only when a position is decoded into a
-configuration.  Evaluation of the particles within one iteration may
-run in parallel, in one thread pool per run; each particle owns a
-counter-based random stream, so the result is bit-identical at every
-worker count.
+configuration.  The particles of each iteration may be evaluated in
+parallel, on worker processes forked once per run (``parallel.forked``);
+each particle owns a counter-based random stream and scores are merged
+in particle order, so the result is bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from mldistill import parallel
 from mldistill.distill import DistillConfig
 from mldistill.errors import DataError
 from mldistill.seeding import particle_rng
@@ -37,6 +36,8 @@ class Dimension:
     def __post_init__(self) -> None:
         if self.kind not in ("continuous", "integer"):
             raise ValueError(f"unknown dimension kind {self.kind!r}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"dimension {self.name!r} needs finite bounds")
         if not self.lower < self.upper:
             raise ValueError(f"dimension {self.name!r} needs lower < upper")
 
@@ -273,8 +274,9 @@ def pso_optimize(
     The objective is maximized and must be a pure function of the
     position.  Non-finite objective values are treated as -inf and the
     offending particle indices are flagged in the trace entry.  With
-    ``parallelism > 1`` one thread pool serves the whole run, so at most
-    that many objective calls are live at once.
+    ``parallelism > 1`` the particles are evaluated on up to that many
+    processes, forked once per run, so at most that many objective calls
+    are live at once.
     """
     state = init_swarm(space, cfg)
     rngs = [particle_rng(cfg.seed, i) for i in range(cfg.n)]
@@ -283,12 +285,11 @@ def pso_optimize(
     def evaluate(position: np.ndarray) -> float:
         return float(objective(position.copy()))
 
-    pool = ThreadPoolExecutor(max_workers=cfg.parallelism) if cfg.parallelism > 1 else None
-    with pool or nullcontext():
+    with parallel.forked(evaluate, min(cfg.parallelism, cfg.n)) as run:
         for iteration in range(1, cfg.max_iters + 1):
             state.iteration = iteration
             positions = [p.position.copy() for p in state.particles]
-            raw_scores = list((pool.map if pool else map)(evaluate, positions))
+            raw_scores = run(positions)
 
             nonfinite = tuple(i for i, s in enumerate(raw_scores) if not math.isfinite(s))
             scores = [s if math.isfinite(s) else -math.inf for s in raw_scores]

@@ -1,13 +1,21 @@
 """CLI subcommands end to end on a tiny synthetic corpus."""
 
+import ctypes
 import json
+import math
+import os
+import resource
+import threading
 from pathlib import Path
 
 import pytest
 
+from mldistill import parallel
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, PRESETS, parse_config_file, resolve_config
+from mldistill.distill import MODE_VARIANTS
 from mldistill.errors import UsageError
+from mldistill.hypertune import default_space, space_to_json
 from mldistill.metrics import read_report
 
 
@@ -88,16 +96,31 @@ class TestRun:
         assert (outs[0] / "metrics.json").read_bytes() == (outs[1] / "metrics.json").read_bytes()
 
     def test_run_workers_byte_identical(self, data_dir, tmp_path):
-        outs = []
-        for name, workers in (("w1", 1), ("w3", 3)):
-            out = tmp_path / name
-            code = run_cli(
-                ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
-                 "--out", out, "--seed", 11, "--workers", workers, *FAST]
-            )
-            assert code == 0
-            outs.append(out)
-        assert (outs[0] / "predictions.jsonl").read_bytes() == (outs[1] / "predictions.jsonl").read_bytes()
+        for mode in MODE_VARIANTS:
+            outs = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"{mode}-w{workers}"
+                code = run_cli(
+                    ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+                     "--out", out, "--seed", 11, "--mode", mode, "--workers", workers, *FAST]
+                )
+                assert code == 0
+                outs.append(out)
+            for out in outs[1:]:
+                assert (out / "predictions.jsonl").read_bytes() == (outs[0] / "predictions.jsonl").read_bytes()
+                assert (out / "metrics.json").read_bytes() == (outs[0] / "metrics.json").read_bytes()
+
+    def test_manifest_peak_counts_workers(self, data_dir, tmp_path, monkeypatch):
+        # RUSAGE_SELF cannot see forked workers; the manifest adds their peaks.
+        monkeypatch.setattr(parallel, "_workers_peak_kb", 0)
+        out = tmp_path / "w2"
+        code = run_cli(
+            ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", out, "--workers", 2, *FAST]
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["peak_rss_kb"] > resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     def test_baseline_mode_shares_report_schema(self, data_dir, tmp_path):
         out_seq = tmp_path / "seq"
@@ -239,30 +262,97 @@ class TestTune:
         assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
         assert (outs[0] / "best_config.txt").read_bytes() == (outs[1] / "best_config.txt").read_bytes()
 
-    def test_tune_threads_within_workers(self, data_dir, tmp_path, monkeypatch):
-        # Every objective trains its folds serially, so the particle pool
-        # is the only source of threads: at most --workers of them.
-        import threading
-
-        import mldistill.distill as distill
-
-        train_student = distill.train_student
-        peak = 0
-
-        def counting(*args, **kwargs):
-            nonlocal peak
-            peak = max(peak, threading.active_count())
-            return train_student(*args, **kwargs)
-
-        monkeypatch.setattr(distill, "train_student", counting)
-        before = threading.active_count()
+    @pytest.mark.parametrize(
+        "name, bound, value",
+        [("batch_size", "upper", math.inf), ("temperature", "upper", math.inf), ("batch_size", "lower", -math.inf)],
+    )
+    def test_non_finite_space_bound_is_data_error(self, data_dir, tmp_path, capsys, name, bound, value):
+        dims = json.loads(space_to_json(default_space()))
+        for dim in dims:
+            if dim["name"] == name:
+                dim[bound] = value
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps(dims))  # writes Infinity / -Infinity
+        out = tmp_path / "t"
         code = run_cli(
             ["tune", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
-             "--out", tmp_path / "t", "--seed", 4, "--workers", 2, "--run.k", 2,
-             "--run.feature_dim", 256, "--pso.n", 4, "--pso.max_iters", 1]
+             "--out", out, "--space", space, "--run.k", 2, "--run.feature_dim", 256,
+             "--pso.n", 2, "--pso.max_iters", 1]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def _blas_threads() -> int:
+    """Threads of numpy's bundled OpenBLAS, as loaded in this process."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    path = next(line.split()[-1] for line in maps if "libscipy_openblas64_" in line)
+    return ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
+
+
+class TestWorkersCap:
+    """--workers N caps the whole concurrency: at most min(N, items) forked
+    workers, one Python thread and one BLAS thread in each, no nested pools."""
+
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        import mldistill.distill as distill
+
+        log = tmp_path / "calls.log"
+
+        def record(kind):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()} {threading.active_count()} {_blas_threads()}\n")
+
+        train_student, serve = distill.train_student, parallel._serve
+
+        def counting_train(*args, **kwargs):
+            record("train")
+            return train_student(*args, **kwargs)
+
+        def counting_serve(*args):
+            record("start")
+            return serve(*args)
+
+        monkeypatch.setattr(distill, "train_student", counting_train)
+        monkeypatch.setattr(parallel, "_serve", counting_serve)
+
+        def read():
+            rows = [line.split() for line in log.read_text().splitlines()]
+            return {kind: [tuple(map(int, row[1:])) for row in rows if row[0] == kind] for kind in ("train", "start")}
+
+        return read
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("run", FAST),
+            ("tune", ["--run.k", 2, "--run.feature_dim", 256, "--pso.n", 4, "--pso.max_iters", 1]),
+        ],
+        ids=["run", "tune"],
+    )
+    def test_workers_train_in_at_most_n_processes(self, data_dir, tmp_path, calls, command, extra):
+        code = run_cli(
+            [command, "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", tmp_path / "o", "--seed", 4, "--workers", 2, *extra]
         )
         assert code == 0
-        assert 0 < peak - before <= 2
+        seen = calls()
+        pids = {pid for pid, _, _ in seen["train"]}
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+        assert {pid for pid, _, _ in seen["start"]} >= pids and len(seen["start"]) <= 2
+        assert all(threads == 1 and blas == 1 for _, threads, blas in seen["train"])
+        assert _blas_threads() == 1
+
+    def test_workers_above_folds_start_one_process_per_fold(self, data_dir, tmp_path, calls):
+        code = run_cli(
+            ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", tmp_path / "o", "--workers", 8, *FAST, "--run.k", 2]
+        )
+        assert code == 0
+        assert len(calls()["start"]) <= 2
 
 
 class TestAblate:
@@ -285,6 +375,18 @@ class TestAblate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(set(manifest["row_fold_hashes"])) == 1
         assert manifest["row_fold_hashes"][0] == manifest["fold_hash"]
+
+    def test_ablate_workers_byte_identical(self, data_dir, tmp_path):
+        tables = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            code = run_cli(
+                ["ablate", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+                 "--out", out, "--seed", 6, "--workers", workers, *FAST]
+            )
+            assert code == 0
+            tables.append((out / "ablation.tsv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestAblateOneLabel:

@@ -279,8 +279,10 @@ class TestSpaceFile:
             (lambda dims: [dict(d, lower=-4.0, upper=-2.0) if d["name"] == "temperature" else d for d in dims],
              "temperature"),
             (lambda dims: [dict(d, lower=0.2) if d["name"] == "batch_size" else d for d in dims], "batch_size"),
+            (lambda dims: [dict(d, upper=math.inf) if d["name"] == "epochs" else d for d in dims], "epochs"),
+            (lambda dims: [dict(d, lower=math.nan) if d["name"] == "alpha" else d for d in dims], "alpha"),
         ],
-        ids=["missing", "unknown", "duplicate", "bad-bounds", "rounds-to-zero"],
+        ids=["missing", "unknown", "duplicate", "bad-bounds", "rounds-to-zero", "infinite-bound", "nan-bound"],
     )
     def test_unusable_space_is_data_error_naming_dimension(self, tmp_path, change, named):
         from mldistill.errors import DataError
