@@ -90,10 +90,16 @@ class Corpus:
 
 
 def load_vocab(path: str | Path) -> LabelVocabulary:
-    """Read one label per line; line order defines the label index."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    labels = [line.strip() for line in lines if line.strip()]
-    return LabelVocabulary(tuple(labels))
+    """Read one label per line; line order defines the label index.  Blank
+    lines are skipped; a repeated label is rejected with its 0-based line."""
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        name = line.strip()
+        if name in first_line:
+            raise DataError(f"vocabulary line {lineno}: duplicate label {name!r} (first on line {first_line[name]})")
+        if name:
+            first_line[name] = lineno
+    return LabelVocabulary(tuple(first_line))
 
 
 def save_vocab(vocab: LabelVocabulary, path: str | Path) -> None:
@@ -105,11 +111,12 @@ def load_corpus(path: str | Path, vocab_path: str | Path) -> Corpus:
 
     Each line is a JSON object with fields ``text`` (string), ``labels``
     (list of label names) and an optional ``id`` (defaults to the
-    0-based line number).  Unknown labels, malformed records, and empty
-    text are rejected with the offending line number.
+    0-based line number).  Unknown labels, malformed records, empty text
+    and repeated ids are rejected with the offending line number.
     """
     vocab = load_vocab(vocab_path)
     documents: list[Document] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
             if not line.strip():
@@ -132,6 +139,9 @@ def load_corpus(path: str | Path, vocab_path: str | Path) -> Corpus:
                     raise DataError(f"line {lineno}: unknown label {name!r}")
                 bits[vocab.index[name]] = 1
             doc_id = str(record.get("id", lineno))
+            if doc_id in first_line:
+                raise DataError(f"line {lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
+            first_line[doc_id] = lineno
             documents.append(Document(id=doc_id, text=text, label_set=tuple(bits)))
     return Corpus(tuple(documents), vocab)
 

@@ -9,8 +9,9 @@ fine-tuned by the same training loop on the hard loss alone.
 Every mode runs through one fold loop, ``_cross_validate``.  It checks
 the folds and the label order, then runs the folds, serially or on
 forked worker processes (``parallel.map``): each fold is featurized (IDF
-from its training part only) and trained, and its out-of-fold
-predictions are recorded in fold order.  A mode supplies a
+from its training part only), narrowed to the hashed columns its
+documents touch, and trained, and its out-of-fold predictions are
+recorded in fold order.  A mode supplies a
 per-fold generator that trains label by label, in vocabulary order
 unless a permutation is given, and yields each label's validation
 probabilities.  The distillation modes fine-tune the teacher and
@@ -340,13 +341,21 @@ def _fold_features(
     val_idx: list[int],
     dim: int,
     max_length: int,
-) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    # IDF statistics come from the training portion only.
+) -> tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix]:
+    """(columns, X_train, X_val): a fold's TF-IDF rows (IDF from its training
+    part) narrowed to the sorted hashed ``columns`` they touch, ``columns[c]``
+    becoming c.  The map is monotonic, so every sparse product keeps its bits."""
     vectorizer = HashingTfidfVectorizer(dim=dim, max_length=max_length)
     vectorizer.fit([tokens[i] for i in train_idx])
     X_train = vectorizer.transform([tokens[i] for i in train_idx])
     X_val = vectorizer.transform([tokens[i] for i in val_idx])
-    return X_train, X_val
+    columns = np.unique(np.concatenate([X_train.indices, X_val.indices]))
+
+    def narrow(X: sparse.csr_matrix) -> sparse.csr_matrix:
+        indices = np.searchsorted(columns, X.indices)
+        return sparse.csr_matrix((X.data, indices, X.indptr), shape=(X.shape[0], columns.size))
+
+    return columns, narrow(X_train), narrow(X_val)
 
 
 def _cross_validate(
@@ -360,9 +369,11 @@ def _cross_validate(
 ) -> PredictionSet:
     """Out-of-fold predictions of ``fit_fold`` run on every fold.
 
-    ``fit_fold(fold, X_train, Y_train, X_val, order)`` trains on one fold
-    and yields the validation positive-class probabilities of each label
-    in ``order``, one array per label.  The folds are featurized and
+    ``fit_fold(fold, X_train, Y_train, X_val, order, columns)`` trains on
+    one fold and yields the validation positive-class probabilities of
+    each label in ``order``, one array per label.  The features hold only
+    the hashed ``columns`` the fold's documents touch (``_fold_features``),
+    so a first layer needs only those rows.  The folds are featurized and
     trained on up to ``workers`` forked processes (``parallel.map``).  The
     checks, the token lists and the recording of predictions, in fold
     order, stay in the caller, so the output does not depend on
@@ -383,8 +394,8 @@ def _cross_validate(
 
     def run_fold(fold: int) -> list[np.ndarray]:
         train_idx, val_idx = splits[fold]
-        X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
-        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order))
+        columns, X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
+        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order, columns))
 
     predictions = PredictionSet(corpus.vocab.labels)
     for fold, per_label in enumerate(parallel.map(run_fold, range(folds.k), workers)):
@@ -422,16 +433,18 @@ def _run_distillation(
         raise ValueError("teacher and student must share the feature dimensionality")
     lr = cfg.learning_rate * lr_scale
 
-    def fit_fold(fold, X_train, Y_train, X_val, order):
+    def fit_fold(fold, X_train, Y_train, X_val, order, columns):
+        """Every model's first layer holds only the fold's ``columns``."""
         num_labels = Y_train.shape[1]
         teacher = student = projection = None
         for j in order:
             if teacher is None or fresh_per_label:
                 # drop the previous label's models before allocating the next
                 teacher = student = projection = None
-                teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, j))
+                teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, j), columns)
                 if student_spec is not None:
-                    student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, j))
+                    student_seed = derive_seed(seed, "init", "student", fold, j)
+                    student = init_model(student_spec, num_labels, student_seed, columns)
                 if contrastive_weight is not None:
                     proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, j)))
                     projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
@@ -567,7 +580,7 @@ def baseline_classifier_chains(
     thresholded predictions at validation time.
     """
 
-    def fit_fold(fold, X_train, Y_train, X_val, order):
+    def fit_fold(fold, X_train, Y_train, X_val, order, columns):
         y_train = Y_train.astype(np.float64)
         chain_train = np.zeros((X_train.shape[0], 0))
         chain_val = np.zeros((X_val.shape[0], 0))

@@ -10,15 +10,11 @@ differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-
-CHECKPOINT_FORMAT = "mldistill-model/1"
 
 TEACHER_HIDDEN = (128, 64)
 STUDENT_HIDDEN = (32,)
@@ -80,19 +76,36 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_model(spec: EncoderSpec, num_labels: int, seed: int) -> ModelState:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+def init_model(spec: EncoderSpec, num_labels: int, seed: int, columns=None) -> ModelState:
+    """Glorot-uniform weights, zero biases, deterministic per seed.
+
+    ``columns`` (sorted distinct ids below ``spec.input_dim``) selects the
+    rows of the first layer to keep, in order; ``None`` keeps all of them.
+    The random stream skips the rows left out, so each kept row, every
+    later layer and every head has the bits of the full draw.
+    """
     if num_labels < 1:
         raise ValueError("num_labels must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    layers = []
-    fan_in = spec.input_dim
-    for width in spec.hidden_sizes:
-        layers.append((glorot_uniform(rng, fan_in, width), np.zeros(width)))
-        fan_in = width
-    heads = []
-    for _ in range(num_labels):
-        heads.append((glorot_uniform(rng, spec.hidden_dim, 2), np.zeros(2)))
+    dim, width = spec.input_dim, spec.hidden_sizes[0]
+    columns = np.arange(dim) if columns is None else np.asarray(columns, dtype=np.int64)
+    if columns.size and (columns[0] < 0 or columns[-1] >= dim or (np.diff(columns) <= 0).any()):
+        raise ValueError(f"columns must be sorted distinct ids in [0, {dim})")
+    bitgen = np.random.PCG64(seed)
+    rng = np.random.Generator(bitgen)
+    bound = np.sqrt(6.0 / (dim + width))
+    W0 = np.empty((columns.size, width))
+    # each run of consecutive columns is one draw; a double takes one step
+    run_starts = np.flatnonzero(np.diff(columns, prepend=-2) != 1)
+    row = 0  # next row of the full draw in the stream
+    for lo, hi in zip(run_starts, [*run_starts[1:], columns.size]):
+        bitgen.advance((int(columns[lo]) - row) * width)
+        W0[lo:hi] = rng.uniform(-bound, bound, size=(hi - lo, width))
+        row = int(columns[hi - 1]) + 1
+    bitgen.advance((dim - row) * width)
+    layers = [(W0, np.zeros(width))]
+    for fan_in, fan_out in zip(spec.hidden_sizes, spec.hidden_sizes[1:]):
+        layers.append((glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out)))
+    heads = [(glorot_uniform(rng, spec.hidden_dim, 2), np.zeros(2)) for _ in range(num_labels)]
     return ModelState(spec=spec, layers=layers, heads=heads)
 
 
@@ -201,8 +214,8 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     """Run the encoder and one label head over a batch of feature rows."""
     if label < 0 or label >= model.num_labels:
         raise ValueError(f"label index {label} out of range for {model.num_labels} heads")
-    if X.shape[1] != model.spec.input_dim:
-        raise ValueError(f"feature dim {X.shape[1]} != encoder input dim {model.spec.input_dim}")
+    if X.shape[1] != model.layers[0][0].shape[0]:
+        raise ValueError(f"feature dim {X.shape[1]} != first layer rows {model.layers[0][0].shape[0]}")
     if sparse.issparse(X):
         X = sparse_batches(X.tocsr(), max(X.shape[0], 1))[0]
     activations = [X]
@@ -332,41 +345,3 @@ def sgd_step(model: ModelState, grads: Gradients, lr: float) -> ModelState:
         param[index] = new
     return model
 
-
-def save_model(model: ModelState, path: str | Path) -> None:
-    """Checkpoint the spec and all parameter arrays (bit-exact round trip)."""
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "spec": {
-            "input_dim": model.spec.input_dim,
-            "hidden_sizes": list(model.spec.hidden_sizes),
-            "activation": model.spec.activation,
-            "role": model.spec.role,
-        },
-        "num_labels": model.num_labels,
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for i, (W, b) in enumerate(model.layers):
-        arrays[f"layer_{i}_W"] = W
-        arrays[f"layer_{i}_b"] = b
-    for i, (W, b) in enumerate(model.heads):
-        arrays[f"head_{i}_W"] = W
-        arrays[f"head_{i}_b"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str | Path) -> ModelState:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format')!r}")
-        spec = EncoderSpec(
-            input_dim=meta["spec"]["input_dim"],
-            hidden_sizes=tuple(meta["spec"]["hidden_sizes"]),
-            activation=meta["spec"]["activation"],
-            role=meta["spec"]["role"],
-        )
-        layers = [(data[f"layer_{i}_W"].copy(), data[f"layer_{i}_b"].copy()) for i in range(len(spec.hidden_sizes))]
-        heads = [(data[f"head_{i}_W"].copy(), data[f"head_{i}_b"].copy()) for i in range(meta["num_labels"])]
-    return ModelState(spec=spec, layers=layers, heads=heads)

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from mldistill import parallel
+from mldistill import distill, parallel
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, PRESETS, parse_config_file, resolve_config
+from mldistill.corpus import HashingTfidfVectorizer
 from mldistill.distill import MODE_VARIANTS
 from mldistill.errors import UsageError
 from mldistill.hypertune import default_space, space_to_json
@@ -109,6 +110,70 @@ class TestRun:
             for out in outs[1:]:
                 assert (out / "predictions.jsonl").read_bytes() == (outs[0] / "predictions.jsonl").read_bytes()
                 assert (out / "metrics.json").read_bytes() == (outs[0] / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["sequential_kd", "binary_relevance_kd_contrastive"])
+    def test_first_layer_holds_fold_columns(self, data_dir, tmp_path, monkeypatch, mode):
+        # folds run serially at --workers 1: each featurizes its training,
+        # then its validation documents at full hashed width, then draws its models
+        features, models = [], []
+        transform, init_model = HashingTfidfVectorizer.transform, distill.init_model
+
+        def recording_transform(self, docs_tokens):
+            X = transform(self, docs_tokens)
+            features.append(set(X.indices.tolist()))
+            return X
+
+        def recording_init(*args, **kwargs):
+            model = init_model(*args, **kwargs)
+            models.append((len(features), model.layers[0][0].shape[0]))
+            return model
+
+        monkeypatch.setattr(HashingTfidfVectorizer, "transform", recording_transform)
+        monkeypatch.setattr(distill, "init_model", recording_init)
+        code = run_cli(
+            ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "o",
+             "--mode", mode, "--workers", 1, *FAST, "--run.feature_dim", 32768]
+        )
+        assert code == 0
+        assert len(features) == 2 * 3
+        fold_columns = [len(features[i] | features[i + 1]) for i in range(0, 6, 2)]
+        assert all(0 < c < 32768 for c in fold_columns)
+        per_fold = 2 if mode == "sequential_kd" else 2 * 2  # teacher and student, once or per label
+        assert models == [(2 * fold + 2, fold_columns[fold]) for fold in range(3) for _ in range(per_fold)]
+
+    def test_corpus_without_tokens_runs(self, tmp_path):
+        (tmp_path / "vocab.txt").write_text("a\nb\n")
+        (tmp_path / "corpus.jsonl").write_text(
+            "".join(json.dumps({"text": "!!! ?", "labels": ["ab"[i % 2]]}) + "\n" for i in range(12))
+        )
+        for mode in MODE_VARIANTS:
+            out = tmp_path / mode
+            code = run_cli(
+                ["run", "--corpus", tmp_path / "corpus.jsonl", "--vocab", tmp_path / "vocab.txt", "--out", out,
+                 "--mode", mode, "--run.k", 2, "--distill.epochs", 1]
+            )
+            assert code == 0
+            assert len((out / "predictions.jsonl").read_text().splitlines()) == 1 + 12 * 2
+
+    @pytest.mark.parametrize(
+        "vocab, corpus, message",
+        [
+            ("a\nb\n", ['{"id": "x", "text": "t", "labels": []}', "", '{"id": "x", "text": "u", "labels": []}'],
+             "line 2: duplicate document id 'x' (first on line 0)"),
+            ("a\nb\n\n a\n", ['{"text": "t", "labels": ["a"]}'],
+             "vocabulary line 3: duplicate label 'a' (first on line 0)"),
+        ],
+        ids=["document-id", "label"],
+    )
+    def test_duplicate_name_is_data_error_naming_it(self, tmp_path, capsys, vocab, corpus, message):
+        (tmp_path / "vocab.txt").write_text(vocab)
+        (tmp_path / "corpus.jsonl").write_text("\n".join(corpus) + "\n")
+        code = run_cli(
+            ["run", "--corpus", tmp_path / "corpus.jsonl", "--vocab", tmp_path / "vocab.txt",
+             "--out", tmp_path / "o", *FAST]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_manifest_peak_counts_workers(self, data_dir, tmp_path, monkeypatch):
         # RUSAGE_SELF cannot see forked workers; the manifest adds their peaks.

@@ -305,6 +305,55 @@ class TestTrainingStep:
         assert np.array_equal(projection, start_projection)
 
 
+class TestCompactColumns:
+    """Training on only the columns the documents touch, from a first layer
+    of only those rows, gives the full-width bits: no other row of W0 is
+    ever read or written."""
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_train_student_matches_full_width(self, small_corpus, case):
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+        train, val = slice(0, 45), slice(45, 60)
+        columns = np.unique(X.indices)
+        compact = init_model(student.spec, 3, seed=10, columns=columns)
+        compact_teacher = None if teacher is None else init_model(teacher.spec, 3, seed=9, columns=columns)
+        start = student.copy()
+
+        def proj():
+            return None if projection is None else projection.copy()
+
+        full, full_projection = train_student(
+            X[train], y[train], 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=proj()
+        )
+        compact, compact_projection = train_student(
+            X[train][:, columns], y[train], 1, compact, compact_teacher, cfg, rng_for(3, "s"), lr=0.4,
+            projection=proj(),
+        )
+        assert not models_equal(full, start)
+        (W0, b0), untouched = full.layers[0], np.setdiff1d(np.arange(DIM), columns)
+        assert np.array_equal(W0[untouched], start.layers[0][0][untouched])
+        full_rows = full.copy()
+        full_rows.layers[0] = (W0[columns], b0)
+        assert models_equal(compact, full_rows)
+        if projection is not None:
+            assert np.array_equal(compact_projection, full_projection)
+        assert np.array_equal(
+            forward_batch(compact, X[val][:, columns], 1).logits, forward_batch(full, X[val], 1).logits
+        )
+
+    def test_train_logistic_matches_full_width(self, small_corpus):
+        X = featurize(small_corpus, dim=DIM, max_length=64)
+        y = small_corpus.label_matrix()[:, 0].astype(np.float64)
+        train, val = slice(0, 45), slice(45, 60)
+        columns = np.unique(X.indices)
+        w, b = distill._train_logistic(X[train], y[train], 2, 7, 1.0, rng_for(3, "c"))
+        compact_w, compact_b = distill._train_logistic(X[train][:, columns], y[train], 2, 7, 1.0, rng_for(3, "c"))
+        assert w.any() and np.array_equal(compact_w, w[columns]) and compact_b == b
+        assert np.array_equal(
+            distill._sigmoid(X[val][:, columns] @ compact_w + compact_b), distill._sigmoid(X[val] @ w + b)
+        )
+
+
 @pytest.fixture(scope="module")
 def cv_setup():
     corpus = generate_synthetic(90, num_labels=2, seed=21)

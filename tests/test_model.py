@@ -12,9 +12,8 @@ from mldistill.model import (
     default_student_spec,
     default_teacher_spec,
     forward_batch,
+    glorot_uniform,
     init_model,
-    load_model,
-    save_model,
     sgd_step,
     softmax_t,
     sparse_batches,
@@ -50,6 +49,20 @@ class TestInit:
     def test_head_count_matches_labels(self):
         m = init_model(tiny_spec(), 5, seed=0)
         assert m.num_labels == 5
+
+    def test_first_layer_keeps_given_rows(self):
+        m = init_model(tiny_spec(), 1, seed=5, columns=[1, 5])
+        assert m.layers[0][0].shape == (2, 4)
+        forward_batch(m, np.zeros((1, 2)), 0)
+        with pytest.raises(ValueError, match="first layer rows"):
+            forward_batch(m, np.zeros((1, 8)), 0)
+
+    @pytest.mark.parametrize(
+        "columns", [[3, 2], [4, 4], [-1], [8]], ids=["unsorted", "repeated", "negative", "past-dim"]
+    )
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            init_model(tiny_spec(), 1, seed=5, columns=columns)
 
     def test_teacher_capacity_exceeds_student(self):
         t = default_teacher_spec(128)
@@ -251,23 +264,44 @@ class TestPredictProba:
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
 
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        m = init_model(tiny_spec(hidden=(5, 3)), 4, seed=123)
-        path = tmp_path / "model.npz"
-        save_model(m, path)
-        again = load_model(path)
-        assert again.spec == m.spec
-        for (W1, b1), (W2, b2) in zip(m.layers, again.layers):
-            assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
-        for (W1, b1), (W2, b2) in zip(m.heads, again.heads):
-            assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
+def full_draw(spec, num_labels, seed):
+    """Reference initialization: one full-width ``glorot_uniform`` draw per
+    layer, then one per head, from a single stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sizes = (spec.input_dim, *spec.hidden_sizes)
+    layers = [glorot_uniform(rng, fan_in, fan_out) for fan_in, fan_out in zip(sizes, sizes[1:])]
+    heads = [glorot_uniform(rng, spec.hidden_dim, 2) for _ in range(num_labels)]
+    return layers, heads
 
-    def test_format_tag_checked(self, tmp_path):
-        path = tmp_path / "model.npz"
-        np.savez(path, meta=np.frombuffer(b'{"format": "other/9"}', dtype=np.uint8))
-        with pytest.raises(ValueError, match="format"):
-            load_model(path)
+
+DIM = 32768
+COLUMN_SETS = {
+    "first": [0],
+    "last": [DIM - 1],
+    "runs": [0, 1, 2, 9, 10, *range(500, 521), DIM - 3, DIM - 2, DIM - 1],
+    "random-207": sorted(np.random.default_rng(3).choice(DIM, size=207, replace=False)),
+    "empty": [],
+    "all": None,
+}
+
+
+class TestCompactInit:
+    """``init_model(..., columns=c)`` draws rows ``c`` of the full first
+    layer and skips the rest of the stream, so nothing else moves a bit."""
+
+    @pytest.mark.parametrize("spec", [default_teacher_spec(DIM), default_student_spec(DIM)], ids=["teacher", "student"])
+    @pytest.mark.parametrize("name", list(COLUMN_SETS))
+    def test_rows_of_the_full_draw(self, spec, name):
+        columns = COLUMN_SETS[name]
+        layers, heads = full_draw(spec, 3, seed=41)
+        m = init_model(spec, 3, seed=41, columns=columns)
+        rows = np.arange(DIM) if columns is None else np.asarray(columns, dtype=np.int64)
+        assert m.layers[0][0].shape == (rows.size, spec.hidden_sizes[0])
+        assert np.array_equal(m.layers[0][0], layers[0][rows])
+        for (W, b), ref in zip(m.layers[1:], layers[1:], strict=True):
+            assert np.array_equal(W, ref) and not b.any()
+        for (W, b), ref in zip(m.heads, heads, strict=True):
+            assert np.array_equal(W, ref) and not b.any()
 
 
 class TestBatchBackward:
