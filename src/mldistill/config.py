@@ -171,13 +171,7 @@ def resolve_config(
         raise UsageError(f"unknown preset {preset!r}; choose from {PRESET_NAMES}")
     parsed["run.preset"] = preset
     if preset != "custom":
-        cfg = PRESETS[preset]
-        parsed["distill.temperature"] = cfg.temperature
-        parsed["distill.alpha"] = cfg.alpha
-        parsed["distill.learning_rate"] = cfg.learning_rate
-        parsed["distill.batch_size"] = cfg.batch_size
-        parsed["distill.epochs"] = cfg.epochs
-        parsed["distill.max_length"] = cfg.max_length
+        parsed.update({key: getattr(PRESETS[preset], key.partition(".")[2]) for key in _DISTILL_KEYS})
 
     for key, raw_value in raw.items():
         if key == "run.preset":
@@ -189,14 +183,9 @@ def resolve_config(
             raise UsageError(f"bad value for {key}: {exc}") from exc
 
     try:
-        distill = DistillConfig(
-            temperature=parsed["distill.temperature"],
-            alpha=parsed["distill.alpha"],
-            learning_rate=parsed["distill.learning_rate"],
-            batch_size=parsed["distill.batch_size"],
-            epochs=parsed["distill.epochs"],
-            max_length=parsed["distill.max_length"],
-        )
+        distill = DistillConfig(**{key.partition(".")[2]: parsed[key] for key in _DISTILL_KEYS})
+        if not 0.0 <= parsed["run.contrastive_weight"] <= 1.0:
+            raise ValueError(f"run.contrastive_weight must lie in [0, 1], got {parsed['run.contrastive_weight']}")
         variant = parsed["run.mode"]
         if variant.endswith("_contrastive"):
             mode = TrainingMode(variant=variant, contrastive_weight=parsed["run.contrastive_weight"])

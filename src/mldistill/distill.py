@@ -4,7 +4,12 @@ The student trains against a temperature-scaled combination of two
 terms: the KL divergence from the frozen teacher's softened distribution
 to the student's (scaled by T^2 to compensate for the softening), and
 the ordinary cross entropy against the true bit.  The teacher is
-fine-tuned by the same training loop on the hard loss alone.
+fine-tuned by the same training loop on the hard loss alone.  Each loss
+is written twice: a value on one row (``soft_loss``, ``hard_loss``,
+``kd_loss``, ``contrastive_loss``), and one batched gradient
+(``kd_loss_grad``, ``contrastive_grads``).  ``train_student`` steps
+only on the batched gradients, and the finite-difference tests
+differentiate the values against them.
 
 Every mode runs through one fold loop, ``_cross_validate``.  It checks
 the folds and the label order, then runs the folds, serially or on
@@ -142,23 +147,10 @@ def soft_loss(z_s, z_t, temperature: float) -> float:
     return float(temperature * temperature * np.sum(sigma_t * (log_t - log_s)))
 
 
-def soft_loss_grad(z_s, z_t, temperature: float) -> np.ndarray:
-    """d soft_loss / d z_s = T * (sigma_s - sigma_t)."""
-    sigma_s = softmax_t(z_s, temperature)
-    sigma_t = softmax_t(z_t, temperature)
-    return temperature * (sigma_s - sigma_t)
-
-
 def hard_loss(z_s, y: int) -> float:
     """Cross entropy of the student logits against the true bit."""
     log_s = _log_softmax(np.asarray(z_s, dtype=np.float64))
     return float(-log_s[..., int(y)])
-
-
-def hard_loss_grad(z_s, y: int) -> np.ndarray:
-    grad = softmax_t(z_s, 1.0)
-    grad[..., int(y)] -= 1.0
-    return grad
 
 
 def kd_loss(z_s, z_t, y: int, cfg: DistillConfig) -> float:
@@ -166,8 +158,19 @@ def kd_loss(z_s, z_t, y: int, cfg: DistillConfig) -> float:
     return cfg.alpha * soft_loss(z_s, z_t, cfg.temperature) + (1.0 - cfg.alpha) * hard_loss(z_s, y)
 
 
-def kd_loss_grad(z_s, z_t, y: int, cfg: DistillConfig) -> np.ndarray:
-    return cfg.alpha * soft_loss_grad(z_s, z_t, cfg.temperature) + (1.0 - cfg.alpha) * hard_loss_grad(z_s, y)
+def kd_loss_grad(z_s: np.ndarray, targets: np.ndarray, z_t: np.ndarray | None, cfg: DistillConfig) -> np.ndarray:
+    """d/d z_s of the mean ``kd_loss`` over rows of logits, given one-hot
+    ``targets``; ``z_t=None`` takes the hard loss alone at full weight.
+
+    Per row: (sigma_s - y) for the hard term and T * (sigma_s^T - sigma_t^T)
+    for the T^2-scaled soft term.
+    """
+    grad = softmax_t(z_s, 1.0) - targets
+    if z_t is not None:
+        grad *= 1.0 - cfg.alpha
+        grad += cfg.alpha * cfg.temperature * (softmax_t(z_s, cfg.temperature) - softmax_t(z_t, cfg.temperature))
+    grad /= len(z_s)
+    return grad
 
 
 _NORM_FLOOR = 1e-12
@@ -190,39 +193,19 @@ def contrastive_loss(h_s: np.ndarray, h_t: np.ndarray, projection: np.ndarray) -
 
 
 def contrastive_grads(
-    h_s: np.ndarray, h_t: np.ndarray, projection: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d loss / d h_s, d loss / d projection); zero where the loss is the
-    constant fallback."""
-    h_s = np.asarray(h_s, dtype=np.float64)
-    h_t = np.asarray(h_t, dtype=np.float64)
-    u = projection @ h_s
-    nu = float(np.linalg.norm(u))
-    nt = float(np.linalg.norm(h_t))
-    if nu < _NORM_FLOOR or nt < _NORM_FLOOR:
-        return np.zeros_like(h_s), np.zeros_like(projection)
-    cos = (u @ h_t) / (nu * nt)
-    d_u = -(h_t / (nu * nt) - cos * u / (nu * nu))
-    return projection.T @ d_u, np.outer(d_u, h_s)
-
-
-def _batch_contrastive(
     hidden_s: np.ndarray, hidden_t: np.ndarray, projection: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized per-row contrastive losses and gradients.
-
-    Returns (losses, d/d hidden_s, d/d projection summed over rows).
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the summed per-row ``contrastive_loss``: (d / d hidden_s,
+    d / d projection), zero on rows where the loss is the constant fallback."""
     u = hidden_s @ projection.T
     nu = np.linalg.norm(u, axis=1)
     nt = np.linalg.norm(hidden_t, axis=1)
     valid = (nu >= _NORM_FLOOR) & (nt >= _NORM_FLOOR)
     denom = np.where(valid, nu * nt, 1.0)
     cos = np.where(valid, (u * hidden_t).sum(axis=1) / denom, 0.0)
-    losses = np.where(valid, 1.0 - cos, 1.0)
     d_u = -(hidden_t / denom[:, None] - (cos / np.where(valid, nu * nu, 1.0))[:, None] * u)
     d_u[~valid] = 0.0
-    return losses, d_u @ projection, d_u.T @ hidden_s
+    return d_u @ projection, d_u.T @ hidden_s
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +275,14 @@ def train_student(
     for _ in range(cfg.epochs):
         for rows, Xb in _epoch_batches(X, cfg.batch_size, rng):
             cache = forward_batch(student, Xb, label)
-            dlogits = softmax_t(cache.logits, 1.0) - targets[rows]
             if teacher_cache is not None:
                 teacher_hidden, teacher_logits = forward_rows(teacher, teacher_cache, rows)
-            if teacher is not None:
-                dlogits *= 1.0 - cfg.alpha
-            if soft:
-                dlogits += cfg.alpha * cfg.temperature * (
-                    softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_logits, cfg.temperature)
-                )
-            dlogits /= rows.size
+            dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_logits if soft else None, cfg)
 
             dhidden = None
             new_projection = None
             if contrastive:
-                _, d_hidden_s, d_proj_sum = _batch_contrastive(cache.hidden, teacher_hidden, projection)
+                d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_hidden, projection)
                 dlogits *= 1.0 - beta
                 dhidden = (beta / rows.size) * d_hidden_s
                 new_projection = projection - lr * ((beta / rows.size) * d_proj_sum)

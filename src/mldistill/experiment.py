@@ -40,16 +40,7 @@ from mldistill.splits import FoldAssignment, stratified_kfold
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_via(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def write_via(path: str | Path, writer: Callable[[Path], None]) -> None:
@@ -187,12 +178,11 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
     started = time.perf_counter()
     folds = folds_for(corpus, config)
     shared_hash = folds.content_hash()
-    contrastive_weight = config.resolved.get("run.contrastive_weight", 0.5)
 
     rows = []
     for variant in ABLATION_VARIANTS:
         if variant.endswith("_contrastive"):
-            mode = TrainingMode(variant=variant, contrastive_weight=contrastive_weight)
+            mode = TrainingMode(variant=variant, contrastive_weight=config.resolved["run.contrastive_weight"])
         else:
             mode = TrainingMode(variant=variant)
         predictions = dispatch_mode(corpus, folds, config, mode=mode)

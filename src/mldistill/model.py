@@ -201,7 +201,7 @@ def sparse_batches(X: sparse.csr_matrix, batch_size: int) -> list[SparseBatch]:
 class BatchCache:
     """Forward-pass intermediates needed for backpropagation."""
 
-    activations: list  # [input, post-activation per layer]; input may be a SparseBatch
+    activations: list  # [input SparseBatch, post-activation per layer]
     logits: np.ndarray  # (n, 2)
     label: int
 
@@ -211,13 +211,18 @@ class BatchCache:
 
 
 def forward_batch(model: ModelState, X, label: int) -> BatchCache:
-    """Run the encoder and one label head over a batch of feature rows."""
+    """Run the encoder and one label head over a batch of feature rows.
+
+    An input that is not a ``SparseBatch`` (a sparse or dense matrix) is
+    planned as one batch, so the first layer's gradient is always a
+    ``RowSliceGrad`` over the columns the rows touch.
+    """
     if label < 0 or label >= model.num_labels:
         raise ValueError(f"label index {label} out of range for {model.num_labels} heads")
     if X.shape[1] != model.layers[0][0].shape[0]:
         raise ValueError(f"feature dim {X.shape[1]} != first layer rows {model.layers[0][0].shape[0]}")
-    if sparse.issparse(X):
-        X = sparse_batches(X.tocsr(), max(X.shape[0], 1))[0]
+    if not isinstance(X, SparseBatch):
+        X = sparse_batches(sparse.csr_matrix(X), max(X.shape[0], 1))[0]
     activations = [X]
     a = X
     for W, b in model.layers:
@@ -278,12 +283,6 @@ class Gradients:
     head: tuple[np.ndarray, np.ndarray]
 
 
-def _first_layer_grad(X, dz: np.ndarray, shape: tuple[int, int]) -> np.ndarray | RowSliceGrad:
-    if not isinstance(X, SparseBatch):
-        return np.asarray(X).T @ dz
-    return RowSliceGrad(rows=X.active, block=X.active_block().T @ dz, shape=shape)
-
-
 def backward_batch(
     model: ModelState,
     cache: BatchCache,
@@ -308,12 +307,11 @@ def backward_batch(
         db = dz.sum(axis=0)
         W, _ = model.layers[idx]
         if idx == 0:
-            dW = _first_layer_grad(a_in, dz, W.shape)
+            dW = RowSliceGrad(rows=a_in.active, block=a_in.active_block().T @ dz, shape=W.shape)
         else:
             dW = a_in.T @ dz
-        layer_grads[idx] = (dW, db)
-        if idx > 0:
             da = dz @ W.T
+        layer_grads[idx] = (dW, db)
     return Gradients(layers=layer_grads, head_label=cache.label, head=(d_head_W, d_head_b))
 
 

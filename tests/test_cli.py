@@ -249,6 +249,8 @@ class TestRun:
             ("pso.patience", 0),
             ("pso.w", -1),
             ("pso.c1", -0.5),
+            ("run.contrastive_weight", 2),
+            ("run.contrastive_weight", -1),
             *[(key, value) for key in FLOAT_KEYS for value in ("nan", "inf")],
         ],
     )

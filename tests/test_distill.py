@@ -9,11 +9,12 @@ from mldistill.corpus import featurize
 from mldistill.distill import (
     DistillConfig,
     TrainingMode,
-    _batch_contrastive,
     baseline_classifier_chains,
+    contrastive_grads,
     distill_binary_relevance,
     distill_sequential,
     hard_loss,
+    kd_loss_grad,
     teacher_cv_predictions,
     train_student,
 )
@@ -26,7 +27,6 @@ from mldistill.model import (
     forward_batch,
     glorot_uniform,
     init_model,
-    softmax_t,
 )
 from mldistill.seeding import rng_for
 from mldistill.splits import stratified_kfold
@@ -187,21 +187,15 @@ def per_batch_train_student(X, y, label, student, teacher, cfg, rng, lr, project
             cache = forward_batch(student, Xb, label)
             onehot = np.zeros((batch.size, 2))
             onehot[np.arange(batch.size), yb.astype(np.int64)] = 1.0
-            dlogits = softmax_t(cache.logits, 1.0) - onehot
             teacher_cache = None
-            if teacher is not None:
-                dlogits *= 1.0 - cfg.alpha
-                if cfg.alpha > 0.0:
-                    teacher_cache = forward_batch(teacher, Xb, label)
-                    dlogits += cfg.alpha * cfg.temperature * (
-                        softmax_t(cache.logits, cfg.temperature) - softmax_t(teacher_cache.logits, cfg.temperature)
-                    )
-            dlogits /= batch.size
+            if teacher is not None and cfg.alpha > 0.0:
+                teacher_cache = forward_batch(teacher, Xb, label)
+            dlogits = kd_loss_grad(cache.logits, onehot, None if teacher_cache is None else teacher_cache.logits, cfg)
             dhidden = d_proj = None
             if projection is not None and teacher is not None:
                 if teacher_cache is None:
                     teacher_cache = forward_batch(teacher, Xb, label)
-                _, d_hidden_s, d_proj_sum = _batch_contrastive(cache.hidden, teacher_cache.hidden, projection)
+                d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_cache.hidden, projection)
                 dlogits *= 1.0 - beta
                 dhidden = (beta / batch.size) * d_hidden_s
                 d_proj = (beta / batch.size) * d_proj_sum
@@ -293,11 +287,11 @@ class TestTrainingStep:
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, "kd_contrastive", 7)
 
         def nan_projection_grad(*args):
-            losses, d_hidden, d_proj = _batch_contrastive(*args)
+            d_hidden, d_proj = contrastive_grads(*args)
             d_proj[0, 0] = np.nan
-            return losses, d_hidden, d_proj
+            return d_hidden, d_proj
 
-        monkeypatch.setattr(distill, "_batch_contrastive", nan_projection_grad)
+        monkeypatch.setattr(distill, "contrastive_grads", nan_projection_grad)
         trained, start_projection = student.copy(), projection.copy()
         with pytest.raises(ValueError, match="contrastive projection"):
             train_student(X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)

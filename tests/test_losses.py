@@ -1,22 +1,30 @@
 """Loss algebra and exact-gradient checks against central finite differences."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mldistill.distill import (
     DistillConfig,
     contrastive_grads,
     contrastive_loss,
     hard_loss,
-    hard_loss_grad,
     kd_loss,
     kd_loss_grad,
     soft_loss,
-    soft_loss_grad,
 )
-from mldistill.model import EncoderSpec, RowSliceGrad, backward_batch, forward_batch, init_model, softmax_t
+from mldistill.model import (
+    EncoderSpec,
+    RowSliceGrad,
+    backward_batch,
+    forward_batch,
+    init_model,
+    softmax_t,
+    sparse_batches,
+)
 
 GRAD_EPS = 1e-5
 GRAD_RTOL = 1e-4
@@ -146,7 +154,7 @@ class TestContrastiveLoss:
 
 
 def _loss_value(model, x, label, kind, y, z_t, h_t, cfg, projection):
-    cache = forward_batch(model, x.reshape(1, -1), label)
+    cache = forward_batch(model, x, label)
     z_s = cache.logits[0]
     if kind == "hard":
         return hard_loss(z_s, y)
@@ -158,30 +166,30 @@ def _loss_value(model, x, label, kind, y, z_t, h_t, cfg, projection):
 
 
 def _analytic_grads(model, x, label, kind, y, z_t, h_t, cfg, projection):
-    cache = forward_batch(model, x.reshape(1, -1), label)
-    z_s = cache.logits[0]
+    """The gradients ``train_student`` steps on, for a batch of one row."""
+    cache = forward_batch(model, x, label)
+    targets = np.eye(2)[[y]]
     dhidden = None
     d_projection = None
     if kind == "hard":
-        dlogits = hard_loss_grad(z_s, y)
+        dlogits = kd_loss_grad(cache.logits, targets, None, cfg)
     elif kind == "soft":
-        dlogits = soft_loss_grad(z_s, z_t, cfg.temperature)
+        dlogits = kd_loss_grad(cache.logits, targets, z_t[None], replace(cfg, alpha=1.0))
     elif kind == "kd":
-        dlogits = kd_loss_grad(z_s, z_t, y, cfg)
+        dlogits = kd_loss_grad(cache.logits, targets, z_t[None], cfg)
     else:
-        dlogits = np.zeros(2)
-        d_hidden_vec, d_projection = contrastive_grads(cache.hidden[0], h_t, projection)
-        dhidden = d_hidden_vec.reshape(1, -1)
-    grads = backward_batch(model, cache, dlogits.reshape(1, -1), dhidden_extra=dhidden)
+        dlogits = np.zeros((1, 2))
+        dhidden, d_projection = contrastive_grads(cache.hidden, h_t[None], projection)
+    grads = backward_batch(model, cache, dlogits, dhidden_extra=dhidden)
     return grads, d_projection
 
 
 def _param_pairs(model, grads, label, projection=None, d_projection=None):
-    pairs = []
-    for li, (W, b) in enumerate(model.layers):
-        dW = grads.layers[li][0]
-        pairs.append((W, dW.to_dense() if isinstance(dW, RowSliceGrad) else dW))
-        pairs.append((b, grads.layers[li][1]))
+    (dW0, db0), *deeper = grads.layers
+    assert isinstance(dW0, RowSliceGrad)
+    pairs = [(model.layers[0][0], dW0.to_dense()), (model.layers[0][1], db0)]
+    for (W, b), (dW, db) in zip(model.layers[1:], deeper):
+        pairs += [(W, dW), (b, db)]
     pairs.append((model.heads[label][0], grads.head[0]))
     pairs.append((model.heads[label][1], grads.head[1]))
     if projection is not None:
@@ -189,8 +197,15 @@ def _param_pairs(model, grads, label, projection=None, d_projection=None):
     return pairs
 
 
-def check_gradients(trials: int, seed: int, kinds=("hard", "soft", "kd", "contrastive")) -> float:
-    """Max relative FD error across seeded random small models."""
+def check_gradients(trials: int, seed: int, kinds=("hard", "soft", "kd", "contrastive"), compact=False) -> float:
+    """Max relative FD error across seeded random small models.
+
+    Each trial's input is one row, planned once as a ``SparseBatch``, the
+    form every training batch takes.  With ``compact`` the model's first
+    layer holds only some columns of the input space, and the row leaves
+    some of those at zero, so the first-layer gradient covers a strict
+    subset of its rows.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -198,10 +213,17 @@ def check_gradients(trials: int, seed: int, kinds=("hard", "soft", "kd", "contra
         depth = int(rng.integers(1, 3))
         hidden = tuple(int(h) for h in rng.integers(2, 9, size=depth))
         spec = EncoderSpec(input_dim=input_dim, hidden_sizes=hidden, activation="tanh", role="student")
-        model = init_model(spec, 2, seed=int(rng.integers(1 << 30)))
+        columns = None
+        if compact:
+            columns = np.sort(rng.choice(input_dim, size=int(rng.integers(2, input_dim + 1)), replace=False))
+        model = init_model(spec, 2, seed=int(rng.integers(1 << 30)), columns=columns)
         teacher_width = int(rng.integers(2, 9))
         projection = rng.normal(size=(teacher_width, spec.hidden_dim))
-        x = rng.normal(size=input_dim)
+        width = model.layers[0][0].shape[0]
+        x = rng.normal(size=width)
+        if compact:
+            x[rng.choice(width, size=int(rng.integers(1, width)), replace=False)] = 0.0
+        (x,) = sparse_batches(sparse.csr_matrix(x[None]), 1)
         z_t = rng.normal(scale=2, size=2)
         h_t = rng.normal(size=teacher_width)
         y = int(rng.integers(0, 2))
@@ -213,6 +235,8 @@ def check_gradients(trials: int, seed: int, kinds=("hard", "soft", "kd", "contra
         )
         for kind in kinds:
             grads, d_projection = _analytic_grads(model, x, label, kind, y, z_t, h_t, cfg, projection)
+            if compact:
+                assert grads.layers[0][0].rows.size < width
             proj = projection if kind == "contrastive" else None
             for arr, analytic in _param_pairs(model, grads, label, proj, d_projection):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -237,3 +261,8 @@ class TestGradients:
     def test_kd_gradient_over_hyperparameter_ranges(self):
         # temperature in [2, 4] and alpha in [0.1, 0.9], the tuning ranges
         assert check_gradients(trials=15, seed=99, kinds=("kd",)) < GRAD_RTOL
+
+    def test_compact_first_layer_with_zero_columns(self):
+        # the first-layer gradient is a RowSliceGrad over a strict subset of
+        # W0's rows; the rows it leaves out must have zero finite difference
+        assert check_gradients(trials=15, seed=4321, compact=True) < GRAD_RTOL

@@ -309,14 +309,16 @@ class TestBatchBackward:
         rng = np.random.default_rng(5)
         m = init_model(tiny_spec(input_dim=10, hidden=(4,)), 1, seed=6)
         X = rng.normal(size=(3, 10)) * (rng.random(size=(3, 10)) < 0.4)
-        Xs = sparse.csr_matrix(X)
         dlogits = rng.normal(size=(3, 2))
-        g_dense = backward_batch(m, forward_batch(m, X, 0), dlogits)
-        g_sparse = backward_batch(m, forward_batch(m, Xs, 0), dlogits)
-        dW_sparse = g_sparse.layers[0][0].to_dense()
-        assert np.allclose(g_dense.layers[0][0], dW_sparse, atol=1e-12)
-        assert np.allclose(g_dense.layers[0][1], g_sparse.layers[0][1], atol=1e-12)
-        assert np.allclose(g_dense.head[0], g_sparse.head[0], atol=1e-12)
+        cache = forward_batch(m, sparse.csr_matrix(X), 0)
+        grads = backward_batch(m, cache, dlogits)
+        dz = (dlogits @ m.heads[0][0].T) * (1.0 - cache.hidden**2)
+        dW = grads.layers[0][0]
+        assert isinstance(dW, RowSliceGrad)
+        assert np.array_equal(dW.rows, np.flatnonzero(X.any(axis=0)))
+        assert np.allclose(dW.to_dense(), X.T @ dz, atol=1e-12)
+        assert np.allclose(grads.layers[0][1], dz.sum(axis=0), atol=1e-12)
+        assert np.allclose(grads.head[0], cache.hidden.T @ dlogits, atol=1e-12)
 
     def test_all_zero_sparse_batch_leaves_first_layer(self):
         # no active columns: an empty row block and a no-op update
