@@ -377,9 +377,9 @@ def _cross_validate(
     for fold, per_label in enumerate(parallel.map(run_fold, range(folds.k), workers)):
         _, val_idx = splits[fold]
         val_ids = [corpus.documents[i].id for i in val_idx]
+        n = len(val_ids)
         for j, probs in zip(order, per_label, strict=True):
-            for doc_id, prob, true_bit in zip(val_ids, probs, labels_matrix[val_idx, j]):
-                predictions.add(doc_id, j, float(prob), int(true_bit), fold)
+            predictions.add_many(val_ids, [j] * n, probs.tolist(), labels_matrix[val_idx, j].tolist(), [fold] * n)
     predictions.validate_complete()
     return predictions
 

@@ -287,6 +287,13 @@ class TestEvaluate:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_number_value_is_data_error_naming_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"doc_id": "a", "label": "x", "prob": 0.2, "true": "yes", "fold": 0}\n')
+        code = run_cli(["evaluate", "--predictions", bad, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "line 0: true must be a number, got 'yes'" in capsys.readouterr().err
+
 
 class TestTune:
     def test_tune_outputs_and_trace_monotone(self, data_dir, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mldistill import predictions
 from mldistill.errors import DataError
 from mldistill.metrics import full_report, render_report
 from mldistill.predictions import PredictionSet, read_predictions, write_predictions
@@ -39,6 +40,16 @@ class TestPredictionSet:
         pred = PredictionSet(["a"])
         with pytest.raises(DataError):
             pred.add("d", 0, 1.5, 1, 0)
+
+    def test_failed_bulk_add_writes_nothing(self):
+        pred = PredictionSet(["a", "b"])
+        pred.add("d0", 0, 0.5, 1, 0)
+        with pytest.raises(DataError, match="duplicate prediction for doc 'd0', label index 0"):
+            pred.add_many(["d1", "d1", "d0"], [0, 1, 0], [0.1, 0.2, 0.3], [0, 1, 0], [1, 1, 0])
+        assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
+        pred.add_many(["d1", "d0", "d1"], [1, 1, 0], [0.2, 0.4, 0.1], [1, 0, 0], [1, 0, 1])
+        assert pred.canonical_rows() == [("d0", [0.5, 0.4], [1, 0]), ("d1", [0.1, 0.2], [0, 1])]
+        assert pred.fold_of == {"d0": 0, "d1": 1}
 
     def test_incomplete_detected(self):
         pred = PredictionSet(["a", "b"])
@@ -113,6 +124,24 @@ class TestExternalFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n")
         with pytest.raises(DataError, match=f"line 1: {field} must be an integer"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("field", ["prob", "true", "fold"])
+    @pytest.mark.parametrize("value", ["0.5", "1", True, False, None, [1], {"v": 1}])
+    def test_non_number_rejected_naming_field(self, tmp_path, field, value):
+        # float() and int() would coerce "0.5", "1" and booleans instead
+        good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n")
+        with pytest.raises(DataError, match=rf"^line 1: {field} must be a number, got "):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("field", ["prob", "true", "fold"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, field):
+        good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: 10**400}) + "\n")
+        with pytest.raises(DataError, match=f"^line 1: {field} must be a number within the float range$"):
             read_predictions(path)
 
     @pytest.mark.parametrize("true_bit, fold", [(1, 2), (1.0, 2.0)])
@@ -200,8 +229,8 @@ class TestStreamingRead:
         path = tmp_path / "pred.jsonl"
         write_predictions(pred, path)
         calls = []
-        real_loads = json.loads
-        monkeypatch.setattr(json, "loads", lambda text, *a, **k: calls.append(text) or real_loads(text, *a, **k))
+        real_parse = predictions._parse
+        monkeypatch.setattr(predictions, "_parse", lambda line: calls.append(line) or real_parse(line))
         again = read_predictions(path)
         assert again.canonical_rows() == pred.canonical_rows()
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -222,6 +251,215 @@ class TestStreamingRead:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"^line 1: probability 1.5 outside \[0, 1\]"):
             read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            "not json",
+            "[1]",
+            '{"doc_id": "v", "label": "a", "prob": 0.5}',
+            '{"doc_id": "v", "label": "zz", "prob": 0.5, "true": 1, "fold": 0}',
+        ],
+    )
+    @pytest.mark.parametrize("with_header", [True, False])
+    def test_pending_fault_precedes_later_line_fault(self, tmp_path, with_header, later):
+        # The faulty record waits in a chunk when the later line is read.
+        good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
+        lines = [header(["a"]), json.dumps({**good, "true": 2}), json.dumps({**good, "doc_id": "y"}), later]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines[0 if with_header else 1 :]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^line {int(with_header)}: true bit must be 0 or 1, got 2$"):
+            read_predictions(path)
+
+
+def _reference_integral(value, field):
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _reference_final_labels(fh):
+    labels, names = None, set()
+    for line in fh:
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(obj, dict) and "_meta" in obj:
+            header = predictions._header_labels(obj)
+            labels = labels if header is None else header
+        elif isinstance(obj, dict) and "label" in obj:
+            names.add(str(obj["label"]))
+    return sorted(names) if labels is None else labels
+
+
+def _reference_load(lines, final):
+    labels, pred, label_index = final, None, {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {lineno}: malformed prediction record ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"line {lineno}: prediction record is not an object")
+        if "_meta" in obj:
+            header = predictions._header_labels(obj)
+            if final is None and header is not None and header != labels:
+                if pred is not None:
+                    return None
+                labels = header
+            continue
+        if pred is None:
+            if final is None and not labels:
+                return None
+            pred = PredictionSet(labels)
+            label_index = {name: j for j, name in enumerate(labels)}
+        for key in ("doc_id", "label", "prob", "true", "fold"):
+            if key not in obj:
+                raise DataError(f"line {lineno}: missing field {key!r}")
+        name = str(obj["label"])
+        if name not in label_index:
+            if final is None:
+                return None
+            raise DataError(f"line {lineno}: label {name!r} not in header label list")
+        try:
+            true_bit, fold = _reference_integral(obj["true"], "true"), _reference_integral(obj["fold"], "fold")
+            pred.add(str(obj["doc_id"]), label_index[name], float(obj["prob"]), true_bit, fold)
+        except (DataError, ValueError, TypeError) as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+    if pred is None:
+        raise DataError("prediction file contains no records")
+    pred.validate_complete()
+    return pred
+
+
+def streamed_reference(path):
+    """The reader that preceded chunked adds: each line is parsed by
+    json.loads, checked and added on its own, so the first faulty line
+    raises; the same one or two passes as read_predictions."""
+    with open(path, encoding="utf-8") as fh:
+        pred = _reference_load(enumerate(fh), None)
+        if pred is None:
+            fh.seek(0)
+            labels = _reference_final_labels(fh)
+            fh.seek(0)
+            pred = _reference_load(enumerate(fh), labels)
+    return pred
+
+
+def outcome(read, path):
+    """('ok', labels, rows, doc_ids, fold_of) or ('error', message)."""
+    try:
+        pred = read(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", pred.labels, pred.canonical_rows(), pred.doc_ids, pred.fold_of)
+
+
+CHUNK = 8  # records per chunk in the fault matrix: 36 records span 5 chunks
+
+
+def fault_records(seed):
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(12):
+        fold = int(rng.integers(0, 3))
+        for name in ("b", "a", "c"):
+            prob, true_bit = float(np.round(rng.random(), 3)), int(rng.integers(0, 2))
+            records.append({"doc_id": f"d{i}", "label": name, "prob": prob, "true": true_bit, "fold": fold})
+    rng.shuffle(records)
+    return records
+
+
+def inject(fault, records, p):
+    """The record lines with record p made faulty (unchanged for None)."""
+    lines = [json.dumps(r) for r in records]
+    rec = dict(records[p])
+    if fault == "malformed":
+        lines[p] = lines[p][:-9]
+    elif fault == "leading_space":
+        lines[p] = " " + lines[p]
+    elif fault == "trailing_data":
+        lines[p] += " 1"
+    elif fault == "bom":
+        lines[p] = "\ufeff" + lines[p]
+    else:
+        if fault == "nan":
+            rec["prob"] = float("nan")
+        elif fault == "missing_field":
+            del rec["fold"]
+        elif fault == "unknown_label":
+            rec["label"] = "zz"
+        elif fault == "prob_range":
+            rec["prob"] = 1.5
+        elif fault == "non_integral_bit":
+            rec["true"] = 0.5
+        elif fault == "fold_conflict":
+            rec["fold"] += 1
+        elif fault == "repeat_in_chunk":
+            rec = records[p + 1 if p % CHUNK == 0 else p - 1]
+        elif fault == "repeat_across_chunks":
+            rec = records[p - CHUNK]
+        lines[p] = json.dumps(rec)
+    return lines
+
+
+def lay_out(layout, lines):
+    if layout == "header_first":
+        return [header(["c", "a", "b"]), *lines]
+    if layout == "late_header":
+        return [*lines[:12], header(["c", "b", "a"]), *lines[12:]]
+    if layout == "header_replaces_list":
+        return [header(["a", "b", "c"]), *lines[:13], header(["b", "c", "a"]), *lines[13:]]
+    if layout == "blank_lines":
+        return [header(["a", "b", "c"]), *lines[:5], "", *lines[5:17], "   ", *lines[17:]]
+    return lines
+
+
+FAULTS = [
+    None,
+    "malformed",
+    "leading_space",
+    "trailing_data",
+    "bom",
+    "nan",
+    "missing_field",
+    "unknown_label",
+    "prob_range",
+    "non_integral_bit",
+    "fold_conflict",
+    "repeat_in_chunk",
+    "repeat_across_chunks",
+]
+
+
+class TestChunkedRead:
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize(
+        "layout", ["header_first", "headerless", "late_header", "header_replaces_list", "blank_lines"]
+    )
+    def test_same_outcome_as_streamed_reference(self, tmp_path, monkeypatch, layout, fault):
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", CHUNK)
+        path = tmp_path / "pred.jsonl"
+        # the first record of a chunk, its last record and the record after it
+        for p in ([0] if fault is None else [CHUNK, 2 * CHUNK - 1, 2 * CHUNK]):
+            for seed in range(2):
+                lines = lay_out(layout, inject(fault, fault_records(seed), p))
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                assert outcome(read_predictions, path) == outcome(streamed_reference, path), (p, seed)
+
+    def test_many_chunks_at_full_size(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2 * predictions.CHUNK_RECORDS // 3 + 7
+        doc_ids, folds = [f"doc{i}" for i in range(n)], [i % 4 for i in range(n)]
+        pred = PredictionSet(["b", "a", "c"])
+        for j in range(3):
+            pred.add_many(doc_ids, [j] * n, np.round(rng.random(n), 3).tolist(), rng.integers(0, 2, n).tolist(), folds)
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        assert outcome(read_predictions, path) == outcome(streamed_reference, path)
 
 
 class TestArrayStorage:
