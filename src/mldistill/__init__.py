@@ -8,84 +8,26 @@ that orchestrates end-to-end experiments.  Folds and particles run on
 forked worker processes, up to the ``--workers`` cap.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from mldistill.corpus import (
-    Corpus,
-    Document,
-    HashingTfidfVectorizer,
-    LabelVocabulary,
-    featurize,
-    load_corpus,
-    tokenize,
-)
-from mldistill.distill import (
-    DistillConfig,
-    TrainingMode,
-    baseline_classifier_chains,
-    contrastive_loss,
-    distill_binary_relevance,
-    distill_sequential,
-    hard_loss,
-    kd_loss,
-    soft_loss,
-    teacher_cv_predictions,
-)
-from mldistill.hypertune import (
-    HyperSpace,
-    SwarmConfig,
-    decode,
-    default_space,
-    pso_optimize,
-)
-from mldistill.metrics import MetricsReport, auc, example_f1, full_report, macro_f1, micro_f1, weighted_f1
-from mldistill.model import EncoderSpec, ModelState, init_model, sgd_step, softmax_t
-from mldistill.predictions import PredictionSet, read_predictions, write_predictions
-from mldistill.splits import FoldAssignment, stratified_kfold, stratified_sample
-from mldistill.stats import anova, describe, t_test
+# The names the README's library example imports from the package, each
+# loaded from its module on first use (PEP 562), so that ``import
+# mldistill`` loads no submodule.  Every other name is imported from its
+# module.
+_LIBRARY_NAMES = {
+    "DistillConfig": "config",
+    "default_space": "hypertune",
+    "distill_sequential": "distill",
+    "example_f1": "metrics",
+    "full_report": "metrics",
+    "pso_optimize": "hypertune",
+    "stratified_kfold": "splits",
+}
 
-__all__ = [
-    "Corpus",
-    "Document",
-    "DistillConfig",
-    "EncoderSpec",
-    "FoldAssignment",
-    "HashingTfidfVectorizer",
-    "HyperSpace",
-    "LabelVocabulary",
-    "MetricsReport",
-    "ModelState",
-    "PredictionSet",
-    "SwarmConfig",
-    "TrainingMode",
-    "anova",
-    "auc",
-    "baseline_classifier_chains",
-    "contrastive_loss",
-    "decode",
-    "default_space",
-    "describe",
-    "distill_binary_relevance",
-    "distill_sequential",
-    "example_f1",
-    "featurize",
-    "full_report",
-    "hard_loss",
-    "init_model",
-    "kd_loss",
-    "load_corpus",
-    "macro_f1",
-    "micro_f1",
-    "pso_optimize",
-    "read_predictions",
-    "sgd_step",
-    "soft_loss",
-    "softmax_t",
-    "stratified_kfold",
-    "stratified_sample",
-    "t_test",
-    "teacher_cv_predictions",
-    "tokenize",
-    "weighted_f1",
-    "write_predictions",
-]
+
+def __getattr__(name: str):
+    if name not in _LIBRARY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LIBRARY_NAMES[name]}"), name)

@@ -135,7 +135,10 @@ def _load_inputs(args: argparse.Namespace) -> Corpus:
 
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"--out {out}: cannot make a directory there ({exc.strerror})") from exc
     return out
 
 

@@ -1,34 +1,132 @@
-"""Run configuration: presets, the flat key-value config format, and
-the resolution order defaults < preset < config file < command line.
+"""Run settings, each declared once: defaults, presets, the flat key-value
+config format, and the resolution order defaults < preset < config file <
+command line.
 
-Every key in the registry can be set in a config file (``key = value``
-per line, '#' comments) or overridden by a CLI flag of the same name.
-The fully resolved mapping is embedded into every output file.
+The ``distill.*`` and ``pso.*`` keys derive from the fields of
+``DistillConfig`` and ``SwarmConfig``.  Every key in the registry can be
+set in a config file (``key = value`` per line, '#' comments) or
+overridden by a CLI flag of the same name.  The fully resolved mapping is
+embedded into every output file.  Nothing from the package but ``errors``
+is imported, so reading settings loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from mldistill.corpus import DEFAULT_FEATURE_DIM, Corpus
-from mldistill.distill import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
 from mldistill.errors import DataError, UsageError
-from mldistill.hypertune import SwarmConfig
-from mldistill.model import ACTIVATIONS, STUDENT_HIDDEN, TEACHER_HIDDEN
+
+DEFAULT_FEATURE_DIM = 32768
+TEACHER_HIDDEN = (128, 64)
+STUDENT_HIDDEN = (32,)
+ACTIVATIONS = ("tanh", "relu")
+
+# Bridges the config-level learning rate (quoted at transformer
+# fine-tuning scale) to plain SGD on randomly initialized desk-scale
+# encoders, which needs O(0.1..1) steps to move at all.  5e3 keeps the
+# presets well inside the converging regime and maps the lower end of
+# the tuning range onto it too.
+DEFAULT_LR_SCALE = 5e3
+
+DEFAULT_CONTRASTIVE_WEIGHT = 0.5
+
+MODE_VARIANTS = (
+    "sequential_kd",
+    "binary_relevance_kd",
+    "sequential_kd_contrastive",
+    "binary_relevance_kd_contrastive",
+    "classifier_chains_baseline",
+)
+
+
+@dataclass(frozen=True)
+class DistillConfig:
+    """The six tunable hyperparameters of a training run."""
+
+    temperature: float = 2.0
+    alpha: float = 0.5
+    learning_rate: float = 2e-5
+    batch_size: int = 16
+    epochs: int = 5
+    max_length: int = 128
+
+    def __post_init__(self) -> None:
+        if self.temperature <= 0:
+            raise ValueError("distill.temperature must be positive")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("distill.alpha must lie in [0, 1]")
+        if self.learning_rate <= 0:
+            raise ValueError("distill.learning_rate must be positive")
+        if self.batch_size < 1:
+            raise ValueError("distill.batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("distill.epochs must be >= 1")
+        if self.max_length < 1:
+            raise ValueError("distill.max_length must be >= 1")
+
+
+@dataclass(frozen=True)
+class TrainingMode:
+    variant: str
+    contrastive_weight: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.variant not in MODE_VARIANTS:
+            raise ValueError(f"unknown training mode {self.variant!r}")
+        if self.is_contrastive:
+            weight = self.contrastive_weight
+            if weight is None:
+                object.__setattr__(self, "contrastive_weight", DEFAULT_CONTRASTIVE_WEIGHT)
+            elif not 0.0 <= weight <= 1.0:
+                raise ValueError("contrastive_weight must lie in [0, 1]")
+        elif self.contrastive_weight is not None:
+            raise ValueError(f"contrastive_weight is only valid for contrastive variants, not {self.variant!r}")
+
+    @property
+    def is_contrastive(self) -> bool:
+        return self.variant.endswith("_contrastive")
+
+    @property
+    def is_sequential(self) -> bool:
+        return self.variant.startswith("sequential")
+
+
+@dataclass(frozen=True)
+class SwarmConfig:
+    n: int = 10
+    w: float = 0.7
+    c1: float = 1.5
+    c2: float = 1.5
+    max_iters: int = 10
+    threshold: float = 0.001
+    patience: int = 1
+    seed: int = 0
+    parallelism: int = 1
+    relative_threshold: bool = False
+
+    def __post_init__(self) -> None:
+        # Named by their config keys: resolve_config builds one to check them.
+        for key in ("n", "max_iters", "patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"pso.{key} must be >= 1")
+        for key in ("w", "c1", "c2"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"pso.{key} must be non-negative")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+
 
 PRESETS: dict[str, DistillConfig] = {
-    "trial_and_error": DistillConfig(
-        temperature=2.0, alpha=0.5, learning_rate=2e-5, batch_size=16, epochs=5, max_length=128
-    ),
+    "trial_and_error": DistillConfig(),
     "pso_selected": DistillConfig(
         temperature=2.79, alpha=0.1, learning_rate=1e-5, batch_size=8, epochs=5, max_length=512
     ),
 }
 
-PRESET_NAMES = ("trial_and_error", "pso_selected", "custom")
+PRESET_NAMES = (*PRESETS, "custom")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -62,6 +160,23 @@ def _parse_optional_int_tuple(raw: str) -> tuple[int, ...] | None:
     return _parse_int_tuple(raw)
 
 
+# SwarmConfig fields that no pso.* key sets: run.seed and run.workers give them.
+_RUN_FIELDS = ("seed", "parallelism")
+
+
+def _as_keys(settings: DistillConfig | SwarmConfig, prefix: str) -> dict[str, Any]:
+    """``{prefix.field: value}`` for each field of ``settings`` that a key sets."""
+    return {f"{prefix}.{f.name}": getattr(settings, f.name) for f in fields(settings) if f.name not in _RUN_FIELDS}
+
+
+def _from_keys(parsed: dict[str, Any], cls: type, prefix: str) -> dict[str, Any]:
+    """The keyword arguments of ``cls`` held in ``parsed``'s ``prefix.*`` keys."""
+    return {key.partition(".")[2]: parsed[key] for key in _as_keys(cls(), prefix)}
+
+
+# A derived key is parsed by the type of its default.
+_PARSERS = {float: _parse_float, bool: _parse_bool, int: int}
+
 # key -> (parser, default)
 KEY_REGISTRY: dict[str, tuple[Any, Any]] = {
     "run.mode": (str, "sequential_kd"),
@@ -71,51 +186,32 @@ KEY_REGISTRY: dict[str, tuple[Any, Any]] = {
     "run.feature_dim": (int, DEFAULT_FEATURE_DIM),
     "run.lr_scale": (_parse_float, DEFAULT_LR_SCALE),
     "run.workers": (int, 1),
-    "run.contrastive_weight": (_parse_float, 0.5),
+    "run.contrastive_weight": (_parse_float, DEFAULT_CONTRASTIVE_WEIGHT),
     "run.label_order": (_parse_optional_int_tuple, None),
-    "distill.temperature": (_parse_float, 2.0),
-    "distill.alpha": (_parse_float, 0.5),
-    "distill.learning_rate": (_parse_float, 2e-5),
-    "distill.batch_size": (int, 16),
-    "distill.epochs": (int, 5),
-    "distill.max_length": (int, 128),
+    **{key: (_PARSERS[type(value)], value) for key, value in _as_keys(DistillConfig(), "distill").items()},
     "model.teacher_hidden": (_parse_int_tuple, TEACHER_HIDDEN),
     "model.student_hidden": (_parse_int_tuple, STUDENT_HIDDEN),
     "model.activation": (str, "tanh"),
-    "pso.n": (int, 10),
-    "pso.w": (_parse_float, 0.7),
-    "pso.c1": (_parse_float, 1.5),
-    "pso.c2": (_parse_float, 1.5),
-    "pso.max_iters": (int, 10),
-    "pso.threshold": (_parse_float, 0.001),
-    "pso.patience": (int, 1),
-    "pso.relative_threshold": (_parse_bool, False),
+    **{key: (_PARSERS[type(value)], value) for key, value in _as_keys(SwarmConfig(), "pso").items()},
 }
-
-_DISTILL_KEYS = (
-    "distill.temperature",
-    "distill.alpha",
-    "distill.learning_rate",
-    "distill.batch_size",
-    "distill.epochs",
-    "distill.max_length",
-)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A resolved run; only ``resolve_config`` builds one."""
+
     mode: TrainingMode
     distill: DistillConfig
-    preset: str = "custom"
-    k: int = 5
-    seed: int = 0
-    feature_dim: int = DEFAULT_FEATURE_DIM
-    lr_scale: float = DEFAULT_LR_SCALE
-    workers: int = 1
-    teacher_hidden: tuple[int, ...] = TEACHER_HIDDEN
-    student_hidden: tuple[int, ...] = STUDENT_HIDDEN
-    activation: str = "tanh"
-    resolved: dict[str, Any] = field(default_factory=dict, compare=False)
+    preset: str
+    k: int
+    seed: int
+    feature_dim: int
+    lr_scale: float
+    workers: int
+    teacher_hidden: tuple[int, ...]
+    student_hidden: tuple[int, ...]
+    activation: str
+    resolved: dict[str, Any] = field(compare=False)
 
     def audit_dict(self) -> dict[str, Any]:
         """The fully resolved key-value mapping embedded in outputs.
@@ -171,7 +267,7 @@ def resolve_config(
         raise UsageError(f"unknown preset {preset!r}; choose from {PRESET_NAMES}")
     parsed["run.preset"] = preset
     if preset != "custom":
-        parsed.update({key: getattr(PRESETS[preset], key.partition(".")[2]) for key in _DISTILL_KEYS})
+        parsed.update(_as_keys(PRESETS[preset], "distill"))
 
     for key, raw_value in raw.items():
         if key == "run.preset":
@@ -183,7 +279,7 @@ def resolve_config(
             raise UsageError(f"bad value for {key}: {exc}") from exc
 
     try:
-        distill = DistillConfig(**{key.partition(".")[2]: parsed[key] for key in _DISTILL_KEYS})
+        distill = DistillConfig(**_from_keys(parsed, DistillConfig, "distill"))
         if not 0.0 <= parsed["run.contrastive_weight"] <= 1.0:
             raise ValueError(f"run.contrastive_weight must lie in [0, 1], got {parsed['run.contrastive_weight']}")
         variant = parsed["run.mode"]
@@ -224,26 +320,5 @@ def resolve_config(
     return config
 
 
-def check_corpus(config: RunConfig, corpus: Corpus) -> None:
-    """Reject settings that cannot run on ``corpus``, before any training."""
-    if config.k > len(corpus):
-        raise UsageError(f"run.k must not exceed the corpus size {len(corpus)}, got {config.k}")
-    order = config.resolved.get("run.label_order")
-    if order is not None and sorted(order) != list(range(len(corpus.vocab))):
-        raise UsageError(
-            f"run.label_order must be a permutation of 0..{len(corpus.vocab) - 1}, got {','.join(map(str, order))}"
-        )
-
-
 def swarm_settings(config: RunConfig) -> dict[str, Any]:
-    parsed = config.resolved
-    return {
-        "n": parsed["pso.n"],
-        "w": parsed["pso.w"],
-        "c1": parsed["pso.c1"],
-        "c2": parsed["pso.c2"],
-        "max_iters": parsed["pso.max_iters"],
-        "threshold": parsed["pso.threshold"],
-        "patience": parsed["pso.patience"],
-        "relative_threshold": parsed["pso.relative_threshold"],
-    }
+    return _from_keys(config.resolved, SwarmConfig, "pso")

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
+from mldistill.config import DEFAULT_FEATURE_DIM
 from mldistill.errors import DataError
-
-DEFAULT_FEATURE_DIM = 32768
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -123,8 +122,8 @@ def load_corpus(path: str | Path, vocab_path: str | Path) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: malformed record ({exc.msg})") from exc
+            except ValueError as exc:  # malformed, or an integer past int's digit limit
+                raise DataError(f"line {lineno}: malformed record ({getattr(exc, 'msg', exc)})") from exc
             if not isinstance(record, dict):
                 raise DataError(f"line {lineno}: record is not an object")
             text = record.get("text")

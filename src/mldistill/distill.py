@@ -29,13 +29,13 @@ that carries cross-label information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 from scipy import sparse
 
 from mldistill import parallel
+from mldistill.config import DEFAULT_CONTRASTIVE_WEIGHT, DEFAULT_LR_SCALE, DistillConfig
 from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
@@ -54,75 +54,7 @@ from mldistill.predictions import PredictionSet
 from mldistill.seeding import derive_seed, rng_for
 from mldistill.splits import FoldAssignment
 
-# Bridges the config-level learning rate (quoted at transformer
-# fine-tuning scale) to plain SGD on randomly initialized desk-scale
-# encoders, which needs O(0.1..1) steps to move at all.  5e3 keeps the
-# presets well inside the converging regime and maps the lower end of
-# the tuning range onto it too.
-DEFAULT_LR_SCALE = 5e3
-
-DEFAULT_CONTRASTIVE_WEIGHT = 0.5
 BASELINE_LEARNING_RATE = 1.0
-
-MODE_VARIANTS = (
-    "sequential_kd",
-    "binary_relevance_kd",
-    "sequential_kd_contrastive",
-    "binary_relevance_kd_contrastive",
-    "classifier_chains_baseline",
-)
-
-
-@dataclass(frozen=True)
-class DistillConfig:
-    """The six tunable hyperparameters of a training run."""
-
-    temperature: float = 2.0
-    alpha: float = 0.5
-    learning_rate: float = 2e-5
-    batch_size: int = 16
-    epochs: int = 5
-    max_length: int = 128
-
-    def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("distill.temperature must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("distill.alpha must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("distill.learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("distill.batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("distill.epochs must be >= 1")
-        if self.max_length < 1:
-            raise ValueError("distill.max_length must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainingMode:
-    variant: str
-    contrastive_weight: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.variant not in MODE_VARIANTS:
-            raise ValueError(f"unknown training mode {self.variant!r}")
-        if self.is_contrastive:
-            weight = self.contrastive_weight
-            if weight is None:
-                object.__setattr__(self, "contrastive_weight", DEFAULT_CONTRASTIVE_WEIGHT)
-            elif not 0.0 <= weight <= 1.0:
-                raise ValueError("contrastive_weight must lie in [0, 1]")
-        elif self.contrastive_weight is not None:
-            raise ValueError(f"contrastive_weight is only valid for contrastive variants, not {self.variant!r}")
-
-    @property
-    def is_contrastive(self) -> bool:
-        return self.variant.endswith("_contrastive")
-
-    @property
-    def is_sequential(self) -> bool:
-        return self.variant.startswith("sequential")
 
 
 # ---------------------------------------------------------------------------

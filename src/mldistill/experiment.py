@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -22,16 +22,11 @@ import numpy as np
 
 import mldistill
 from mldistill import parallel
-from mldistill.config import RunConfig, check_corpus, swarm_settings
+from mldistill.config import DistillConfig, RunConfig, SwarmConfig, TrainingMode, swarm_settings
 from mldistill.corpus import Corpus
-from mldistill.distill import (
-    DistillConfig,
-    TrainingMode,
-    baseline_classifier_chains,
-    distill_binary_relevance,
-    distill_sequential,
-)
-from mldistill.hypertune import HyperSpace, SwarmConfig, TraceEntry, decode, decode_values, pso_optimize
+from mldistill.distill import baseline_classifier_chains, distill_binary_relevance, distill_sequential
+from mldistill.errors import UsageError
+from mldistill.hypertune import HyperSpace, TraceEntry, decode, decode_values, pso_optimize
 from mldistill.metrics import MetricsReport, example_f1, full_report, render_report
 from mldistill.model import EncoderSpec
 from mldistill.predictions import PredictionSet, write_predictions
@@ -71,6 +66,17 @@ def _encoder_specs(config: RunConfig) -> tuple[EncoderSpec, EncoderSpec]:
         role="student",
     )
     return teacher, student
+
+
+def check_corpus(config: RunConfig, corpus: Corpus) -> None:
+    """Reject settings that cannot run on ``corpus``, before any training."""
+    if config.k > len(corpus):
+        raise UsageError(f"run.k must not exceed the corpus size {len(corpus)}, got {config.k}")
+    order = config.resolved.get("run.label_order")
+    if order is not None and sorted(order) != list(range(len(corpus.vocab))):
+        raise UsageError(
+            f"run.label_order must be a permutation of 0..{len(corpus.vocab) - 1}, got {','.join(map(str, order))}"
+        )
 
 
 def folds_for(corpus: Corpus, config: RunConfig) -> FoldAssignment:
@@ -298,14 +304,7 @@ def render_best_config(result: TuneResult, meta: dict | None = None) -> str:
     ]
     if meta:
         lines.append("# " + json.dumps(meta, sort_keys=True))
-    lines += [
-        f"distill.temperature = {cfg.temperature!r}",
-        f"distill.alpha = {cfg.alpha!r}",
-        f"distill.learning_rate = {cfg.learning_rate!r}",
-        f"distill.batch_size = {cfg.batch_size}",
-        f"distill.epochs = {cfg.epochs}",
-        f"distill.max_length = {cfg.max_length}",
-    ]
+    lines += [f"distill.{f.name} = {getattr(cfg, f.name)!r}" for f in fields(cfg)]
     return "\n".join(lines) + "\n"
 
 

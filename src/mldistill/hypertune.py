@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from mldistill import parallel
-from mldistill.distill import DistillConfig
+from mldistill.config import DistillConfig, SwarmConfig
 from mldistill.errors import DataError
 from mldistill.seeding import particle_rng
 
@@ -62,7 +62,7 @@ class HyperSpace:
         return np.array([d.upper for d in self.dimensions], dtype=np.float64)
 
 
-DIMENSION_NAMES = ("temperature", "alpha", "learning_rate", "batch_size", "epochs", "max_length")
+DIMENSION_NAMES = tuple(f.name for f in fields(DistillConfig))
 
 
 def default_space() -> HyperSpace:
@@ -87,8 +87,8 @@ def space_to_json(space: HyperSpace) -> str:
 def load_space(path: str | Path) -> HyperSpace:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed space file: {exc.msg}") from exc
+    except ValueError as exc:  # malformed, or an integer past int's digit limit
+        raise DataError(f"malformed space file: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, list) or not raw:
         raise DataError("space file must be a non-empty list of dimensions")
     dims = []
@@ -102,7 +102,7 @@ def load_space(path: str | Path) -> HyperSpace:
                     kind=str(item.get("kind", "continuous")),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"space file dimension {i}: {exc}") from exc
     space = HyperSpace(tuple(dims))
     for name in space.names:
@@ -138,19 +138,14 @@ def decode_values(position: np.ndarray, space: HyperSpace) -> dict[str, float | 
 
 
 def decode(position: np.ndarray, space: HyperSpace) -> DistillConfig:
-    """Decode a position into a training configuration by dimension name."""
+    """Decode a position into a training configuration by dimension name.
+    Each value takes its field's type: an integer field truncates the
+    value of a continuous dimension."""
     values = decode_values(position, space)
     missing = set(DIMENSION_NAMES) - set(values)
     if missing:
         raise ValueError(f"missing dimensions {', '.join(sorted(missing))}")
-    return DistillConfig(
-        temperature=float(values["temperature"]),
-        alpha=float(values["alpha"]),
-        learning_rate=float(values["learning_rate"]),
-        batch_size=int(values["batch_size"]),
-        epochs=int(values["epochs"]),
-        max_length=int(values["max_length"]),
-    )
+    return DistillConfig(**{f.name: type(f.default)(values[f.name]) for f in fields(DistillConfig)})
 
 
 @dataclass
@@ -169,31 +164,6 @@ class SwarmState:
     prev_best: float = -math.inf
     no_improv_count: int = 0
     iteration: int = 0
-
-
-@dataclass(frozen=True)
-class SwarmConfig:
-    n: int = 10
-    w: float = 0.7
-    c1: float = 1.5
-    c2: float = 1.5
-    max_iters: int = 10
-    threshold: float = 0.001
-    patience: int = 1
-    seed: int = 0
-    parallelism: int = 1
-    relative_threshold: bool = False
-
-    def __post_init__(self) -> None:
-        # Named by their config keys: resolve_config builds one to check them.
-        for key in ("n", "max_iters", "patience"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"pso.{key} must be >= 1")
-        for key in ("w", "c1", "c2"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"pso.{key} must be non-negative")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 def init_swarm(space: HyperSpace, cfg: SwarmConfig) -> SwarmState:

@@ -16,9 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-TEACHER_HIDDEN = (128, 64)
-STUDENT_HIDDEN = (32,)
-ACTIVATIONS = ("tanh", "relu")
+from mldistill.config import ACTIVATIONS, STUDENT_HIDDEN, TEACHER_HIDDEN
 
 
 @dataclass(frozen=True)

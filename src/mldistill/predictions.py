@@ -211,7 +211,7 @@ def _final_labels(fh) -> list[str]:
     for line in fh:
         try:
             obj = _parse(line)
-        except json.JSONDecodeError:
+        except ValueError:  # malformed, or an integer past int's digit limit
             continue
         if isinstance(obj, dict) and "_meta" in obj:
             header = _header_labels(obj)
@@ -253,11 +253,11 @@ def _load(lines, final: list[str] | None) -> PredictionSet | None:
     for lineno, line in lines:
         try:
             obj = _parse(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past int's digit limit
             if not line.strip():
                 continue
             flush()
-            raise DataError(f"line {lineno}: malformed prediction record ({exc.msg})") from exc
+            raise DataError(f"line {lineno}: malformed prediction record ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             flush()
             raise DataError(f"line {lineno}: prediction record is not an object")

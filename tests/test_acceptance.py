@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from mldistill.cli import main as cli_main
+from mldistill.config import DistillConfig, SwarmConfig
 from mldistill.distill import (
-    DistillConfig,
     distill_sequential,
     hard_loss,
     kd_loss,
     soft_loss,
     teacher_cv_predictions,
 )
-from mldistill.hypertune import Dimension, HyperSpace, SwarmConfig, pso_optimize
+from mldistill.hypertune import Dimension, HyperSpace, pso_optimize
 from mldistill.metrics import auc, example_f1
 from mldistill.model import default_student_spec, default_teacher_spec, softmax_t
 from mldistill.splits import stratified_kfold

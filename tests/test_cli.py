@@ -5,16 +5,18 @@ import json
 import math
 import os
 import resource
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import mldistill
 from mldistill import distill, parallel
 from mldistill.cli import main
-from mldistill.config import KEY_REGISTRY, PRESETS, parse_config_file, resolve_config
+from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_file, resolve_config
 from mldistill.corpus import HashingTfidfVectorizer
-from mldistill.distill import MODE_VARIANTS
 from mldistill.errors import UsageError
 from mldistill.hypertune import default_space, space_to_json
 from mldistill.metrics import read_report
@@ -71,6 +73,18 @@ class TestGenerateAndSample:
              "--size", 0, "--out", tmp_path / "x"]
         )
         assert code == 1
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        code = run_cli(["generate-synthetic", "--docs", 4, "--out", tmp_path / "f"])
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
+
+    def test_out_below_a_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "f").write_text("")
+        code = run_cli(["generate-synthetic", "--docs", 4, "--out", tmp_path / "f" / "sub"])
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
 
     def test_identity_sample(self, data_dir, tmp_path):
         out = tmp_path / "full"
@@ -174,6 +188,40 @@ class TestRun:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reader",
+        ["predictions_with_header", "predictions", "sample_corpus", "run_corpus", "space", "space_float_range"],
+    )
+    def test_integer_past_digit_limit_is_data_error(self, data_dir, tmp_path, capsys, reader):
+        # Python parses no integer literal of more than 4,300 digits.
+        big = "1" + "0" * 5000
+        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
+        if reader.startswith("predictions"):
+            path = tmp_path / "pred.jsonl"
+            lines = ['{"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}',
+                     '{"doc_id": "y", "label": "a", "prob": 0.5, "true": 1, "fold": %s}' % big]
+            if reader == "predictions_with_header":
+                lines.insert(0, '{"_meta": {"labels": ["a"]}}')
+            args = ["evaluate", "--predictions", path]
+            expected = f"line {len(lines) - 1}: malformed prediction record (Exceeds the limit"
+        elif reader.startswith("space"):
+            path = tmp_path / "space.json"
+            # max_length's upper bound; 400 digits parse, but exceed the float range
+            bound = big if reader == "space" else big[:400]
+            lines = [space_to_json(default_space()).replace('"upper": 512', f'"upper": {bound}')]
+            args = ["tune", "--corpus", corpus, "--vocab", vocab, "--space", path, "--run.k", 2]
+            expected = "malformed space file: Exceeds the limit" if reader == "space" else "space file dimension 5"
+        else:
+            path = tmp_path / "corpus.jsonl"
+            lines = [*corpus.read_text().splitlines(), '{"id": %s, "text": "t", "labels": []}' % big]
+            args = ["sample", "--size", 1] if reader == "sample_corpus" else ["run"]
+            args += ["--corpus", path, "--vocab", vocab]
+            expected = f"line {len(lines) - 1}: malformed record (Exceeds the limit"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli([*args, "--out", tmp_path / "o"])
+        assert code == 2
+        assert expected in capsys.readouterr().err
 
     def test_manifest_peak_counts_workers(self, data_dir, tmp_path, monkeypatch):
         # RUSAGE_SELF cannot see forked workers; the manifest adds their peaks.
@@ -568,6 +616,58 @@ class TestConfigResolution:
 
         with pytest.raises(DataError):
             parse_config_file(path)
+
+    def test_resolved_defaults_pinned(self):
+        expected = {
+            "distill.alpha": 0.5, "distill.batch_size": 16, "distill.epochs": 5, "distill.learning_rate": 2e-05,
+            "distill.max_length": 128, "distill.temperature": 2.0,
+            "model.activation": "tanh", "model.student_hidden": [32], "model.teacher_hidden": [128, 64],
+            "pso.c1": 1.5, "pso.c2": 1.5, "pso.max_iters": 10, "pso.n": 10, "pso.patience": 1,
+            "pso.relative_threshold": False, "pso.threshold": 0.001, "pso.w": 0.7,
+            "run.contrastive_weight": 0.5, "run.feature_dim": 32768, "run.k": 5, "run.label_order": None,
+            "run.lr_scale": 5000.0, "run.mode": "sequential_kd", "run.preset": "custom", "run.seed": 0,
+        }
+        got = resolve_config().audit_dict()
+        assert got == expected
+        assert {key: type(value) for key, value in got.items()} == {key: type(v) for key, v in expected.items()}
+
+    def test_bool_key_parses_yes(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("pso.relative_threshold = yes\n")
+        assert resolve_config(parse_config_file(path)).resolved["pso.relative_threshold"] is True
+
+    def test_int_key_rejects_fraction(self, data_dir, tmp_path, capsys):
+        code = run_cli(
+            ["tune", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", tmp_path / "t", "--pso.n", "2.5"]
+        )
+        assert code == 1
+        assert "pso.n" in capsys.readouterr().err
+
+    def test_config_is_a_leaf_and_package_serves_readme_names(self):
+        names = {
+            "DistillConfig": "config", "default_space": "hypertune", "distill_sequential": "distill",
+            "example_f1": "metrics", "full_report": "metrics", "pso_optimize": "hypertune",
+            "stratified_kfold": "splits",
+        }
+        script = f"""
+import importlib, sys
+import mldistill
+import mldistill.config
+assert not {{"numpy", "scipy"}} & set(sys.modules), "numpy or scipy loaded"
+for name, module in {names!r}.items():
+    assert getattr(mldistill, name) is getattr(importlib.import_module("mldistill." + module), name), name
+try:
+    mldistill.teacher_cv_predictions
+except AttributeError:
+    pass
+else:
+    raise AssertionError("a name outside the README is served")
+"""
+        src = str(Path(mldistill.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_bad_preset_rejected(self):
         with pytest.raises(UsageError):

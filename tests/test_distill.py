@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from mldistill import distill
+from mldistill.config import DistillConfig, TrainingMode
 from mldistill.corpus import featurize
 from mldistill.distill import (
-    DistillConfig,
-    TrainingMode,
     baseline_classifier_chains,
     contrastive_grads,
     distill_binary_relevance,

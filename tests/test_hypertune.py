@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from mldistill.config import SwarmConfig
 from mldistill.hypertune import (
     Dimension,
     HyperSpace,
     Particle,
-    SwarmConfig,
     SwarmState,
     apply_constraints,
     constrain_particle,
@@ -73,6 +73,15 @@ class TestDecode:
     def test_missing_dimension_rejected(self):
         with pytest.raises(ValueError):
             decode(np.array([1.0]), HyperSpace((Dimension("temperature", 2, 4, "continuous"),)))
+
+    def test_integer_field_truncates_continuous_dimension(self):
+        space = HyperSpace(
+            tuple(Dimension(d.name, d.lower, d.upper, "continuous") if d.name == "batch_size" else d
+                  for d in default_space().dimensions)
+        )
+        cfg = decode(np.array([2.0, 0.5, 2e-4, 8.9, 3.0, 128.0]), space)
+        assert type(cfg.batch_size) is int and cfg.batch_size == 8
+        assert type(cfg.temperature) is float
 
 
 class FixedOnesRng:

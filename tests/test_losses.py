@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from mldistill.config import DistillConfig
 from mldistill.distill import (
-    DistillConfig,
     contrastive_grads,
     contrastive_loss,
     hard_loss,

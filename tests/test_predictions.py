@@ -259,6 +259,8 @@ class TestStreamingRead:
             "[1]",
             '{"doc_id": "v", "label": "a", "prob": 0.5}',
             '{"doc_id": "v", "label": "zz", "prob": 0.5, "true": 1, "fold": 0}',
+            pytest.param('{"doc_id": "v", "label": "a", "prob": 0.5, "true": 1, "fold": 1' + "0" * 5000 + "}",
+                         id="integer_past_digit_limit"),
         ],
     )
     @pytest.mark.parametrize("with_header", [True, False])
