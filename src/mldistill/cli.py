@@ -9,7 +9,9 @@ overridden with a flag of the same dotted name.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import resource
 import sys
 import time
@@ -133,12 +135,26 @@ def _load_inputs(args: argparse.Namespace) -> Corpus:
     return load_corpus(args.corpus, args.vocab)
 
 
+def _out_error(out: Path, code: int) -> UsageError:
+    return UsageError(f"--out {out}: cannot make a directory there ({os.strerror(code)})")
+
+
+def _check_out(out: Path) -> None:
+    """Fail before any work if ``out`` names a file or lies below one; the
+    directory itself is made only when the outputs are written."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise _out_error(out, errno.EEXIST if path == out else errno.ENOTDIR)
+            return
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
-        raise UsageError(f"--out {out}: cannot make a directory there ({exc.strerror})") from exc
+        raise _out_error(out, exc.errno) from exc
     return out
 
 
@@ -283,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         # Forked workers inherit the pin, so --workers N caps the whole concurrency.
         parallel.pin_blas_threads()
         return _COMMANDS[args.command](args)

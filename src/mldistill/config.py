@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from mldistill.errors import DataError, UsageError
+from mldistill.errors import DataError, UsageError, utf8_fault
 
 DEFAULT_FEATURE_DIM = 32768
 TEACHER_HIDDEN = (128, 64)
@@ -231,8 +231,11 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh):
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise DataError(f"config line {lineno}: {fault}")
             text = line.strip()
             if not text or text.startswith("#"):
                 continue

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from mldistill.config import DEFAULT_FEATURE_DIM
-from mldistill.errors import DataError
+from mldistill.errors import DataError, utf8_fault
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -92,7 +92,10 @@ def load_vocab(path: str | Path) -> LabelVocabulary:
     """Read one label per line; line order defines the label index.  Blank
     lines are skipped; a repeated label is rejected with its 0-based line."""
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()):
+        fault = utf8_fault(line)
+        if fault is not None:
+            raise DataError(f"vocabulary line {lineno}: {fault}")
         name = line.strip()
         if name in first_line:
             raise DataError(f"vocabulary line {lineno}: duplicate label {name!r} (first on line {first_line[name]})")
@@ -116,8 +119,11 @@ def load_corpus(path: str | Path, vocab_path: str | Path) -> Corpus:
     vocab = load_vocab(vocab_path)
     documents: list[Document] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh):
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise DataError(f"line {lineno}: {fault}")
             if not line.strip():
                 continue
             try:

@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check that an input
+line was UTF-8.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 anything else -> 3.
 """
+
+import re
+
+# Input files are opened with errors="surrogateescape", which keeps each
+# byte that is not UTF-8 as one of these lone surrogates.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class UsageError(Exception):
@@ -11,3 +18,12 @@ class UsageError(Exception):
 
 class DataError(Exception):
     """Malformed or inconsistent input data (files, records, labels)."""
+
+
+def utf8_fault(line: str) -> str | None:
+    """Why ``line``, read with ``errors="surrogateescape"``, is not UTF-8;
+    None when it is."""
+    if line.isascii():
+        return None
+    escaped = _ESCAPED_BYTE.search(line)
+    return None if escaped is None else f"not valid UTF-8 (byte 0x{ord(escaped.group()) - 0xDC00:02x})"

@@ -9,25 +9,38 @@ externally produced predictions.
 from __future__ import annotations
 
 import json
-from itertools import compress, count, repeat
+import re
+from itertools import compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from mldistill.errors import DataError
+from mldistill.errors import DataError, utf8_fault
 
 PREDICTIONS_FORMAT = "mldistill-predictions/1"
 
 # Truth value of a (document, label) cell that has no prediction yet.
 MISSING = -1
 
-# Records a reader gathers before adding them to the set in one call.
+# Lines a reader takes at a time, and records it adds to the set in one call.
 CHUNK_RECORDS = 4096
 
 _FIELDS = ("doc_id", "label", "prob", "true", "fold")
 _record_fields = itemgetter(*_FIELDS)
 _scan_once = json.JSONDecoder().scan_once
+
+# A record line exactly as write_predictions writes it, its five values in
+# groups 1-5.  A string has no escape, control character or undecoded byte;
+# prob is a JSON number with a fraction or an exponent (a float to json);
+# true and fold are JSON integers of at most 18 digits.  Digits are [0-9]:
+# \d also matches digits that int() reads and JSON does not.  A record
+# holds one newline, its last character, so each match is one whole line.
+_STRING = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
+_FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
+_RECORD = rf'\{{"doc_id": {_STRING}, "label": {_STRING}, "prob": {_FLOAT}, "true": {_INT}, "fold": {_INT}\}}\n'
+_RECORDS = re.compile("^" + _RECORD, re.M)
 
 
 def _is_number_type(t: type) -> bool:
@@ -209,6 +222,8 @@ def _final_labels(fh) -> list[str]:
     that do not parse are skipped here and reported by the loading pass."""
     labels, names = None, set()
     for line in fh:
+        if utf8_fault(line) is not None:
+            continue
         try:
             obj = _parse(line)
         except ValueError:  # malformed, or an integer past int's digit limit
@@ -221,74 +236,110 @@ def _final_labels(fh) -> list[str]:
     return sorted(names) if labels is None else labels
 
 
-def _add_chunk(pred: PredictionSet, chunk: list[tuple]) -> None:
-    """Add (line, doc_id, label index, prob, true, fold) records in one
-    call.  If that call fails, the records are added again one at a time,
-    so the error names the first faulty line."""
-    linenos, doc_ids, label_indices, probs, truth, folds = zip(*chunk)
+def _add_records(pred: PredictionSet, linenos, doc_ids, label_indices, probs, truth, folds) -> None:
+    """Add records given as columns in one call.  If that call fails, they
+    are added again one at a time, so the error names the first faulty
+    line."""
     try:
-        pred.add_many(list(map(str, doc_ids)), label_indices, probs, truth, folds)
+        pred.add_many(doc_ids, label_indices, probs, truth, folds)
     except DataError:
-        for lineno, doc_id, *values in chunk:
+        for lineno, *record in zip(linenos, doc_ids, label_indices, probs, truth, folds):
             try:
-                pred.add(str(doc_id), *values)
+                pred.add(*record)
             except DataError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
         raise
 
 
-def _load(lines, final: list[str] | None) -> PredictionSet | None:
-    """Add the records in chunks of CHUNK_RECORDS; the first faulty line
-    raises, so a fault found while parsing first adds the records before
-    it.  Without ``final`` labels, the last header before the first record
-    gives them, and the pass gives up (None) when they prove not to be
-    final."""
+def _record_columns(block: list[str], label_index: dict[str, int]) -> tuple | None:
+    """The (doc_ids, label indices, probs, truth, folds) columns of a block
+    whose every line is a record in the layout ``write_predictions`` writes,
+    with a known label; None for any other block."""
+    # A block whose first line is not such a record, or that holds an
+    # escape (as json.dumps writes a non-ASCII id), pays for no search.
+    if not _RECORDS.match(block[0]):
+        return None
+    text = "".join(block)
+    if "\\" in text:
+        return None
+    rows = _RECORDS.findall(text)
+    if len(rows) != len(block):
+        return None
+    doc_ids, names, probs, truth, folds = zip(*rows)
+    label_indices = list(map(label_index.get, names))
+    if None in label_indices:
+        return None
+    return list(doc_ids), label_indices, list(map(float, probs)), list(map(int, truth)), list(map(int, folds))
+
+
+def _load(fh, final: list[str] | None) -> PredictionSet | None:
+    """Read ``fh`` in blocks of CHUNK_RECORDS lines.  Once the set exists, a
+    block of records in the layout ``write_predictions`` writes is added as
+    columns; any other block is parsed line by line and added in chunks of
+    CHUNK_RECORDS.  The first faulty line raises, so a fault found while
+    parsing first adds the records before it.  Without ``final`` labels,
+    the last header before the first record gives them, and the pass gives
+    up (None) when they prove not to be final."""
     labels, pred, label_index, chunk = final, None, {}, []
 
     def flush() -> None:
         if chunk:
-            _add_chunk(pred, chunk)
+            linenos, doc_ids, *columns = zip(*chunk)
+            _add_records(pred, linenos, list(map(str, doc_ids)), *columns)
             chunk.clear()
 
-    for lineno, line in lines:
-        try:
-            obj = _parse(line)
-        except ValueError as exc:  # malformed, or an integer past int's digit limit
-            if not line.strip():
-                continue
+    end = 0
+    for block in iter(lambda: list(islice(fh, CHUNK_RECORDS)), []):
+        start, end = end, end + len(block)
+        columns = None if pred is None else _record_columns(block, label_index)
+        if columns is not None:
             flush()
-            raise DataError(f"line {lineno}: malformed prediction record ({getattr(exc, 'msg', exc)})") from exc
-        if not isinstance(obj, dict):
-            flush()
-            raise DataError(f"line {lineno}: prediction record is not an object")
-        if "_meta" in obj:
-            header = _header_labels(obj)
-            if final is None and header is not None and header != labels:
-                if pred is not None:
-                    flush()
-                    return None
-                labels = header
+            _add_records(pred, range(start, end), *columns)
             continue
-        if pred is None:
-            if final is None and not labels:
-                return None
-            pred = PredictionSet(labels)
-            label_index = {name: j for j, name in enumerate(labels)}
-        try:
-            doc_id, name, prob, true_bit, fold = _record_fields(obj)
-        except KeyError:
-            flush()
-            key = next(key for key in _FIELDS if key not in obj)
-            raise DataError(f"line {lineno}: missing field {key!r}") from None
-        j = label_index.get(name if type(name) is str else str(name))
-        if j is None:
-            flush()
-            if final is None:
-                return None
-            raise DataError(f"line {lineno}: label {str(name)!r} not in header label list")
-        chunk.append((lineno, doc_id, j, prob, true_bit, fold))
-        if len(chunk) == CHUNK_RECORDS:
-            flush()
+        for lineno, line in enumerate(block, start):
+            fault = utf8_fault(line)
+            if fault is not None:
+                flush()
+                raise DataError(f"line {lineno}: {fault}")
+            try:
+                obj = _parse(line)
+            except ValueError as exc:  # malformed, or an integer past int's digit limit
+                if not line.strip():
+                    continue
+                flush()
+                reason = getattr(exc, "msg", exc)
+                raise DataError(f"line {lineno}: malformed prediction record ({reason})") from exc
+            if not isinstance(obj, dict):
+                flush()
+                raise DataError(f"line {lineno}: prediction record is not an object")
+            if "_meta" in obj:
+                header = _header_labels(obj)
+                if final is None and header is not None and header != labels:
+                    if pred is not None:
+                        flush()
+                        return None
+                    labels = header
+                continue
+            if pred is None:
+                if final is None and not labels:
+                    return None
+                pred = PredictionSet(labels)
+                label_index = {name: j for j, name in enumerate(labels)}
+            try:
+                doc_id, name, prob, true_bit, fold = _record_fields(obj)
+            except KeyError:
+                flush()
+                key = next(key for key in _FIELDS if key not in obj)
+                raise DataError(f"line {lineno}: missing field {key!r}") from None
+            j = label_index.get(name if type(name) is str else str(name))
+            if j is None:
+                flush()
+                if final is None:
+                    return None
+                raise DataError(f"line {lineno}: label {str(name)!r} not in header label list")
+            chunk.append((lineno, doc_id, j, prob, true_bit, fold))
+            if len(chunk) == CHUNK_RECORDS:
+                flush()
     if pred is None:
         raise DataError("prediction file contains no records")
     flush()
@@ -299,16 +350,18 @@ def _load(lines, final: list[str] | None) -> PredictionSet | None:
 def read_predictions(path: str | Path) -> PredictionSet:
     """Read a predictions file, adding its records to the set in chunks.
 
+    Blocks in the layout ``write_predictions`` writes are added as
+    columns; any other block is parsed line by line, with the same checks.
     One pass suffices when a header with the label list precedes the first
     record.  Otherwise (no header, or a later one that changes the list:
     the last header wins) the file is scanned for its final label list and
     loaded again.  A faulty file reports its first faulty line.
     """
-    with open(path, encoding="utf-8") as fh:
-        pred = _load(enumerate(fh), None)
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        pred = _load(fh, None)
         if pred is None:
             fh.seek(0)
             labels = _final_labels(fh)
             fh.seek(0)
-            pred = _load(enumerate(fh), labels)
+            pred = _load(fh, labels)
     return pred

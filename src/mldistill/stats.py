@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from mldistill.errors import DataError
+from mldistill.errors import DataError, utf8_fault
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -267,8 +267,11 @@ def read_replications(path: str | Path) -> dict[str, list[float]]:
     """One score per line: everything before the final whitespace run is
     the approach name, the last token is the score."""
     groups: dict[str, list[float]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh):
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise DataError(f"line {lineno}: {fault}")
             text = line.strip()
             if not text or text.startswith("#"):
                 continue

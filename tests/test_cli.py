@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import mldistill
-from mldistill import distill, parallel
+from mldistill import cli, distill, parallel
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_file, resolve_config
 from mldistill.corpus import HashingTfidfVectorizer
@@ -341,6 +341,93 @@ class TestEvaluate:
         code = run_cli(["evaluate", "--predictions", bad, "--out", tmp_path / "out"])
         assert code == 2
         assert "line 0: true must be a number, got 'yes'" in capsys.readouterr().err
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    @pytest.mark.parametrize("command", ["run", "ablate", "tune", "evaluate"])
+    def test_bad_out_fails_before_any_work(self, data_dir, tmp_path, capsys, monkeypatch, command, below):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")  # exit 3
+
+        for name in ("load_corpus", "read_predictions", "run_experiment", "run_ablation", "run_tuning"):
+            monkeypatch.setattr(cli, name, fail)
+        (tmp_path / "f").write_text("")
+        out = tmp_path / "f" / "sub" if below else tmp_path / "f"
+        if command == "evaluate":
+            inputs = ["--predictions", tmp_path / "pred.jsonl"]
+        else:
+            inputs = ["--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt"]
+        code = run_cli([command, *inputs, "--out", out])
+        assert code == 1
+        reason = "Not a directory" if below else "File exists"
+        assert f"usage error: --out {out}: cannot make a directory there ({reason})" in capsys.readouterr().err
+
+    def test_failed_command_makes_no_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "out"
+        assert run_cli(["evaluate", "--predictions", tmp_path / "missing.jsonl", "--out", out]) == 2
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
+        "role, message",
+        [
+            ("predictions_with_header", "line 2: not valid UTF-8 (byte 0xe9)"),
+            ("predictions", "line 1: not valid UTF-8 (byte 0xe9)"),
+            ("run_corpus", "line 48: not valid UTF-8 (byte 0xe9)"),
+            ("sample_corpus", "line 48: not valid UTF-8 (byte 0xe9)"),
+            ("vocab", "vocabulary line 1: not valid UTF-8 (byte 0xe9)"),
+            ("config", "config line 1: not valid UTF-8 (byte 0xe9)"),
+            ("replications", "line 2: not valid UTF-8 (byte 0xe9)"),
+        ],
+    )
+    def test_non_utf8_bytes_are_data_error_naming_line(self, data_dir, tmp_path, capsys, role, message):
+        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
+        path = tmp_path / "input"
+        if role.startswith("predictions"):
+            lines = [b'{"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}',
+                     b'{"doc_id": "caf\xe9", "label": "a", "prob": 0.5, "true": 1, "fold": 0}']
+            if role == "predictions_with_header":
+                lines.insert(0, b'{"_meta": {"labels": ["a"]}}')
+            args = ["evaluate", "--predictions", path]
+        elif role.endswith("corpus"):
+            lines = [*corpus.read_bytes().splitlines(), b'{"text": "caf\xe9", "labels": []}']
+            args = ["sample", "--size", 1] if role == "sample_corpus" else ["run"]
+            args += ["--corpus", path, "--vocab", vocab]
+        elif role == "vocab":
+            lines = [b"a", b"caf\xe9"]
+            args = ["run", "--corpus", corpus, "--vocab", path]
+        elif role == "config":
+            lines = [b"run.k = 3", b"# caf\xe9"]
+            args = ["run", "--corpus", corpus, "--vocab", vocab, "--config", path]
+        else:
+            lines = [b"A 0.82", b"A 0.83", b"caf\xe9 0.7"]
+            args = ["stats", "--replications", path]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code = run_cli([*args, "--out", tmp_path / "o"])
+        assert code == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("role", ["predictions", "corpus"])
+    def test_fault_before_non_utf8_bytes_is_reported_first(self, data_dir, tmp_path, capsys, role):
+        # Both faults lie in the first 8 KB, which the text layer decodes at once.
+        path = tmp_path / "input"
+        if role == "predictions":
+            good = b'{"doc_id": "d%d", "label": "a", "prob": 0.5, "true": 1, "fold": 0}'
+            lines = [b'{"_meta": {"labels": ["a"]}}', *(good % i for i in range(5)), b"\xe9"]
+            lines[3] = b'{"doc_id": "d2", "label": "a"'
+            args = ["evaluate", "--predictions", path]
+            message = "line 3: malformed prediction record"
+        else:
+            lines = [*data_dir.joinpath("corpus.jsonl").read_bytes().splitlines()[:6], b"\xe9"]
+            lines[3] = b"[1]"
+            args = ["run", "--corpus", path, "--vocab", data_dir / "vocab.txt"]
+            message = "line 3: record is not an object"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert len(lines[-1]) + path.stat().st_size < 8192
+        code = run_cli([*args, "--out", tmp_path / "o"])
+        assert code == 2
+        assert f"data error: {message}" in capsys.readouterr().err
 
 
 class TestTune:

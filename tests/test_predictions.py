@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,14 @@ def header(labels):
     return json.dumps({"_meta": {"format": "mldistill-predictions/1", "labels": list(labels)}})
 
 
+def record_parse_calls(monkeypatch):
+    """The list of lines ``predictions._parse`` is called on from now on."""
+    calls = []
+    real_parse = predictions._parse
+    monkeypatch.setattr(predictions, "_parse", lambda line: calls.append(line) or real_parse(line))
+    return calls
+
+
 class TestStreamingRead:
     @pytest.mark.parametrize(
         "layout",
@@ -228,9 +237,7 @@ class TestStreamingRead:
         pred = sample_set()
         path = tmp_path / "pred.jsonl"
         write_predictions(pred, path)
-        calls = []
-        real_parse = predictions._parse
-        monkeypatch.setattr(predictions, "_parse", lambda line: calls.append(line) or real_parse(line))
+        calls = record_parse_calls(monkeypatch)
         again = read_predictions(path)
         assert again.canonical_rows() == pred.canonical_rows()
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -408,8 +415,47 @@ def inject(fault, records, p):
     return lines
 
 
+def _redump(line, change):
+    """``line`` with its record passed through ``change`` and dumped again
+    (unchanged if the line is not a JSON object)."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        return line
+    return json.dumps(change(rec)) if isinstance(rec, dict) else line
+
+
+# Record layouts other than write_predictions', each given to records 19 and
+# 20 (the fault matrix's faults sit at records 8, 15 and 16).
+OTHER_LAYOUTS = [
+    "two_records_on_one_line",
+    "record_split_over_two_lines",
+    "header_mid_block",
+    "reordered_keys",
+    "extra_key",
+    "escaped_id",
+    "float_true",
+]
+
+
+def other_layout(layout, lines):
+    a, b = lines[19:21]
+    replacement = {
+        "two_records_on_one_line": [a + " " + b],
+        "record_split_over_two_lines": [*a.split(", ", 1), b],
+        "header_mid_block": [a, header(["c", "a", "b"]), b],
+        "reordered_keys": [_redump(a, lambda r: dict(reversed(r.items()))), b],
+        "extra_key": [_redump(a, lambda r: {**r, "note": 1}), b],
+        "escaped_id": [a.replace('"doc_id": "d', '"doc_id": "\\u0064', 1), b],
+        "float_true": [_redump(a, lambda r: {**r, "true": float(r.get("true", 0))}), b],
+    }[layout]
+    return [header(["c", "a", "b"]), *lines[:19], *replacement, *lines[21:]]
+
+
 def lay_out(layout, lines):
-    if layout == "header_first":
+    if layout in OTHER_LAYOUTS:
+        return other_layout(layout, lines)
+    if layout == "header_first" or layout == "no_final_newline":
         return [header(["c", "a", "b"]), *lines]
     if layout == "late_header":
         return [*lines[:12], header(["c", "b", "a"]), *lines[12:]]
@@ -440,16 +486,19 @@ FAULTS = [
 class TestChunkedRead:
     @pytest.mark.parametrize("fault", FAULTS)
     @pytest.mark.parametrize(
-        "layout", ["header_first", "headerless", "late_header", "header_replaces_list", "blank_lines"]
+        "layout",
+        ["header_first", "headerless", "late_header", "header_replaces_list", "blank_lines", "no_final_newline",
+         *OTHER_LAYOUTS],
     )
     def test_same_outcome_as_streamed_reference(self, tmp_path, monkeypatch, layout, fault):
         monkeypatch.setattr(predictions, "CHUNK_RECORDS", CHUNK)
         path = tmp_path / "pred.jsonl"
+        end = "" if layout == "no_final_newline" else "\n"
         # the first record of a chunk, its last record and the record after it
         for p in ([0] if fault is None else [CHUNK, 2 * CHUNK - 1, 2 * CHUNK]):
             for seed in range(2):
                 lines = lay_out(layout, inject(fault, fault_records(seed), p))
-                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                path.write_text("\n".join(lines) + end, encoding="utf-8")
                 assert outcome(read_predictions, path) == outcome(streamed_reference, path), (p, seed)
 
     def test_many_chunks_at_full_size(self, tmp_path):
@@ -483,3 +532,130 @@ class TestArrayStorage:
         with pytest.raises(DataError, match="missing prediction for doc 'd1', label 'b'"):
             pred.validate_complete()
         assert len(pred) == 3
+
+
+# Text the fuzz splices into record lines: JSON syntax, whitespace, an
+# escape, a digit that int() reads and JSON does not, an undecoded byte,
+# and numbers at the edges of the record layout.
+FUZZ_PIECES = [
+    *'{}[]:,"\\ .-+eE0189', "\t", "\n", "\x00", "\x1f", "\x7f", "é", "٣", "\udce9", "\\u0041", "\\n",
+    "1e400", "-1e400", "-0", "-0.0", "0.0", "1.", ".5", "01", "1E+2", "5e-324", "NaN", "Infinity", "true", "null",
+    "123456789012345678", "1234567890123456789", "-123456789012345678",
+]
+
+
+def fuzz_line(rng, line):
+    """``line`` with one to three pieces inserted, replacing or deleting
+    text at random places."""
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(0, len(line) + 1))
+        j = min(len(line), i + int(rng.integers(0, 4)))
+        piece = "" if rng.random() < 0.2 else FUZZ_PIECES[int(rng.integers(0, len(FUZZ_PIECES)))]
+        line = line[:i] + piece + line[j:]
+    return line
+
+
+def typed_bits(value):
+    """A value's type and exact content: -0.0 differs from 0.0."""
+    return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
+
+
+class TestFastLane:
+    def test_accepted_lines_are_json_records_of_the_captured_values(self):
+        rng = np.random.default_rng(1301)
+        canonical = [
+            json.dumps({"doc_id": doc, "label": name, "prob": prob, "true": bit, "fold": fold}) + "\n"
+            for doc, name, prob, bit, fold in [
+                ("d1", "a", 0.5, 1, 0), ("", "label two", 1e-05, 0, 12), ("x y", "é", 0.0, 1, -3),
+                ("10", "b", 1.0, 0, 123456789), ("d", "c", 0.123456789012345, 1, 4),
+            ]
+        ]
+        mutants_accepted = 0
+        for n in range(30_000):
+            line = fuzz_line(rng, canonical[n % len(canonical)])
+            if line.find("\n") != len(line) - 1:  # a reader's line ends at its only newline
+                continue
+            match = predictions._RECORDS.match(line)
+            if match is None:
+                continue
+            assert match.end() == len(line)
+            mutants_accepted += line not in canonical
+            doc_id, name, prob, bit, fold = match.groups()
+            obj = json.loads(line)
+            assert list(obj) == ["doc_id", "label", "prob", "true", "fold"], line
+            expected = [doc_id, name, float(prob), int(bit), int(fold)]
+            assert list(map(typed_bits, obj.values())) == list(map(typed_bits, expected)), line
+        assert mutants_accepted > 300
+
+    def test_write_predictions_output_takes_the_fast_lane(self, tmp_path, monkeypatch):
+        n = 2 * predictions.CHUNK_RECORDS // 3 + 100
+        rng = np.random.default_rng(13)
+        pred = PredictionSet(["b", "a", "c"])
+        doc_ids = [f"doc{i}" for i in range(n)]
+        probs = rng.random(n).tolist()
+        probs[:4] = [0.0, 1.0, 1e-05, 5e-324]
+        for j in range(3):
+            pred.add_many(doc_ids, [j] * n, probs, rng.integers(0, 2, n).tolist(), [i % 5 for i in range(n)])
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        calls = record_parse_calls(monkeypatch)
+        again = read_predictions(path)
+        assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS]
+        assert again.canonical_rows() == pred.canonical_rows()
+        assert again.fold_of == pred.fold_of and again.doc_ids == pred.doc_ids
+
+    def test_escaped_doc_id_sends_its_block_to_per_line_lane(self, tmp_path, monkeypatch):
+        n = 2 * predictions.CHUNK_RECORDS
+        pred = PredictionSet(["a"])
+        doc_ids = [f"d{i}" for i in range(n)]
+        doc_ids[n // 2 + 100] = "dé\U0001f600"  # mid-way through the second block
+        pred.add_many(doc_ids, [0] * n, np.random.default_rng(3).random(n).tolist(), [i % 2 for i in range(n)],
+                      [i % 3 for i in range(n)])
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        calls = record_parse_calls(monkeypatch)
+        again = read_predictions(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        # The first block holds the header; the escaped line's whole block
+        # is read line by line, and every other block takes the fast lane.
+        size = predictions.CHUNK_RECORDS
+        escaped = [i for i, line in enumerate(lines) if "\\u00e9" in line]
+        assert len(escaped) == 1 and escaped[0] >= size
+        block = escaped[0] // size * size
+        assert calls == [*lines[:size], *lines[block : block + size]]
+        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_undecoded_byte_names_its_line(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", CHUNK)
+        lines = [header(["c", "a", "b"]).encode(), *(json.dumps(r).encode() for r in fault_records(0))]
+        bad = block * CHUNK + 3
+        lines[bad] = lines[bad].replace(b'"doc_id": "d', b'"doc_id": "\xe9', 1)
+        path = tmp_path / "pred.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataError, match=rf"^line {bad}: not valid UTF-8 \(byte 0xe9\)$"):
+            read_predictions(path)
+
+    def test_undecoded_line_adds_no_label(self, tmp_path):
+        # Skipped like a malformed line when a headerless file's labels are
+        # gathered, so it cannot shift the label index an earlier fault names.
+        good = b'{"doc_id": "x", "label": "b", "prob": 0.5, "true": 1, "fold": 0}\n'
+        path = tmp_path / "pred.jsonl"
+        path.write_bytes(good + good + b'{"doc_id": "y", "label": "a\xe9", "prob": 0.5, "true": 1, "fold": 0}\n')
+        with pytest.raises(DataError, match=r"^line 1: duplicate prediction for doc 'x', label index 0$"):
+            read_predictions(path)
+
+    def test_other_line_in_block_with_empty_label(self, tmp_path, monkeypatch):
+        # A line of another layout captures no label, which must not pass
+        # for the label "".
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", CHUNK)
+        n = 2 * CHUNK
+        doc_ids = [f"d{i}" for i in range(n)]
+        doc_ids[n - 3] = "dé"
+        pred = PredictionSet(["", "a"])
+        for j in range(2):
+            pred.add_many(doc_ids, [j] * n, [0.25] * n, [1] * n, [0] * n)
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        again = read_predictions(path)
+        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
