@@ -248,17 +248,3 @@ class HashingTfidfVectorizer:
             shape=(len(docs_tokens), self.dim),
         )
         return matrix
-
-    def fit_transform(self, docs_tokens: list[list[str]]) -> sparse.csr_matrix:
-        return self.fit(docs_tokens).transform(docs_tokens)
-
-
-def featurize(corpus: Corpus, dim: int = DEFAULT_FEATURE_DIM, max_length: int | None = None) -> sparse.csr_matrix:
-    """Hashed TF-IDF features for a whole corpus (IDF fitted on it)."""
-    if dim < 2:
-        raise ValueError(f"feature dim must be >= 2, got {dim}")
-    if len(corpus) == 0:
-        raise ValueError("cannot featurize an empty corpus")
-    tokens = [tokenize(d.text) for d in corpus.documents]
-    vectorizer = HashingTfidfVectorizer(dim=dim, max_length=max_length)
-    return vectorizer.fit_transform(tokens)

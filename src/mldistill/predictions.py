@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -30,17 +30,19 @@ _FIELDS = ("doc_id", "label", "prob", "true", "fold")
 _record_fields = itemgetter(*_FIELDS)
 _scan_once = json.JSONDecoder().scan_once
 
-# A record line exactly as write_predictions writes it, its five values in
-# groups 1-5.  A string has no escape, control character or undecoded byte;
-# prob is a JSON number with a fraction or an exponent (a float to json);
-# true and fold are JSON integers of at most 18 digits.  Digits are [0-9]:
-# \d also matches digits that int() reads and JSON does not.  A record
-# holds one newline, its last character, so each match is one whole line.
-_STRING = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
+# Most labels a file may have for its documents to be matched whole: the
+# per-document pattern grows with the label list, and so does the time to
+# compile it.  At 256 labels a block holds at least 16 documents.
+_LANE_MAX_LABELS = 256
+
+# The values of a record line as write_predictions writes it.  An id has no
+# escape, control character or undecoded byte; prob is a JSON number with a
+# fraction or an exponent (a float to json); a fold is a JSON integer of at
+# most 15 digits, which a float holds exactly, as add_many stores it.  Digits
+# are [0-9]: \d also matches digits that int() reads and JSON does not.
+_DOC_ID = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
 _FLOAT = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
-_INT = r"(-?(?:0|[1-9][0-9]{0,17}))"
-_RECORD = rf'\{{"doc_id": {_STRING}, "label": {_STRING}, "prob": {_FLOAT}, "true": {_INT}, "fold": {_INT}\}}\n'
-_RECORDS = re.compile("^" + _RECORD, re.M)
+_FOLD = r"(-?(?:0|[1-9][0-9]{0,14}))"
 
 
 def _is_number_type(t: type) -> bool:
@@ -144,6 +146,38 @@ class PredictionSet:
         self.fold_of.update(zip(new_docs, map(int, doc_fold[new].tolist())))
         self._probs[rows, j] = prob
         self._truth[rows, j] = bit
+
+    def add_documents(self, doc_ids, probs, truth, folds) -> None:
+        """Add whole documents: row i of the (documents x labels) arrays
+        ``probs`` and ``truth``, in label order, for new document
+        ``doc_ids[i]`` in fold ``folds[i]``.  Every probability, true bit
+        and id (distinct, and new to the set) is checked before anything is
+        written, so a call that raises leaves the set unchanged."""
+        n = len(doc_ids)
+        probs, truth = np.asarray(probs, dtype=float), np.asarray(truth)
+        if probs.shape != (n, self.num_labels) or truth.shape != probs.shape or len(folds) != n:
+            raise ValueError(f"need {n} x {self.num_labels} probabilities and true bits, and {n} folds")
+        if not n:
+            return
+        i = _first(~((probs >= 0.0) & (probs <= 1.0)).ravel())
+        if i is not None:
+            doc = doc_ids[i // self.num_labels]
+            raise DataError(f"probability {float(probs.flat[i])} outside [0, 1] for doc {doc!r}")
+        i = _first(((truth != 0) & (truth != 1)).ravel())
+        if i is not None:
+            raise DataError(f"true bit must be 0 or 1, got {int(truth.flat[i])!r}")
+        if len(set(doc_ids)) < n or not self._doc_index.keys().isdisjoint(doc_ids):
+            seen: set[str] = set()
+            doc = next(d for d in doc_ids if d in self._doc_index or d in seen or seen.add(d))
+            raise DataError(f"duplicate prediction for doc {doc!r}, label index 0")
+
+        start = self.num_docs
+        self._reserve(start + n)
+        self._probs[start : start + n] = probs
+        self._truth[start : start + n] = truth
+        self._doc_index.update(zip(doc_ids, count(start)))
+        self.doc_ids.extend(doc_ids)
+        self.fold_of.update(zip(doc_ids, map(int, folds)))
 
     def _reserve(self, num_docs: int) -> None:
         if num_docs > len(self._truth):
@@ -251,36 +285,60 @@ def _add_records(pred: PredictionSet, linenos, doc_ids, label_indices, probs, tr
         raise
 
 
-def _record_columns(block: list[str], label_index: dict[str, int]) -> tuple | None:
-    """The (doc_ids, label indices, probs, truth, folds) columns of a block
-    whose every line is a record in the layout ``write_predictions`` writes,
-    with a known label; None for any other block."""
-    # A block whose first line is not such a record, or that holds an
-    # escape (as json.dumps writes a non-ASCII id), pays for no search.
-    if not _RECORDS.match(block[0]):
-        return None
+def _document_pattern(labels: tuple[str, ...]) -> re.Pattern:
+    """One document as ``write_predictions`` writes it: a record line per
+    label, in the list's order, with the id and the fold of the first line
+    repeated on the others.  The groups are the id, the first line's prob
+    and true, the fold, then each further line's prob and true."""
+
+    def line(doc_id: str, name: str, fold: str) -> str:
+        return rf'\{{"doc_id": {doc_id}, "label": {name}, "prob": {_FLOAT}, "true": ([01]), "fold": {fold}\}}\n'
+
+    first, *rest = (re.escape(json.dumps(name)) for name in labels)
+    lines = [line(_DOC_ID, first, _FOLD), *(line(r'"\1"', name, r"\4") for name in rest)]
+    return re.compile("^" + "".join(lines), re.M)
+
+
+def _document_columns(pattern: re.Pattern, block: list[str], num_labels: int) -> tuple | None:
+    """(doc_ids, probs, truth, folds) of a block whose lines are whole
+    documents that ``pattern`` matches, with (documents x labels) probs and
+    truth; None for any other block."""
     text = "".join(block)
-    if "\\" in text:
+    # A block that does not start with such a document pays for no search.
+    if not pattern.match(text):
         return None
-    rows = _RECORDS.findall(text)
-    if len(rows) != len(block):
+    groups = pattern.findall(text)
+    # Each match is num_labels whole lines, so a short count leaves a line out.
+    if len(groups) * num_labels != len(block):
         return None
-    doc_ids, names, probs, truth, folds = zip(*rows)
-    label_indices = list(map(label_index.get, names))
-    if None in label_indices:
-        return None
-    return list(doc_ids), label_indices, list(map(float, probs)), list(map(int, truth)), list(map(int, folds))
+    stride = 2 * num_labels + 2
+    values = list(chain.from_iterable(groups))
+    prob_at = {1, *range(4, stride, 2)}
+    is_prob = [k in prob_at for k in range(stride)]
+    is_true = [k - 1 in prob_at for k in range(stride)]
+    probs = np.array(list(map(float, compress(values, cycle(is_prob))))).reshape(len(groups), num_labels)
+    # Each true is one digit, 0 or 1.
+    truth = np.frombuffer("".join(compress(values, cycle(is_true))).encode(), np.int8) - ord("0")
+    return values[::stride], probs, truth.reshape(probs.shape), list(map(int, values[3::stride]))
 
 
 def _load(fh, final: list[str] | None) -> PredictionSet | None:
-    """Read ``fh`` in blocks of CHUNK_RECORDS lines.  Once the set exists, a
-    block of records in the layout ``write_predictions`` writes is added as
-    columns; any other block is parsed line by line and added in chunks of
-    CHUNK_RECORDS.  The first faulty line raises, so a fault found while
-    parsing first adds the records before it.  Without ``final`` labels,
-    the last header before the first record gives them, and the pass gives
-    up (None) when they prove not to be final."""
+    """Read ``fh`` in blocks of lines.  Once the set exists, and it has at
+    most _LANE_MAX_LABELS distinct labels, a block of CHUNK_RECORDS // L
+    whole documents (L labels) as ``write_predictions`` writes them is added
+    in one call; any other block is parsed line by line and added in chunks
+    of CHUNK_RECORDS.  Such blocks start where the records read since the
+    set was made are a multiple of L: after a block parsed line by line,
+    lines are parsed one at a time until they are.  The first faulty line
+    raises, so a fault found while parsing first adds the records before
+    it.  Without ``final`` labels, the last header before the first record
+    gives them, and the pass gives up (None) when they prove not to be
+    final."""
     labels, pred, label_index, chunk = final, None, {}, []
+    # The lines of a document while whole documents may be matched (else
+    # 0), their pattern once built, and the records read since the set was
+    # made.
+    doc_lines, documents, records = 0, None, 0
 
     def flush() -> None:
         if chunk:
@@ -288,14 +346,26 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
             _add_records(pred, linenos, list(map(str, doc_ids)), *columns)
             chunk.clear()
 
+    def block_size() -> int:
+        if not doc_lines:
+            return CHUNK_RECORDS
+        begun = records % doc_lines  # records read of a document not yet whole
+        return doc_lines - begun if begun else CHUNK_RECORDS // doc_lines * doc_lines
+
     end = 0
-    for block in iter(lambda: list(islice(fh, CHUNK_RECORDS)), []):
+    for block in iter(lambda: list(islice(fh, block_size())), []):
         start, end = end, end + len(block)
-        columns = None if pred is None else _record_columns(block, label_index)
-        if columns is not None:
-            flush()
-            _add_records(pred, range(start, end), *columns)
-            continue
+        if doc_lines and not records % doc_lines:
+            documents = documents or _document_pattern(pred.labels)
+            columns = _document_columns(documents, block, doc_lines)
+            if columns is not None:
+                flush()
+                try:
+                    pred.add_documents(*columns)
+                    records += len(block)
+                    continue
+                except DataError:
+                    pass  # the line-by-line lane below names the faulty line
         for lineno, line in enumerate(block, start):
             fault = utf8_fault(line)
             if fault is not None:
@@ -325,6 +395,8 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
                     return None
                 pred = PredictionSet(labels)
                 label_index = {name: j for j, name in enumerate(labels)}
+                if len(label_index) == len(labels) <= min(_LANE_MAX_LABELS, CHUNK_RECORDS):
+                    doc_lines = len(labels)
             try:
                 doc_id, name, prob, true_bit, fold = _record_fields(obj)
             except KeyError:
@@ -338,6 +410,7 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
                     return None
                 raise DataError(f"line {lineno}: label {str(name)!r} not in header label list")
             chunk.append((lineno, doc_id, j, prob, true_bit, fold))
+            records += 1
             if len(chunk) == CHUNK_RECORDS:
                 flush()
     if pred is None:
@@ -350,8 +423,9 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
 def read_predictions(path: str | Path) -> PredictionSet:
     """Read a predictions file, adding its records to the set in chunks.
 
-    Blocks in the layout ``write_predictions`` writes are added as
-    columns; any other block is parsed line by line, with the same checks.
+    Blocks of whole documents as ``write_predictions`` writes them are
+    added a document to a row; any other block is parsed line by line,
+    with the same checks.
     One pass suffices when a header with the label list precedes the first
     record.  Otherwise (no header, or a later one that changes the list:
     the last header wins) the file is scanned for its final label list and

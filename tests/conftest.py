@@ -1,6 +1,6 @@
 import pytest
 
-from mldistill.corpus import Corpus, Document, LabelVocabulary
+from mldistill.corpus import Corpus, Document, HashingTfidfVectorizer, LabelVocabulary, tokenize
 from mldistill.synthetic import generate_synthetic
 
 
@@ -23,3 +23,9 @@ def make_corpus(label_sets: list[list[str]], vocab_names: list[str], texts: list
         text = texts[i] if texts else f"doc number {i} text"
         docs.append(Document(id=str(i), text=text, label_set=tuple(bits)))
     return Corpus(tuple(docs), vocab)
+
+
+def featurize(corpus: Corpus, dim: int, max_length: int | None = None):
+    """Hashed TF-IDF features for a whole corpus, IDF fitted on it."""
+    tokens = [tokenize(d.text) for d in corpus.documents]
+    return HashingTfidfVectorizer(dim=dim, max_length=max_length).fit(tokens).transform(tokens)

@@ -363,6 +363,28 @@ class TestInputFaults:
         reason = "Not a directory" if below else "File exists"
         assert f"usage error: --out {out}: cannot make a directory there ({reason})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["directory", "below_file"])
+    @pytest.mark.parametrize("role", ["predictions", "corpus", "vocab", "config", "replications", "space"])
+    def test_input_path_that_is_no_file_is_data_error_naming_it(self, data_dir, tmp_path, capsys, role, below):
+        (tmp_path / "f").write_text("")
+        (tmp_path / "d").mkdir()
+        path = tmp_path / "f" / "input" if below else tmp_path / "d"
+        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
+        args = {
+            "predictions": ["evaluate", "--predictions", path],
+            "corpus": ["run", "--corpus", path, "--vocab", vocab],
+            "vocab": ["run", "--corpus", corpus, "--vocab", path],
+            "config": ["run", "--corpus", corpus, "--vocab", vocab, "--config", path],
+            "replications": ["stats", "--replications", path],
+            "space": ["tune", "--corpus", corpus, "--vocab", vocab, "--space", path],
+        }[role]
+        code = run_cli([*args, "--out", tmp_path / "o"])
+        assert code == 2
+        reason = "Not a directory" if below else "Is a directory"
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{reason}: '{path}'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_failed_command_makes_no_out_directory(self, tmp_path):
         out = tmp_path / "new" / "out"
         assert run_cli(["evaluate", "--predictions", tmp_path / "missing.jsonl", "--out", out]) == 2

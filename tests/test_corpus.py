@@ -7,7 +7,6 @@ import pytest
 from mldistill.corpus import (
     HashingTfidfVectorizer,
     LabelVocabulary,
-    featurize,
     load_corpus,
     save_corpus,
     tokenize,
@@ -15,7 +14,7 @@ from mldistill.corpus import (
 from mldistill.errors import DataError
 from mldistill.synthetic import generate_synthetic
 
-from conftest import make_corpus
+from conftest import featurize, make_corpus
 
 
 def write_corpus_file(tmp_path, lines, vocab=("A", "B")):

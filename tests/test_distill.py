@@ -6,7 +6,6 @@ import pytest
 
 from mldistill import distill
 from mldistill.config import DistillConfig, TrainingMode
-from mldistill.corpus import featurize
 from mldistill.distill import (
     baseline_classifier_chains,
     contrastive_grads,
@@ -31,7 +30,7 @@ from mldistill.seeding import rng_for
 from mldistill.splits import stratified_kfold
 from mldistill.synthetic import generate_synthetic
 
-from conftest import make_corpus
+from conftest import featurize, make_corpus
 
 DIM = 2048
 

@@ -1,4 +1,6 @@
+import io
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -51,6 +53,26 @@ class TestPredictionSet:
         pred.add_many(["d1", "d0", "d1"], [1, 1, 0], [0.2, 0.4, 0.1], [1, 0, 0], [1, 0, 1])
         assert pred.canonical_rows() == [("d0", [0.5, 0.4], [1, 0]), ("d1", [0.1, 0.2], [0, 1])]
         assert pred.fold_of == {"d0": 0, "d1": 1}
+
+    def test_failed_add_documents_writes_nothing(self):
+        pred = PredictionSet(["a", "b"])
+        pred.add("d0", 0, 0.5, 1, 0)
+        rows, bits = [[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]
+        for doc_ids, probs, truth, message in [
+            (["d1", "d2"], [[0.1, 0.2], [0.3, 1.5]], bits, "probability 1.5 outside [0, 1] for doc 'd2'"),
+            (["d1", "d2"], rows, [[0, 1], [2, 0]], "true bit must be 0 or 1, got 2"),
+            (["d1", "d1"], rows, bits, "duplicate prediction for doc 'd1', label index 0"),
+            (["d1", "d0"], rows, bits, "duplicate prediction for doc 'd0', label index 0"),
+        ]:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                pred.add_documents(doc_ids, probs, truth, [1, 1])
+            assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
+        pred.add_documents(["d2", "d1"], rows, bits, [-3, 2])
+        pred.add("d0", 1, 0.6, 0, 0)
+        assert pred.canonical_rows() == [
+            ("d0", [0.5, 0.6], [1, 0]), ("d1", [0.3, 0.4], [1, 0]), ("d2", [0.1, 0.2], [0, 1]),
+        ]
+        assert pred.doc_ids == ["d0", "d2", "d1"] and pred.fold_of == {"d0": 0, "d2": -3, "d1": 2}
 
     def test_incomplete_detected(self):
         pred = PredictionSet(["a", "b"])
@@ -513,6 +535,161 @@ class TestChunkedRead:
         assert outcome(read_predictions, path) == outcome(streamed_reference, path)
 
 
+GROUP_CHUNK = 9  # lines a block in the grouped matrix: 3 documents of 3 labels
+
+# Faults of a file's document grouping, and values that read otherwise
+# than as written, each given to a whole document.
+GROUP_FAULTS = [
+    "missing_label_line",
+    "labels_out_of_order",
+    "fold_changes_in_document",
+    "document_repeated_in_block",
+    "document_repeated_across_blocks",
+    "true_minus_zero",
+    "fold_beyond_float_precision",
+]
+
+
+def grouped_records(seed, labels):
+    """12 documents' records in the order write_predictions writes them."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(12):
+        fold = int(rng.integers(0, 3))
+        for name in labels:
+            prob, true_bit = float(np.round(rng.random(), 3)), int(rng.integers(0, 2))
+            records.append({"doc_id": f"d{i}", "label": name, "prob": prob, "true": true_bit, "fold": fold})
+    return records
+
+
+def inject_into_document(fault, records, d, num_labels):
+    """The record lines with document d made faulty: a FAULTS entry goes to
+    its first line."""
+    first = d * num_labels
+    if fault not in GROUP_FAULTS:
+        return inject(fault, records, first)
+    lines = [json.dumps(r) for r in records]
+    doc = slice(first, first + num_labels)
+    if fault == "missing_label_line":
+        del lines[first + 1]
+    elif fault == "labels_out_of_order":
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    elif fault == "fold_changes_in_document":
+        last = records[first + num_labels - 1]
+        lines[first + num_labels - 1] = json.dumps({**last, "fold": last["fold"] + 1})
+    elif fault == "document_repeated_in_block":
+        other = first + (num_labels if d % 3 == 0 else -num_labels)  # blocks start at documents 3, 6 and 9
+        lines[doc] = lines[other : other + num_labels]
+    elif fault == "document_repeated_across_blocks":
+        lines[doc] = lines[first - 3 * num_labels : first - 2 * num_labels]
+    elif fault == "true_minus_zero":
+        lines[first + 1] = re.sub(r'"true": [01]', '"true": -0', lines[first + 1])
+    elif fault == "fold_beyond_float_precision":  # kept as the float nearest to it
+        lines[doc] = [json.dumps({**r, "fold": 12345678901234567}) for r in records[doc]]
+    return lines
+
+
+class TestDocumentLane:
+    @pytest.mark.parametrize("fault", [*FAULTS, *GROUP_FAULTS])
+    @pytest.mark.parametrize("layout", ["header_first", "headerless", "header_then_blank_line"])
+    def test_same_outcome_as_streamed_reference(self, tmp_path, monkeypatch, layout, fault):
+        # Each layout reaches a document boundary at document 3, so blocks of
+        # whole documents start at documents 3, 6 and 9.
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", GROUP_CHUNK)
+        labels = ("a", "b", "c") if layout == "headerless" else ("c", "a", "b")
+        path = tmp_path / "pred.jsonl"
+        # a block's first document, its last document and the document after it
+        for d in ([0] if fault is None else [6, 8, 9]):
+            for seed in range(2):
+                lines = inject_into_document(fault, grouped_records(seed, labels), d, len(labels))
+                if layout == "header_first":
+                    lines.insert(0, header(labels))
+                elif layout == "header_then_blank_line":
+                    lines[:0] = [header(labels), ""]
+                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                assert outcome(read_predictions, path) == outcome(streamed_reference, path), (d, seed)
+
+    @pytest.mark.parametrize("layout, aligning", [("header_first", 1), ("header_then_blank_line", 2)])
+    def test_lines_after_the_first_block_align_to_a_document(self, tmp_path, monkeypatch, layout, aligning):
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", GROUP_CHUNK)
+        lines = [header(["c", "a", "b"]), *(json.dumps(r) for r in grouped_records(0, ("c", "a", "b")))]
+        if layout == "header_then_blank_line":
+            lines.insert(1, "")
+        path = tmp_path / "pred.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls = record_parse_calls(monkeypatch)
+        assert outcome(read_predictions, path) == outcome(streamed_reference, path)
+        assert calls == [line + "\n" for line in lines[: GROUP_CHUNK + aligning]]
+
+    def test_perfbench_shape_parses_only_the_first_block_and_its_alignment(self, tmp_path, monkeypatch):
+        # A header, then 10 labels a document: the first block holds the
+        # header and 409.5 documents, so 5 lines align the next block.
+        n = 3 * predictions.CHUNK_RECORDS // 10 + 17
+        rng = np.random.default_rng(14)
+        pred = PredictionSet([f"topic_{j:02d}" for j in range(10)])
+        doc_ids = [str(i) for i in range(n)]
+        for j in range(10):
+            pred.add_many(doc_ids, [j] * n, np.round(rng.random(n), 3).tolist(), rng.integers(0, 2, n).tolist(),
+                          [i % 5 for i in range(n)])
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        calls = record_parse_calls(monkeypatch)
+        again = read_predictions(path)
+        assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS + 5]
+        assert again.canonical_rows() == pred.canonical_rows()
+        assert again.fold_of == pred.fold_of and again.doc_ids == pred.doc_ids
+
+    def test_labels_that_json_escapes_take_the_lane(self, tmp_path, monkeypatch):
+        # Each label is matched as the text json.dumps writes for it.
+        n = predictions.CHUNK_RECORDS // 4 + 5
+        pred = PredictionSet(['q"uote', "back\\slash", "é", "{1}+."])
+        doc_ids = [f"d{i}" for i in range(n)]
+        for j in range(4):
+            pred.add_many(doc_ids, [j] * n, [j / 4] * n, [j % 2] * n, [7] * n)
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        calls = record_parse_calls(monkeypatch)
+        again = read_predictions(path)
+        # the header and 4,095 records, then 1 line to a document boundary
+        assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS + 1]
+        assert again.labels == pred.labels and again.canonical_rows() == pred.canonical_rows()
+
+    @pytest.mark.parametrize(
+        "num_labels, num_docs, built",
+        [
+            (predictions._LANE_MAX_LABELS, 20, True),
+            (predictions._LANE_MAX_LABELS + 1, 20, False),
+            (3, 20, False),  # one block, which holds the header
+        ],
+    )
+    def test_pattern_built_once_a_block_reaches_the_lane(self, tmp_path, monkeypatch, num_labels, num_docs, built):
+        pred = PredictionSet([f"label {j}" for j in range(num_labels)])
+        doc_ids = [f"d{i}" for i in range(num_docs)]
+        for j in range(num_labels):
+            pred.add_many(doc_ids, [j] * num_docs, [0.5] * num_docs, [j % 2] * num_docs, [0] * num_docs)
+        path = tmp_path / "pred.jsonl"
+        write_predictions(pred, path)
+        patterns, build = [], predictions._document_pattern
+        monkeypatch.setattr(predictions, "_document_pattern", lambda names: patterns.append(names) or build(names))
+        again = read_predictions(path)
+        assert patterns == ([pred.labels] if built else [])
+        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
+
+    def test_repeated_header_label_reads_line_by_line(self, tmp_path, monkeypatch):
+        # Both records of a repeated label fill its last column, so the
+        # file fails as a duplicate, as one record at a time would.  The
+        # first block and its alignment hold one record a document, so the
+        # duplicates first come in a block of whole documents.
+        monkeypatch.setattr(predictions, "CHUNK_RECORDS", GROUP_CHUNK)
+        labels = ("c", "a", "c")
+        first = [{"doc_id": f"x{i}", "label": "a", "prob": 0.5, "true": 1, "fold": 0} for i in range(GROUP_CHUNK)]
+        lines = [header(labels), *(json.dumps(r) for r in [*first, *grouped_records(0, labels)])]
+        path = tmp_path / "pred.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = outcome(streamed_reference, path)
+        assert expected[0] == "error" and outcome(read_predictions, path) == expected
+
+
 class TestArrayStorage:
     def test_grows_past_initial_capacity(self):
         pred = PredictionSet(["a", "b"])
@@ -555,6 +732,10 @@ def fuzz_line(rng, line):
     return line
 
 
+# A record line's values, each in group 1.
+JSON_VALUE = re.compile(r'": ("[^"]*"|[^,}]*)')
+
+
 def typed_bits(value):
     """A value's type and exact content: -0.0 differs from 0.0."""
     return (type(value), struct.pack("<d", value) if isinstance(value, float) else value)
@@ -563,28 +744,46 @@ def typed_bits(value):
 class TestFastLane:
     def test_accepted_lines_are_json_records_of_the_captured_values(self):
         rng = np.random.default_rng(1301)
+        labels = ("a", "label two", "é")
+        pattern = predictions._document_pattern(labels)
+        documents = [
+            ("d1", [0.5, 1e-05, 0.25], [1, 0, 1], 0), ("", [0.0, 1.0, 0.75], [0, 0, 1], 12),
+            ("x y", [0.123456789012345, 0.5, 0.0], [1, 1, 0], -3), ("10", [1.0, 0.0, 0.5], [0, 1, 1], 123456789),
+            ("d", [0.3, 0.7, 2e-3], [1, 0, 0], 4),
+        ]
+        # Blocks of two documents, so that the id and fold captured on a
+        # document's first line are matched again on its other lines.
         canonical = [
-            json.dumps({"doc_id": doc, "label": name, "prob": prob, "true": bit, "fold": fold}) + "\n"
-            for doc, name, prob, bit, fold in [
-                ("d1", "a", 0.5, 1, 0), ("", "label two", 1e-05, 0, 12), ("x y", "é", 0.0, 1, -3),
-                ("10", "b", 1.0, 0, 123456789), ("d", "c", 0.123456789012345, 1, 4),
+            [
+                json.dumps({"doc_id": doc, "label": name, "prob": prob, "true": bit, "fold": fold}) + "\n"
+                for doc, probs, bits, fold in pair
+                for name, prob, bit in zip(labels, probs, bits)
             ]
+            for pair in zip(documents, documents[1:] + documents[:1])
         ]
         mutants_accepted = 0
         for n in range(30_000):
-            line = fuzz_line(rng, canonical[n % len(canonical)])
-            if line.find("\n") != len(line) - 1:  # a reader's line ends at its only newline
+            lines = list(canonical[n % len(canonical)])
+            k = int(rng.integers(0, len(lines)))
+            if n % 2:  # within one value, where most accepted mutants lie
+                spans = [match.span(1) for match in JSON_VALUE.finditer(lines[k])]
+                i, j = spans[int(rng.integers(0, len(spans)))]
+                lines[k] = lines[k][:i] + fuzz_line(rng, lines[k][i:j]) + lines[k][j:]
+            else:
+                lines[k] = fuzz_line(rng, lines[k])
+            text = "".join(lines)
+            block = list(io.StringIO(text))  # a reader's lines end at each newline
+            columns = predictions._document_columns(pattern, block, len(labels))
+            if columns is None:
                 continue
-            match = predictions._RECORDS.match(line)
-            if match is None:
-                continue
-            assert match.end() == len(line)
-            mutants_accepted += line not in canonical
-            doc_id, name, prob, bit, fold = match.groups()
-            obj = json.loads(line)
-            assert list(obj) == ["doc_id", "label", "prob", "true", "fold"], line
-            expected = [doc_id, name, float(prob), int(bit), int(fold)]
-            assert list(map(typed_bits, obj.values())) == list(map(typed_bits, expected)), line
+            mutants_accepted += block not in canonical
+            doc_ids, probs, truth, folds = columns
+            assert len(block) == len(doc_ids) * len(labels)
+            for line, (i, j) in zip(block, np.ndindex(probs.shape)):
+                obj = json.loads(line)
+                assert list(obj) == ["doc_id", "label", "prob", "true", "fold"], line
+                expected = [doc_ids[i], labels[j], float(probs[i, j]), int(truth[i, j]), folds[i]]
+                assert list(map(typed_bits, obj.values())) == list(map(typed_bits, expected)), line
         assert mutants_accepted > 300
 
     def test_write_predictions_output_takes_the_fast_lane(self, tmp_path, monkeypatch):
