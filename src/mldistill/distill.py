@@ -12,15 +12,18 @@ only on the batched gradients, and the finite-difference tests
 differentiate the values against them.
 
 Every mode runs through one fold loop, ``_cross_validate``.  It checks
-the folds and the label order, then runs the folds, serially or on
-forked worker processes (``parallel.map``): each fold is featurized (IDF
-from its training part only), narrowed to the hashed columns its
-documents touch, and trained, and its out-of-fold predictions are
-recorded in fold order.  A mode supplies a
-per-fold generator that trains label by label, in vocabulary order
-unless a permutation is given, and yields each label's validation
-probabilities.  The distillation modes fine-tune the teacher and
-distill it into the student (``teacher_cv_predictions`` records the
+the folds and the label order, then runs work units of one fold and
+some of its labels, serially or on forked worker processes
+(``parallel.map``): each fold is featurized (IDF from its training part
+only), narrowed to the hashed columns its documents touch, and trained,
+and its out-of-fold predictions are recorded in fold order.  A unit
+holds the whole label order when labels are chained, and one label in
+the binary-relevance variants, whose labels never interact, so two
+workers split an odd number of folds evenly.  A mode supplies a
+generator that trains fresh models on a unit label by label, in
+vocabulary order unless a permutation is given, and yields each label's
+validation probabilities.  The distillation modes fine-tune the teacher
+and distill it into the student (``teacher_cv_predictions`` records the
 teacher alone); the classifier-chains baseline trains one logistic
 classifier per label.  Epochs are innermost.  In the sequential variants
 the encoders persist across labels within a fold, which is the channel
@@ -274,17 +277,23 @@ def _cross_validate(
     label_order,
     fit_fold: Callable[..., Iterator[np.ndarray]],
     workers: int = 1,
+    fresh_per_label: bool = False,
 ) -> PredictionSet:
     """Out-of-fold predictions of ``fit_fold`` run on every fold.
 
-    ``fit_fold(fold, X_train, Y_train, X_val, order, columns)`` trains on
-    one fold and yields the validation positive-class probabilities of
-    each label in ``order``, one array per label.  The features hold only
-    the hashed ``columns`` the fold's documents touch (``_fold_features``),
-    so a first layer needs only those rows.  The folds are featurized and
-    trained on up to ``workers`` forked processes (``parallel.map``).  The
-    checks, the token lists and the recording of predictions, in fold
-    order, stay in the caller, so the output does not depend on
+    ``fit_fold(fold, X_train, Y_train, X_val, labels, columns)`` trains
+    fresh models on one fold and yields the validation positive-class
+    probabilities of each label in ``labels``, one array per label.  The
+    features hold only the hashed ``columns`` the fold's documents touch
+    (``_fold_features``), so a first layer needs only those rows.
+
+    The work units are ``(fold, labels)`` in fold-major order: one per fold
+    with the whole label order when labels are chained, one per (fold,
+    label) when ``fresh_per_label`` makes them independent.  They run on up
+    to ``workers`` forked processes (``parallel.map``), each of which keeps
+    the features of the last fold it built, so it builds each fold at most
+    once.  The checks, the token lists and the recording of predictions, in
+    unit order, stay in the caller, so the output does not depend on
     ``workers``.
     """
     if set(folds.fold_of) != {d.id for d in corpus.documents}:
@@ -299,18 +308,25 @@ def _cross_validate(
         if not train_idx or not val_idx:
             raise ValueError(f"fold {fold} leaves an empty training or validation split")
         splits.append((train_idx, val_idx))
+    per_fold = [[j] for j in order] if fresh_per_label else [order]
+    units = [(fold, labels) for fold in range(folds.k) for labels in per_fold]
+    built: dict[int, tuple] = {}  # this process's last fold: (columns, X_train, X_val)
 
-    def run_fold(fold: int) -> list[np.ndarray]:
+    def run_unit(unit: tuple[int, list[int]]) -> list[np.ndarray]:
+        fold, labels = unit
         train_idx, val_idx = splits[fold]
-        columns, X_train, X_val = _fold_features(tokens, train_idx, val_idx, dim, max_length)
-        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, order, columns))
+        if fold not in built:
+            built.clear()
+            built[fold] = _fold_features(tokens, train_idx, val_idx, dim, max_length)
+        columns, X_train, X_val = built[fold]
+        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, labels, columns))
 
     predictions = PredictionSet(corpus.vocab.labels)
-    for fold, per_label in enumerate(parallel.map(run_fold, range(folds.k), workers)):
+    for (fold, labels), per_label in zip(units, parallel.map(run_unit, units, workers), strict=True):
         _, val_idx = splits[fold]
         val_ids = [corpus.documents[i].id for i in val_idx]
         n = len(val_ids)
-        for j, probs in zip(order, per_label, strict=True):
+        for j, probs in zip(labels, per_label, strict=True):
             predictions.add_many(val_ids, [j] * n, probs.tolist(), labels_matrix[val_idx, j].tolist(), [fold] * n)
     predictions.validate_complete()
     return predictions
@@ -334,29 +350,25 @@ def _run_distillation(
 
     Without a ``student_spec`` the teacher's own probabilities are
     recorded.  Sequential runs initialize once per fold and carry the
-    encoders across labels; ``fresh_per_label`` initializes anew for each
-    label.
+    encoders across labels; ``fresh_per_label`` trains each (fold, label)
+    as its own work unit, from models of its own.
     """
     if student_spec is not None and teacher_spec.input_dim != student_spec.input_dim:
         raise ValueError("teacher and student must share the feature dimensionality")
     lr = cfg.learning_rate * lr_scale
 
-    def fit_fold(fold, X_train, Y_train, X_val, order, columns):
-        """Every model's first layer holds only the fold's ``columns``."""
-        num_labels = Y_train.shape[1]
-        teacher = student = projection = None
-        for j in order:
-            if teacher is None or fresh_per_label:
-                # drop the previous label's models before allocating the next
-                teacher = student = projection = None
-                teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, j), columns)
-                if student_spec is not None:
-                    student_seed = derive_seed(seed, "init", "student", fold, j)
-                    student = init_model(student_spec, num_labels, student_seed, columns)
-                if contrastive_weight is not None:
-                    proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, j)))
-                    projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
-
+    def fit_fold(fold, X_train, Y_train, X_val, labels, columns):
+        """Models drawn for the first of ``labels`` carry across the rest;
+        every model's first layer holds only the fold's ``columns``."""
+        num_labels, first = Y_train.shape[1], labels[0]
+        teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, first), columns)
+        student = projection = None
+        if student_spec is not None:
+            student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, first), columns)
+        if contrastive_weight is not None:
+            proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, first)))
+            projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
+        for j in labels:
             teacher, _ = train_student(
                 X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
             )
@@ -377,7 +389,9 @@ def _run_distillation(
             )
             yield softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
 
-    return _cross_validate(corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers)
+    return _cross_validate(
+        corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers, fresh_per_label
+    )
 
 
 def distill_sequential(

@@ -91,7 +91,7 @@ def dispatch_mode(
     distill_cfg: DistillConfig | None = None,
     seed: int | None = None,
 ) -> PredictionSet:
-    """Run one training mode end to end, its folds on up to
+    """Run one training mode end to end, its work units on up to
     ``config.workers`` processes, and return its predictions."""
     mode = mode if mode is not None else config.mode
     cfg = distill_cfg if distill_cfg is not None else config.distill

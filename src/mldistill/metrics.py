@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from mldistill.errors import DataError
 from mldistill.predictions import PredictionSet
 
 DECISION_THRESHOLD = 0.5
@@ -220,10 +218,3 @@ def render_report(report: MetricsReport, meta: dict | None = None) -> str:
     if meta:
         payload["_meta"] = meta
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def read_report(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed metrics report: {exc.msg}") from exc

@@ -266,11 +266,6 @@ class RowSliceGrad:
     block: np.ndarray  # (len(rows), out_dim)
     shape: tuple[int, int]
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        dense[self.rows] = self.block
-        return dense
-
 
 @dataclass
 class Gradients:

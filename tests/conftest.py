@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mldistill.corpus import Corpus, Document, HashingTfidfVectorizer, LabelVocabulary, tokenize
@@ -29,3 +30,10 @@ def featurize(corpus: Corpus, dim: int, max_length: int | None = None):
     """Hashed TF-IDF features for a whole corpus, IDF fitted on it."""
     tokens = [tokenize(d.text) for d in corpus.documents]
     return HashingTfidfVectorizer(dim=dim, max_length=max_length).fit(tokens).transform(tokens)
+
+
+def dense(grad) -> np.ndarray:
+    """A ``RowSliceGrad`` at full size: its block on its rows, zeros elsewhere."""
+    out = np.zeros(grad.shape)
+    out[grad.rows] = grad.block
+    return out

@@ -19,7 +19,6 @@ from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_
 from mldistill.corpus import HashingTfidfVectorizer
 from mldistill.errors import UsageError
 from mldistill.hypertune import default_space, space_to_json
-from mldistill.metrics import read_report
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +243,8 @@ class TestRun:
                  "--out", out, "--mode", mode, *FAST]
             )
             assert code == 0
-        a = read_report(out_seq / "metrics.json")
-        b = read_report(out_base / "metrics.json")
+        a = json.loads((out_seq / "metrics.json").read_text())
+        b = json.loads((out_base / "metrics.json").read_text())
         assert set(a) == set(b)
         assert set(a["labels"]) == set(b["labels"])
 
@@ -323,8 +322,8 @@ class TestEvaluate:
         eval_out = tmp_path / "eval"
         code = run_cli(["evaluate", "--predictions", run_out / "predictions.jsonl", "--out", eval_out])
         assert code == 0
-        got = read_report(eval_out / "metrics.json")
-        expected = read_report(run_out / "metrics.json")
+        got = json.loads((eval_out / "metrics.json").read_text())
+        expected = json.loads((run_out / "metrics.json").read_text())
         got.pop("_meta"), expected.pop("_meta")
         assert got == expected
 
@@ -577,13 +576,22 @@ class TestWorkersCap:
         assert all(threads == 1 and blas == 1 for _, threads, blas in seen["train"])
         assert _blas_threads() == 1
 
-    def test_workers_above_folds_start_one_process_per_fold(self, data_dir, tmp_path, calls):
-        code = run_cli(
-            ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
-             "--out", tmp_path / "o", "--workers", 8, *FAST, "--run.k", 2]
-        )
-        assert code == 0
-        assert len(calls()["start"]) <= 2
+    # units: one per fold when labels are chained, one per (fold, label) in
+    # binary relevance; k = 2 folds of the fixture's 2 labels
+    @pytest.mark.parametrize("mode, units", [("sequential_kd", 2), ("binary_relevance_kd", 2 * 2)])
+    def test_workers_above_units_start_one_process_per_unit(self, data_dir, tmp_path, calls, mode, units):
+        outs = []
+        for workers in (8, 1):
+            out = tmp_path / f"w{workers}"
+            code = run_cli(
+                ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+                 "--out", out, "--mode", mode, "--workers", workers, *FAST, "--run.k", 2]
+            )
+            assert code == 0
+            outs.append(out)
+        assert len(calls()["start"]) == min(8, units)
+        for name in ("predictions.jsonl", "metrics.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestAblate:

@@ -1,6 +1,8 @@
 """Training procedures: teacher fine-tuning, sequential and binary-
 relevance distillation, and the classifier-chains baseline."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,75 @@ class TestCrossValidatedRuns:
         corpus, folds, teacher, student, cfg = cv_setup
         with pytest.raises(ValueError, match="permutation"):
             distill_sequential(corpus, folds, teacher, student, cfg, seed=5, label_order=[0, 0])
+
+
+class TestWorkUnits:
+    """Binary relevance spreads (fold, label) units over the workers; chained
+    labels keep a fold's whole label order in one unit.  A process featurizes
+    a fold once, however many of its units it runs."""
+
+    @staticmethod
+    def record_schedule(monkeypatch, log, corpus, folds):
+        """Log (pid, fold, label) per teacher ``train_student`` call and
+        (pid, fold) per ``_fold_features`` call, from workers too."""
+        rng_for, train_student, fold_features = distill.rng_for, distill.train_student, distill._fold_features
+        fold_of = {tuple(folds.val_indices(corpus, fold)): fold for fold in range(folds.k)}
+        streams = {}  # id of a live training stream -> the names it was derived from
+
+        def write(*fields):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+        def named_rng(*names):
+            rng = rng_for(*names)
+            streams[id(rng)] = names
+            return rng
+
+        def recording_train(X, y, label, student, teacher, cfg, rng, **kwargs):
+            if teacher is None:
+                _, _, _, fold, j = streams[id(rng)]
+                write("train", fold, j)
+            return train_student(X, y, label, student, teacher, cfg, rng, **kwargs)
+
+        def recording_features(tokens, train_idx, val_idx, dim, max_length):
+            write("features", fold_of[tuple(val_idx)])
+            return fold_features(tokens, train_idx, val_idx, dim, max_length)
+
+        monkeypatch.setattr(distill, "rng_for", named_rng)
+        monkeypatch.setattr(distill, "train_student", recording_train)
+        monkeypatch.setattr(distill, "_fold_features", recording_features)
+
+        def read(kind):
+            rows = [line.split() for line in log.read_text().splitlines()]
+            return [tuple(map(int, (pid, *rest))) for pid, what, *rest in rows if what == kind]
+
+        return read
+
+    def test_binary_relevance_spreads_fold_label_units(self, cv_setup, tmp_path, monkeypatch):
+        corpus, folds, teacher, student, cfg = cv_setup
+        read = self.record_schedule(monkeypatch, tmp_path / "log", corpus, folds)
+        distill_binary_relevance(corpus, folds, teacher, student, cfg, seed=5, workers=2)
+        trained, featurized = read("train"), read("features")
+        units = sorted((fold, j) for _, fold, j in trained)
+        assert units == [(fold, j) for fold in range(folds.k) for j in range(len(corpus.vocab))]
+        pids = {pid for pid, _, _ in trained}
+        assert len(pids) == 2 and os.getpid() not in pids
+        # both idle workers take a unit of the first fold
+        assert {pid for pid, fold, _ in trained if fold == 0} == pids
+        assert len(set(featurized)) == len(featurized)
+        assert {(pid, fold) for pid, fold, _ in trained} == set(featurized)
+
+    def test_sequential_fold_trains_its_labels_in_order_in_one_process(self, cv_setup, tmp_path, monkeypatch):
+        corpus, folds, teacher, student, cfg = cv_setup
+        read = self.record_schedule(monkeypatch, tmp_path / "log", corpus, folds)
+        distill_sequential(corpus, folds, teacher, student, cfg, seed=5, label_order=[1, 0], workers=2)
+        trained = read("train")
+        for fold in range(folds.k):
+            mine = [(pid, j) for pid, f, j in trained if f == fold]
+            assert [j for _, j in mine] == [1, 0]
+            assert len({pid for pid, _ in mine}) == 1
+        assert os.getpid() not in {pid for pid, _, _ in trained}
+        assert sorted(read("features")) == sorted({(pid, fold) for pid, fold, _ in trained})
 
 
 class TestClassifierChains:

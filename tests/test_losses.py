@@ -26,6 +26,8 @@ from mldistill.model import (
     sparse_batches,
 )
 
+from conftest import dense
+
 GRAD_EPS = 1e-5
 GRAD_RTOL = 1e-4
 GRAD_FLOOR = 1e-6  # below this magnitude finite differences are pure roundoff
@@ -187,7 +189,7 @@ def _analytic_grads(model, x, label, kind, y, z_t, h_t, cfg, projection):
 def _param_pairs(model, grads, label, projection=None, d_projection=None):
     (dW0, db0), *deeper = grads.layers
     assert isinstance(dW0, RowSliceGrad)
-    pairs = [(model.layers[0][0], dW0.to_dense()), (model.layers[0][1], db0)]
+    pairs = [(model.layers[0][0], dense(dW0)), (model.layers[0][1], db0)]
     for (W, b), (dW, db) in zip(model.layers[1:], deeper):
         pairs += [(W, dW), (b, db)]
     pairs.append((model.heads[label][0], grads.head[0]))

@@ -19,6 +19,8 @@ from mldistill.model import (
     sparse_batches,
 )
 
+from conftest import dense
+
 
 def tiny_spec(input_dim=8, hidden=(4,), activation="tanh"):
     return EncoderSpec(input_dim=input_dim, hidden_sizes=hidden, activation=activation, role="student")
@@ -316,7 +318,7 @@ class TestBatchBackward:
         dW = grads.layers[0][0]
         assert isinstance(dW, RowSliceGrad)
         assert np.array_equal(dW.rows, np.flatnonzero(X.any(axis=0)))
-        assert np.allclose(dW.to_dense(), X.T @ dz, atol=1e-12)
+        assert np.allclose(dense(dW), X.T @ dz, atol=1e-12)
         assert np.allclose(grads.layers[0][1], dz.sum(axis=0), atol=1e-12)
         assert np.allclose(grads.head[0], cache.hidden.T @ dlogits, atol=1e-12)
 
