@@ -139,23 +139,28 @@ def _out_error(out: Path, code: int) -> UsageError:
     return UsageError(f"--out {out}: cannot make a directory there ({os.strerror(code)})")
 
 
-def _check_out(out: Path) -> None:
-    """Fail before any work if ``out`` names a file or lies below one; the
+def _check_out(out: Path, names: tuple[str, ...]) -> None:
+    """Fail before any work if ``out`` names a file or lies below one, or if
+    a directory stands where one of the output ``names`` goes; the
     directory itself is made only when the outputs are written."""
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
                 raise _out_error(out, errno.EEXIST if path == out else errno.ENOTDIR)
-            return
+            break
+    for name in names:
+        if (out / name).is_dir():
+            raise UsageError(f"--out {out}: cannot write {name} there ({os.strerror(errno.EISDIR)})")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_paths(args: argparse.Namespace) -> list[Path]:
+    """Make ``--out`` and return the command's output paths, in ``_COMMANDS`` order."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise _out_error(out, exc.errno) from exc
-    return out
+    return [out / name for name in _COMMANDS[args.command][1]]
 
 
 def _simple_manifest(command: str, seed: int, started: float, extra: dict) -> dict:
@@ -177,9 +182,9 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
     corpus = generate_synthetic(args.docs, num_labels=args.labels, seed=seed, label_correlation=args.label_correlation)
-    out = _out_dir(args)
-    save_corpus(corpus, out / "corpus.jsonl")
-    save_vocab(corpus.vocab, out / "vocab.txt")
+    corpus_path, vocab_path, manifest_path = _out_paths(args)
+    save_corpus(corpus, corpus_path)
+    save_vocab(corpus.vocab, vocab_path)
     manifest = _simple_manifest(
         "generate-synthetic",
         seed,
@@ -191,8 +196,8 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> int:
             "prevalence": {name: float(p) for name, p in zip(corpus.vocab.labels, corpus.prevalence())},
         },
     )
-    write_text_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} documents to {out / 'corpus.jsonl'}")
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus)} documents to {corpus_path}")
     return 0
 
 
@@ -205,9 +210,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.size > len(corpus):
         raise UsageError(f"--size {args.size} exceeds corpus size {len(corpus)}")
     sample = stratified_sample(corpus, args.size, seed)
-    out = _out_dir(args)
-    save_corpus(sample, out / "sample.jsonl")
-    save_vocab(corpus.vocab, out / "vocab.txt")
+    sample_path, vocab_path, manifest_path = _out_paths(args)
+    save_corpus(sample, sample_path)
+    save_vocab(corpus.vocab, vocab_path)
     manifest = _simple_manifest(
         "sample",
         seed,
@@ -219,8 +224,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "sample_prevalence": {n: float(p) for n, p in zip(corpus.vocab.labels, sample.prevalence())},
         },
     )
-    write_text_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(sample)} documents to {out / 'sample.jsonl'}")
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(sample)} documents to {sample_path}")
     return 0
 
 
@@ -228,9 +233,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _resolve(args)
     corpus = _load_inputs(args)
     result = run_experiment(corpus, config)
-    paths = save_run_outputs(result, _out_dir(args), config)
+    paths = _out_paths(args)
+    save_run_outputs(result, paths, config)
     print(f"example_f1 {result.report.example_f1:.6f}  micro_f1 {result.report.micro_f1:.6f}")
-    print(f"wrote {paths['predictions']}, {paths['metrics']}")
+    print(f"wrote {paths[0]}, {paths[1]}")
     return 0
 
 
@@ -239,25 +245,25 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     corpus = _load_inputs(args)
     space = load_space(args.space) if args.space else default_space()
     result = run_tuning(corpus, config, space)
-    out = _out_dir(args)
+    space_path, trace_path, best_path, manifest_path = _out_paths(args)
     meta = base_meta(config)
-    write_text_atomic(out / "space.json", space_to_json(space))
-    write_text_atomic(out / "trace.jsonl", render_trace(result.trace, space, meta=meta))
-    write_text_atomic(out / "best_config.txt", render_best_config(result, meta=meta))
-    write_text_atomic(out / "manifest.json", json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(space_path, space_to_json(space))
+    write_text_atomic(trace_path, render_trace(result.trace, space, meta=meta))
+    write_text_atomic(best_path, render_best_config(result, meta=meta))
+    write_text_atomic(manifest_path, json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
     print(f"best example_f1 {result.best_score:.6f} after {len(result.trace)} iterations")
-    print(f"wrote {out / 'trace.jsonl'}, {out / 'best_config.txt'}")
+    print(f"wrote {trace_path}, {best_path}")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     predictions = read_predictions(args.predictions)
     report = full_report(predictions)
-    out = _out_dir(args)
+    (metrics_path,) = _out_paths(args)
     meta = {"version": mldistill.__version__, "source": str(args.predictions)}
-    write_text_atomic(out / "metrics.json", render_report(report, meta=meta))
+    write_text_atomic(metrics_path, render_report(report, meta=meta))
     print(f"example_f1 {report.example_f1:.6f}")
-    print(f"wrote {out / 'metrics.json'}")
+    print(f"wrote {metrics_path}")
     return 0
 
 
@@ -265,33 +271,34 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _resolve(args)
     corpus = _load_inputs(args)
     rows, manifest = run_ablation(corpus, config)
-    out = _out_dir(args)
-    write_text_atomic(out / "ablation.tsv", render_ablation_table(rows, meta=base_meta(config)))
-    write_text_atomic(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    table_path, manifest_path = _out_paths(args)
+    write_text_atomic(table_path, render_ablation_table(rows, meta=base_meta(config)))
+    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for row in rows:
         print(f"{row.variant}\t{row.example_f1:.6f}")
-    print(f"wrote {out / 'ablation.tsv'}")
+    print(f"wrote {table_path}")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     interval_self_check()
     groups = read_replications(args.replications)
-    out = _out_dir(args)
+    (stats_path,) = _out_paths(args)
     meta = {"version": mldistill.__version__, "source": str(args.replications)}
-    write_text_atomic(out / "stats.txt", render_stats_report(groups, meta=meta))
-    print(f"wrote {out / 'stats.txt'}")
+    write_text_atomic(stats_path, render_stats_report(groups, meta=meta))
+    print(f"wrote {stats_path}")
     return 0
 
 
+# Each command and the files it writes in --out, which main checks first.
 _COMMANDS = {
-    "generate-synthetic": _cmd_generate_synthetic,
-    "sample": _cmd_sample,
-    "run": _cmd_run,
-    "tune": _cmd_tune,
-    "evaluate": _cmd_evaluate,
-    "ablate": _cmd_ablate,
-    "stats": _cmd_stats,
+    "generate-synthetic": (_cmd_generate_synthetic, ("corpus.jsonl", "vocab.txt", "manifest.json")),
+    "sample": (_cmd_sample, ("sample.jsonl", "vocab.txt", "manifest.json")),
+    "run": (_cmd_run, ("predictions.jsonl", "metrics.json", "manifest.json")),
+    "tune": (_cmd_tune, ("space.json", "trace.jsonl", "best_config.txt", "manifest.json")),
+    "evaluate": (_cmd_evaluate, ("metrics.json",)),
+    "ablate": (_cmd_ablate, ("ablation.tsv", "manifest.json")),
+    "stats": (_cmd_stats, ("stats.txt",)),
 }
 
 
@@ -299,10 +306,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_out(args.out)
+        command, outputs = _COMMANDS[args.command]
+        _check_out(args.out, outputs)
         # Forked workers inherit the pin, so --workers N caps the whole concurrency.
         parallel.pin_blas_threads()
-        return _COMMANDS[args.command](args)
+        return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -161,8 +161,18 @@ def _epoch_batches(
     """
     n = X.shape[0]
     order = rng.permutation(n)
-    for start, batch in zip(range(0, n, batch_size), sparse_batches(X[order], batch_size)):
+    for start, batch in zip(range(0, n, batch_size), sparse_batches(_permute_rows(X, order), batch_size)):
         yield order[start : start + batch_size], batch
+
+
+def _permute_rows(X: sparse.csr_matrix, order: np.ndarray) -> sparse.csr_matrix:
+    """``X[order]``, array for array, for a permutation ``order``, by numpy gathers."""
+    lengths = np.diff(X.indptr)[order]
+    indptr = np.zeros(order.size + 1, dtype=X.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(X.indptr[order] - indptr[:-1], lengths)
+    take += np.arange(take.size, dtype=take.dtype)
+    return sparse.csr_matrix((X.data.take(take), X.indices.take(take), indptr), shape=X.shape)
 
 
 def _onehot(y: np.ndarray) -> np.ndarray:
@@ -194,7 +204,7 @@ def train_student(
     when its logits (``alpha > 0``) or its hidden state (a projection) are
     needed; each batch takes its rows from that pass through
     ``forward_rows``.  Each step checks every update, the projection's
-    included, before it writes any of them.
+    included, before it writes any of them, and works in place, bit for bit.
     """
     n = X.shape[0]
     if n == 0:

@@ -308,16 +308,10 @@ def render_best_config(result: TuneResult, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_run_outputs(result: RunResult, out_dir: str | Path, config: RunConfig) -> dict[str, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def save_run_outputs(result: RunResult, paths: list[Path], config: RunConfig) -> None:
+    """Write the predictions, metrics and manifest files to ``paths``, in that order."""
+    predictions, metrics, manifest = paths
     meta = base_meta(config)
-    paths = {
-        "predictions": out_dir / "predictions.jsonl",
-        "metrics": out_dir / "metrics.json",
-        "manifest": out_dir / "manifest.json",
-    }
-    write_via(paths["predictions"], lambda tmp: write_predictions(result.predictions, tmp, meta=meta))
-    write_text_atomic(paths["metrics"], render_report(result.report, meta=meta))
-    write_text_atomic(paths["manifest"], json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
-    return paths
+    write_via(predictions, lambda tmp: write_predictions(result.predictions, tmp, meta=meta))
+    write_text_atomic(metrics, render_report(result.report, meta=meta))
+    write_text_atomic(manifest, json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")

@@ -107,10 +107,13 @@ def init_model(spec: EncoderSpec, num_labels: int, seed: int, columns=None) -> M
     return ModelState(spec=spec, layers=layers, heads=heads)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _dense_layer(a, W: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    """activation(a @ W + b), computed in place on the fresh product."""
+    z = a @ W
+    z += b
     if activation == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _activation_prime(a: np.ndarray, activation: str) -> np.ndarray:
@@ -224,8 +227,7 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     activations = [X]
     a = X
     for W, b in model.layers:
-        z = a @ W + b
-        a = _activate(np.asarray(z), model.spec.activation)
+        a = _dense_layer(a, W, b, model.spec.activation)
         activations.append(a)
     W_head, b_head = model.heads[label]
     logits = a @ W_head + b_head
@@ -243,19 +245,22 @@ def forward_rows(model: ModelState, cache: BatchCache, rows: np.ndarray) -> tupl
     """
     a = cache.activations[1][rows]
     for W, b in model.layers[1:]:
-        a = _activate(np.asarray(a @ W + b), model.spec.activation)
+        a = _dense_layer(a, W, b, model.spec.activation)
     W_head, b_head = model.heads[cache.label]
     return a, a @ W_head + b_head
 
 
 def softmax_t(logits, temperature: float) -> np.ndarray:
-    """Temperature-scaled softmax, computed in the max-shifted stable form."""
+    """Temperature-scaled softmax, computed in the max-shifted stable form
+    (T = 1 skips the division: ``z / 1.0`` is ``z`` exactly)."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.asarray(logits, dtype=np.float64)
+    if temperature != 1.0:
+        z = z / temperature
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -290,13 +295,14 @@ def backward_batch(
     d_head_b = dlogits.sum(axis=0)
     da = dlogits @ W_head.T
     if dhidden_extra is not None:
-        da = da + dhidden_extra
+        da += dhidden_extra
 
     layer_grads: list[tuple[np.ndarray | RowSliceGrad, np.ndarray]] = [None] * len(model.layers)  # type: ignore[list-item]
     for idx in range(len(model.layers) - 1, -1, -1):
         a_out = cache.activations[idx + 1]
         a_in = cache.activations[idx]
-        dz = da * _activation_prime(a_out, model.spec.activation)
+        dz = _activation_prime(a_out, model.spec.activation)
+        dz *= da
         db = dz.sum(axis=0)
         W, _ = model.layers[idx]
         if idx == 0:
@@ -311,28 +317,32 @@ def backward_batch(
 def sgd_step(model: ModelState, grads: Gradients, lr: float) -> ModelState:
     """Apply p <- p - lr * g in place and return the model.
 
-    Every updated array is computed before any is written, and all of them
-    are checked for finiteness at once.  A step that would leave a NaN or
-    an Inf in the parameters (a non-finite gradient always does) raises a
-    ValueError naming the array and leaves the model unchanged.
+    Every updated array is computed before any is written.  A sum is finite
+    only when every term is, so a finite sum of their sums clears the step.
+    Otherwise a step that would leave a NaN or an Inf in the parameters (a
+    non-finite gradient always does) raises a ValueError naming the first
+    such array and leaves the model unchanged.
     """
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    updates = []  # (parameter, index, updated values, name)
-    for idx, ((dW, db), (W, b)) in enumerate(zip(grads.layers, model.layers)):
+    updates = []  # (parameter, index, updated values)
+    for (dW, db), (W, b) in zip(grads.layers, model.layers):
         if isinstance(dW, RowSliceGrad):
-            updates.append((W, dW.rows, W[dW.rows] - lr * dW.block, f"encoder layer {idx} weights"))
+            new = W[dW.rows]
+            new -= lr * dW.block
+            updates.append((W, dW.rows, new))
         else:
-            updates.append((W, ..., W - lr * dW, f"encoder layer {idx} weights"))
-        updates.append((b, ..., b - lr * db, f"encoder layer {idx} bias"))
+            updates.append((W, ..., W - lr * dW))
+        updates.append((b, ..., b - lr * db))
     dW, db = grads.head
     W, b = model.heads[grads.head_label]
-    updates.append((W, ..., W - lr * dW, f"head {grads.head_label} weights"))
-    updates.append((b, ..., b - lr * db, f"head {grads.head_label} bias"))
-    if not np.isfinite(np.concatenate([new.ravel() for _, _, new, _ in updates])).all():
-        where = next(name for _, _, new, name in updates if not np.isfinite(new).all())
-        raise ValueError(f"non-finite gradient step in {where}")
-    for param, index, new, _ in updates:
+    updates += [(W, ..., W - lr * dW), (b, ..., b - lr * db)]
+    if not np.isfinite(sum(new.sum() for _, _, new in updates)):
+        names = [f"encoder layer {i} {part}" for i in range(len(model.layers)) for part in ("weights", "bias")]
+        names += [f"head {grads.head_label} {part}" for part in ("weights", "bias")]
+        for (_, _, new), name in zip(updates, names):
+            if not np.isfinite(new).all():
+                raise ValueError(f"non-finite gradient step in {name}")
+    for param, index, new in updates:
         param[index] = new
     return model
-

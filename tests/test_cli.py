@@ -362,6 +362,43 @@ class TestInputFaults:
         reason = "Not a directory" if below else "File exists"
         assert f"usage error: --out {out}: cannot make a directory there ({reason})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            *(("generate-synthetic", name) for name in ("corpus.jsonl", "vocab.txt", "manifest.json")),
+            *(("sample", name) for name in ("sample.jsonl", "vocab.txt", "manifest.json")),
+            *(("run", name) for name in ("predictions.jsonl", "metrics.json", "manifest.json")),
+            *(("tune", name) for name in ("space.json", "trace.jsonl", "best_config.txt", "manifest.json")),
+            ("evaluate", "metrics.json"),
+            *(("ablate", name) for name in ("ablation.tsv", "manifest.json")),
+            ("stats", "stats.txt"),
+        ],
+    )
+    def test_directory_in_place_of_output_is_usage_error(
+        self, data_dir, tmp_path, capsys, monkeypatch, command, name
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the outputs were checked")  # exit 3
+
+        for work in ("generate_synthetic", "load_corpus", "read_predictions", "read_replications",
+                     "run_experiment", "run_ablation", "run_tuning"):
+            monkeypatch.setattr(cli, work, fail)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        (out / name / "kept.txt").write_text("x")
+        before = sorted(out.rglob("*"))
+        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
+        inputs = {
+            "generate-synthetic": ["--docs", 4],
+            "sample": ["--corpus", corpus, "--vocab", vocab, "--size", 4],
+            "evaluate": ["--predictions", tmp_path / "pred.jsonl"],
+            "stats": ["--replications", tmp_path / "reps.txt"],
+        }.get(command, ["--corpus", corpus, "--vocab", vocab])
+        code = run_cli([command, *inputs, "--out", out])
+        assert code == 1
+        assert f"usage error: --out {out}: cannot write {name} there (Is a directory)" in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == before and (out / name / "kept.txt").read_text() == "x"
+
     @pytest.mark.parametrize("below", [False, True], ids=["directory", "below_file"])
     @pytest.mark.parametrize("role", ["predictions", "corpus", "vocab", "config", "replications", "space"])
     def test_input_path_that_is_no_file_is_data_error_naming_it(self, data_dir, tmp_path, capsys, role, below):

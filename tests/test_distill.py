@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mldistill import distill
 from mldistill.config import DistillConfig, TrainingMode
@@ -282,6 +283,20 @@ class TestTrainingStep:
         train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4)
         assert len(calls) == cfg.epochs + extra
         assert calls == [X.nnz] * len(calls)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [23, 1, 0])
+    def test_row_permutation_equals_scipy_row_index(self, index_dtype, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 40)) * (rng.random((n, 40)) < 0.2) * (np.arange(n) % 3 != 0)[:, None]
+        X = sparse.csr_matrix(x)  # every third row is empty
+        X.indices, X.indptr = X.indices.astype(index_dtype), X.indptr.astype(index_dtype)
+        for order in (rng.permutation(n), np.arange(n)):
+            got, ref = distill._permute_rows(X, order), X[order]
+            assert type(got) is type(ref) and got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_nonfinite_projection_step_writes_nothing(self, small_corpus, monkeypatch):
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, "kd_contrastive", 7)

@@ -12,6 +12,7 @@ from mldistill.model import (
     default_student_spec,
     default_teacher_spec,
     forward_batch,
+    forward_rows,
     glorot_uniform,
     init_model,
     sgd_step,
@@ -112,6 +113,33 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_batch(m, np.zeros((1, 9)), 0)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("as_batch", [False, True], ids=["dense", "sparse_batch"])
+    def test_leaves_model_and_input_unchanged(self, activation, as_batch):
+        m = init_model(tiny_spec(hidden=(5, 3), activation=activation), 2, seed=6)
+        x = np.random.default_rng(6).normal(size=(4, 8)) * (np.arange(8) % 2)
+        X = sparse_batches(sparse.csr_matrix(x), 4)[0] if as_batch else x
+        before = m.copy()
+        data = X.data.copy() if as_batch else x.copy()
+        cache = forward_batch(m, X, 1)
+        for (W, b), (W0, b0) in zip(m.layers + m.heads, before.layers + before.heads):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
+        assert np.array_equal(X.data if as_batch else x, data)
+        for a in cache.activations[1:]:
+            assert not any(np.shares_memory(a, p) for W, b in m.layers + m.heads for p in (W, b))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_forward_rows_leaves_cache_unchanged(self, activation):
+        m = init_model(tiny_spec(hidden=(5, 3), activation=activation), 2, seed=7)
+        cache = forward_batch(m, np.random.default_rng(7).normal(size=(6, 8)), 1)
+        before = [a.copy() for a in cache.activations[1:]] + [cache.logits.copy()]
+        rows = np.array([4, 1, 4])
+        first = forward_rows(m, cache, rows)
+        second = forward_rows(m, cache, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        for a, a0 in zip(cache.activations[1:] + [cache.logits], before):
+            assert np.array_equal(a, a0)
+
     def test_bad_label_rejected(self):
         m = init_model(tiny_spec(), 2, seed=5)
         with pytest.raises(ValueError):
@@ -153,6 +181,13 @@ class TestSoftmaxT:
     def test_high_temperature_limit(self):
         out = softmax_t([3.0, -1.0], 1e6)
         assert np.allclose(out, [0.5, 0.5], atol=1e-6)
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    def test_leaves_input_unchanged(self, temperature):
+        z = np.random.default_rng(2).normal(scale=5, size=(6, 2))
+        before = z.copy()
+        out = softmax_t(z, temperature)
+        assert np.array_equal(z, before) and not np.shares_memory(out, z)
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
@@ -234,6 +269,35 @@ class TestSgdStep:
             head=(rng.normal(size=(3, 2)), rng.normal(size=2)),
         )
         where(grads).flat[0] = np.nan
+        snapshot = m.copy()
+        with pytest.raises(ValueError, match=message):
+            sgd_step(m, grads, 0.1)
+        for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
+
+
+    def test_finite_step_whose_sum_overflows_applies(self):
+        m = init_model(tiny_spec(), 1, seed=1)
+        m.layers[0] = (np.full((8, 4), 1e308), np.zeros(4))
+        grads = dense_grads_like(m, scale=-1e307)
+        with np.errstate(over="ignore"):  # the sum of the new weights overflows
+            sgd_step(m, grads, 1.0)
+        assert np.array_equal(m.layers[0][0], np.full((8, 4), 1e308 + 1e307))
+        assert np.array_equal(m.heads[0][1], np.full(2, 1e307))
+
+    @pytest.mark.parametrize(
+        "minus_inf, message",
+        [
+            (lambda g: g.head[0], "encoder layer 1 weights"),
+            (lambda g: g.layers[1][0], "encoder layer 1 weights"),
+        ],
+        ids=["other_array", "same_array"],
+    )
+    def test_opposite_infinities_raise_naming_first_array(self, minus_inf, message):
+        m = init_model(tiny_spec(hidden=(4, 3)), 1, seed=1)
+        grads = dense_grads_like(m, scale=0.5)
+        grads.layers[1][0].flat[0] = np.inf
+        minus_inf(grads).flat[-1] = -np.inf
         snapshot = m.copy()
         with pytest.raises(ValueError, match=message):
             sgd_step(m, grads, 0.1)
