@@ -9,18 +9,21 @@ overridden with a flag of the same dotted name.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
 import resource
 import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import mldistill
 from mldistill import parallel
 from mldistill.config import KEY_REGISTRY, RunConfig, parse_config_file, resolve_config
-from mldistill.corpus import Corpus, load_corpus, save_corpus, save_vocab
+from mldistill.corpus import load_corpus, save_corpus, save_vocab
 from mldistill.errors import DataError, UsageError
 from mldistill.experiment import (
     base_meta,
@@ -29,9 +32,8 @@ from mldistill.experiment import (
     render_trace,
     run_ablation,
     run_experiment,
+    run_outputs,
     run_tuning,
-    save_run_outputs,
-    write_text_atomic,
 )
 from mldistill.hypertune import default_space, load_space, space_to_json
 from mldistill.metrics import full_report, render_report
@@ -131,36 +133,63 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return resolve_config(file_values, _collect_overrides(args))
 
 
-def _load_inputs(args: argparse.Namespace) -> Corpus:
-    return load_corpus(args.corpus, args.vocab)
-
-
-def _out_error(out: Path, code: int) -> UsageError:
-    return UsageError(f"--out {out}: cannot make a directory there ({os.strerror(code)})")
+def _out_error(out: Path, name: str | None, reason: str) -> UsageError:
+    target = "make a directory" if name is None else f"write {name}"
+    return UsageError(f"--out {out}: cannot {target} there ({reason})")
 
 
 def _check_out(out: Path, names: tuple[str, ...]) -> None:
     """Fail before any work if ``out`` names a file or lies below one, or if
     a directory stands where one of the output ``names`` goes; the
-    directory itself is made only when the outputs are written."""
+    directory itself is made only when the outputs are committed."""
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
-                raise _out_error(out, errno.EEXIST if path == out else errno.ENOTDIR)
+                raise _out_error(out, None, os.strerror(errno.EEXIST if path == out else errno.ENOTDIR))
             break
     for name in names:
         if (out / name).is_dir():
-            raise UsageError(f"--out {out}: cannot write {name} there ({os.strerror(errno.EISDIR)})")
+            raise _out_error(out, name, os.strerror(errno.EISDIR))
 
 
-def _out_paths(args: argparse.Namespace) -> list[Path]:
-    """Make ``--out`` and return the command's output paths, in ``_COMMANDS`` order."""
-    out = Path(args.out)
+def _commit(out: Path, files: dict) -> None:
+    """Write each output file in ``out`` under a temporary name, then rename
+    them all into place.  A file's content is a text, a manifest dict, or a
+    writer called with the path.  On any failure, remove every file and
+    directory this call made, so ``out`` gets all of the outputs or none."""
+    new_dirs = [path for path in (out, *out.parents) if not path.exists()]
+    temps: list[Path] = []
+    renamed: list[Path] = []
+    name = None
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise _out_error(out, exc.errno) from exc
-    return [out / name for name in _COMMANDS[args.command][1]]
+        for name, content in files.items():
+            fd, path = tempfile.mkstemp(dir=out, prefix=name + ".", suffix=".tmp")
+            os.close(fd)
+            tmp = Path(path)
+            temps.append(tmp)
+            if isinstance(content, dict):
+                content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+            if isinstance(content, str):
+                tmp.write_text(content, encoding="utf-8")
+            else:
+                content(tmp)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, out / name)
+            renamed.append(out / name)
+    except BaseException as exc:
+        for path in (*temps, *renamed):
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for path in new_dirs:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        if isinstance(exc, OSError):
+            raise _out_error(out, name, exc.strerror or str(exc)) from exc
+        raise
+
+
+Outputs = tuple[list, list[str]]  # see _COMMANDS
 
 
 def _simple_manifest(command: str, seed: int, started: float, extra: dict) -> dict:
@@ -174,7 +203,7 @@ def _simple_manifest(command: str, seed: int, started: float, extra: dict) -> di
     }
 
 
-def _cmd_generate_synthetic(args: argparse.Namespace) -> int:
+def _cmd_generate_synthetic(args: argparse.Namespace) -> Outputs:
     if args.docs < 1:
         raise UsageError("--docs must be >= 1")
     if args.labels < 1:
@@ -182,9 +211,6 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
     corpus = generate_synthetic(args.docs, num_labels=args.labels, seed=seed, label_correlation=args.label_correlation)
-    corpus_path, vocab_path, manifest_path = _out_paths(args)
-    save_corpus(corpus, corpus_path)
-    save_vocab(corpus.vocab, vocab_path)
     manifest = _simple_manifest(
         "generate-synthetic",
         seed,
@@ -196,23 +222,19 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> int:
             "prevalence": {name: float(p) for name, p in zip(corpus.vocab.labels, corpus.prevalence())},
         },
     )
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(corpus)} documents to {corpus_path}")
-    return 0
+    files = [partial(save_corpus, corpus), partial(save_vocab, corpus.vocab), manifest]
+    return files, [f"wrote {len(corpus)} documents to {args.out / 'corpus.jsonl'}"]
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> Outputs:
     if args.size < 1:
         raise UsageError("--size must be >= 1")
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
-    corpus = _load_inputs(args)
+    corpus = load_corpus(args.corpus, args.vocab)
     if args.size > len(corpus):
         raise UsageError(f"--size {args.size} exceeds corpus size {len(corpus)}")
     sample = stratified_sample(corpus, args.size, seed)
-    sample_path, vocab_path, manifest_path = _out_paths(args)
-    save_corpus(sample, sample_path)
-    save_vocab(corpus.vocab, vocab_path)
     manifest = _simple_manifest(
         "sample",
         seed,
@@ -224,73 +246,64 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "sample_prevalence": {n: float(p) for n, p in zip(corpus.vocab.labels, sample.prevalence())},
         },
     )
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(sample)} documents to {sample_path}")
-    return 0
+    files = [partial(save_corpus, sample), partial(save_vocab, corpus.vocab), manifest]
+    return files, [f"wrote {len(sample)} documents to {args.out / 'sample.jsonl'}"]
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = _load_inputs(args)
+    corpus = load_corpus(args.corpus, args.vocab)
     result = run_experiment(corpus, config)
-    paths = _out_paths(args)
-    save_run_outputs(result, paths, config)
-    print(f"example_f1 {result.report.example_f1:.6f}  micro_f1 {result.report.micro_f1:.6f}")
-    print(f"wrote {paths[0]}, {paths[1]}")
-    return 0
+    return run_outputs(result, config), [
+        f"example_f1 {result.report.example_f1:.6f}  micro_f1 {result.report.micro_f1:.6f}",
+        f"wrote {args.out / 'predictions.jsonl'}, {args.out / 'metrics.json'}",
+    ]
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _cmd_tune(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = _load_inputs(args)
+    corpus = load_corpus(args.corpus, args.vocab)
     space = load_space(args.space) if args.space else default_space()
     result = run_tuning(corpus, config, space)
-    space_path, trace_path, best_path, manifest_path = _out_paths(args)
     meta = base_meta(config)
-    write_text_atomic(space_path, space_to_json(space))
-    write_text_atomic(trace_path, render_trace(result.trace, space, meta=meta))
-    write_text_atomic(best_path, render_best_config(result, meta=meta))
-    write_text_atomic(manifest_path, json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
-    print(f"best example_f1 {result.best_score:.6f} after {len(result.trace)} iterations")
-    print(f"wrote {trace_path}, {best_path}")
-    return 0
+    files = [
+        space_to_json(space),
+        render_trace(result.trace, space, meta=meta),
+        render_best_config(result, meta=meta),
+        result.manifest,
+    ]
+    return files, [
+        f"best example_f1 {result.best_score:.6f} after {len(result.trace)} iterations",
+        f"wrote {args.out / 'trace.jsonl'}, {args.out / 'best_config.txt'}",
+    ]
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> Outputs:
     predictions = read_predictions(args.predictions)
     report = full_report(predictions)
-    (metrics_path,) = _out_paths(args)
     meta = {"version": mldistill.__version__, "source": str(args.predictions)}
-    write_text_atomic(metrics_path, render_report(report, meta=meta))
-    print(f"example_f1 {report.example_f1:.6f}")
-    print(f"wrote {metrics_path}")
-    return 0
+    lines = [f"example_f1 {report.example_f1:.6f}", f"wrote {args.out / 'metrics.json'}"]
+    return [render_report(report, meta=meta)], lines
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
+def _cmd_ablate(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = _load_inputs(args)
+    corpus = load_corpus(args.corpus, args.vocab)
     rows, manifest = run_ablation(corpus, config)
-    table_path, manifest_path = _out_paths(args)
-    write_text_atomic(table_path, render_ablation_table(rows, meta=base_meta(config)))
-    write_text_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for row in rows:
-        print(f"{row.variant}\t{row.example_f1:.6f}")
-    print(f"wrote {table_path}")
-    return 0
+    lines = [*(f"{row.variant}\t{row.example_f1:.6f}" for row in rows), f"wrote {args.out / 'ablation.tsv'}"]
+    return [render_ablation_table(rows, meta=base_meta(config)), manifest], lines
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> Outputs:
     interval_self_check()
     groups = read_replications(args.replications)
-    (stats_path,) = _out_paths(args)
     meta = {"version": mldistill.__version__, "source": str(args.replications)}
-    write_text_atomic(stats_path, render_stats_report(groups, meta=meta))
-    print(f"wrote {stats_path}")
-    return 0
+    return [render_stats_report(groups, meta=meta)], [f"wrote {args.out / 'stats.txt'}"]
 
 
 # Each command and the files it writes in --out, which main checks first.
+# A command returns the contents of these files, in this order, and the
+# lines to print once main has committed them.
 _COMMANDS = {
     "generate-synthetic": (_cmd_generate_synthetic, ("corpus.jsonl", "vocab.txt", "manifest.json")),
     "sample": (_cmd_sample, ("sample.jsonl", "vocab.txt", "manifest.json")),
@@ -310,7 +323,11 @@ def main(argv: list[str] | None = None) -> int:
         _check_out(args.out, outputs)
         # Forked workers inherit the pin, so --workers N caps the whole concurrency.
         parallel.pin_blas_threads()
-        return command(args)
+        contents, lines = command(args)
+        _commit(args.out, dict(zip(outputs, contents, strict=True)))
+        for line in lines:
+            print(line)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

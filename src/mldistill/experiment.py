@@ -2,21 +2,17 @@
 
 A run fixes the fold assignment from the seed, dispatches the selected
 training mode, evaluates the resulting out-of-fold predictions, and
-assembles an audit manifest.  Output files are written to temporary
-names and atomically renamed, so a failed run never leaves a partial
-report behind.
+assembles an audit manifest.  Nothing here writes a file: the CLI
+commits a command's outputs, all of them or none.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 import time
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
@@ -32,24 +28,6 @@ from mldistill.model import EncoderSpec
 from mldistill.predictions import PredictionSet, write_predictions
 from mldistill.seeding import derive_seed
 from mldistill.splits import FoldAssignment, stratified_kfold
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    write_via(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
-
-
-def write_via(path: str | Path, writer: Callable[[Path], None]) -> None:
-    """Run a file writer against a temp name, then atomically rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    os.close(fd)
-    try:
-        writer(Path(tmp))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _encoder_specs(config: RunConfig) -> tuple[EncoderSpec, EncoderSpec]:
@@ -308,10 +286,13 @@ def render_best_config(result: TuneResult, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_run_outputs(result: RunResult, paths: list[Path], config: RunConfig) -> None:
-    """Write the predictions, metrics and manifest files to ``paths``, in that order."""
-    predictions, metrics, manifest = paths
+def run_outputs(result: RunResult, config: RunConfig) -> list:
+    """The run's predictions writer, metrics text and manifest, in that order.
+    ``write_predictions`` is looked up here, in this module, when the run
+    ends, so perfbench's timer that rebinds it here sees the write."""
     meta = base_meta(config)
-    write_via(predictions, lambda tmp: write_predictions(result.predictions, tmp, meta=meta))
-    write_text_atomic(metrics, render_report(result.report, meta=meta))
-    write_text_atomic(manifest, json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
+    return [
+        partial(write_predictions, result.predictions, meta=meta),
+        render_report(result.report, meta=meta),
+        result.manifest,
+    ]

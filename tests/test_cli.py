@@ -1,6 +1,9 @@
 """CLI subcommands end to end on a tiny synthetic corpus."""
 
+import builtins
 import ctypes
+import errno
+import io
 import json
 import math
 import os
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import mldistill
-from mldistill import cli, distill, parallel
+from mldistill import cli, distill, experiment, parallel
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_file, resolve_config
 from mldistill.corpus import HashingTfidfVectorizer
@@ -486,6 +489,116 @@ class TestInputFaults:
         code = run_cli([*args, "--out", tmp_path / "o"])
         assert code == 2
         assert f"data error: {message}" in capsys.readouterr().err
+
+
+# The call that does each command's work; the commit follows it.
+WORK_CALLS = {
+    "generate-synthetic": "generate_synthetic",
+    "sample": "stratified_sample",
+    "run": "run_experiment",
+    "tune": "run_tuning",
+    "evaluate": "full_report",
+    "ablate": "run_ablation",
+    "stats": "read_replications",
+}
+OUTPUT_FILES = [(command, name) for command, (_, names) in cli._COMMANDS.items() for name in names]
+
+
+@pytest.fixture(scope="module")
+def command_args(data_dir, tmp_path_factory):
+    """Arguments, all but --out, that make each command succeed quickly."""
+    inputs = tmp_path_factory.mktemp("inputs")
+    corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
+    assert run_cli(["run", "--corpus", corpus, "--vocab", vocab, "--out", inputs / "run", *FAST]) == 0
+    (inputs / "reps.txt").write_text("A 0.82\nA 0.83\nA 0.81\nB 0.70\nB 0.71\nB 0.72\n")
+    train = ["--corpus", corpus, "--vocab", vocab, "--seed", 4, *FAST]
+    return {
+        "generate-synthetic": ["--docs", 12, "--labels", 2, "--seed", 1],
+        "sample": ["--corpus", corpus, "--vocab", vocab, "--size", 12, "--seed", 1],
+        "run": train,
+        "tune": [*train, "--pso.n", 2, "--pso.max_iters", 1],
+        "evaluate": ["--predictions", inputs / "run" / "predictions.jsonl"],
+        "ablate": train,
+        "stats": ["--replications", inputs / "reps.txt"],
+    }
+
+
+def fail_writes(monkeypatch, name):
+    """Opening ``name``, or a temporary name made from it, for writing raises ENOSPC."""
+    real_open = io.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        base = os.path.basename(file) if isinstance(file, (str, os.PathLike)) else ""
+        if "w" in mode and (base == name or base.startswith(name + ".")):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(builtins, "open", open_)
+
+
+class TestOutputCommit:
+    @pytest.mark.parametrize("fault", ["directory", "no_space"])
+    @pytest.mark.parametrize("command, name", OUTPUT_FILES)
+    def test_fault_while_writing_leaves_out_as_it_was(
+        self, command_args, tmp_path, capsys, monkeypatch, command, name, fault
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        work = getattr(cli, WORK_CALLS[command])
+        listed = []
+
+        def work_then_fault(*args, **kwargs):
+            result = work(*args, **kwargs)
+            if fault == "directory":
+                (out / name).mkdir()
+            else:
+                fail_writes(monkeypatch, name)
+            listed.extend(sorted(out.iterdir()))
+            return result
+
+        monkeypatch.setattr(cli, WORK_CALLS[command], work_then_fault)
+        capsys.readouterr()
+        code = run_cli([command, *command_args[command], "--out", out])
+        captured = capsys.readouterr()
+        reason = os.strerror(errno.EISDIR if fault == "directory" else errno.ENOSPC)
+        assert code == 1
+        assert f"usage error: --out {out}: cannot write {name} there ({reason})" in captured.err
+        assert captured.out == ""
+        assert listed and sorted(out.iterdir()) == listed
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_commit_removes_the_directories_it_made(self, command_args, tmp_path, monkeypatch):
+        out = tmp_path / "new" / "out"
+        fail_writes(monkeypatch, "metrics.json")
+        assert run_cli(["evaluate", *command_args["evaluate"], "--out", out]) == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_rerun_replaces_every_output(self, command_args, tmp_path, command):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        args = [command, *command_args[command]]
+        names = cli._COMMANDS[command][1]
+        assert run_cli([*args, "--out", out]) == 0
+        for name in names:
+            (out / name).write_text("stale\n")
+        assert run_cli([*args, "--out", out]) == 0
+        assert run_cli([*args, "--out", fresh]) == 0
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        for name in names:
+            got, want = (out / name).read_bytes(), (fresh / name).read_bytes()
+            if name == "manifest.json":  # wall clock and peak RSS vary from run to run
+                got, want = ({**json.loads(text), "wall_clock_seconds": 0, "peak_rss_kb": 0} for text in (got, want))
+            assert got == want, name
+
+    def test_run_writes_predictions_through_experiment(self, command_args, tmp_path, monkeypatch):
+        # perfbench times predictions.write_s by rebinding this name.
+        calls = []
+        write = experiment.write_predictions
+        monkeypatch.setattr(experiment, "write_predictions", lambda *a, **k: calls.append(a[1]) or write(*a, **k))
+        assert run_cli(["run", *command_args["run"], "--out", tmp_path / "out"]) == 0
+        assert len(calls) == 1
 
 
 class TestTune:
