@@ -13,7 +13,6 @@ import contextlib
 import errno
 import json
 import os
-import resource
 import sys
 import tempfile
 import time
@@ -23,10 +22,11 @@ from pathlib import Path
 import mldistill
 from mldistill import parallel
 from mldistill.config import KEY_REGISTRY, RunConfig, parse_config_file, resolve_config
-from mldistill.corpus import load_corpus, save_corpus, save_vocab
+from mldistill.corpus import Corpus, load_corpus, load_vocab, save_corpus, save_vocab
 from mldistill.errors import DataError, UsageError
 from mldistill.experiment import (
     base_meta,
+    manifest,
     render_ablation_table,
     render_best_config,
     render_trace,
@@ -111,26 +111,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Flags that set a run.* key under a shorter name; they win over the key's own flag.
+_SHORT_FLAGS = {"seed": "run.seed", "workers": "run.workers", "mode": "run.mode", "preset": "run.preset"}
+
+
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
     values = vars(args)
-    for key in KEY_REGISTRY:
-        if values.get(key) is not None:
-            overrides[key] = values[key]
-    if values.get("seed") is not None:
-        overrides["run.seed"] = str(values["seed"])
-    if values.get("workers") is not None:
-        overrides["run.workers"] = str(values["workers"])
-    if values.get("mode") is not None:
-        overrides["run.mode"] = values["mode"]
-    if values.get("preset") is not None:
-        overrides["run.preset"] = values["preset"]
-    return overrides
+    dests = [*((key, key) for key in KEY_REGISTRY), *_SHORT_FLAGS.items()]
+    return {key: str(values[dest]) for dest, key in dests if values.get(dest) is not None}
+
+
+def _read(flag: str, path: Path, reader, *args):
+    """``reader(path, *args)``; an OSError or DataError from it becomes a DataError naming ``--flag path``."""
+    try:
+        return reader(path, *args)
+    except OSError as exc:
+        raise DataError(f"--{flag} {path}: cannot read it ({exc.strerror or exc})") from exc
+    except DataError as exc:
+        raise DataError(f"--{flag} {path}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_values = parse_config_file(args.config) if args.config else None
+    file_values = _read("config", args.config, parse_config_file) if args.config else None
     return resolve_config(file_values, _collect_overrides(args))
+
+
+def _corpus(args: argparse.Namespace) -> Corpus:
+    return _read("corpus", args.corpus, load_corpus, _read("vocab", args.vocab, load_vocab))
 
 
 def _out_error(out: Path, name: str | None, reason: str) -> UsageError:
@@ -192,17 +199,6 @@ def _commit(out: Path, files: dict) -> None:
 Outputs = tuple[list, list[str]]  # see _COMMANDS
 
 
-def _simple_manifest(command: str, seed: int, started: float, extra: dict) -> dict:
-    return {
-        "version": mldistill.__version__,
-        "command": command,
-        "seed": seed,
-        "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        **extra,
-    }
-
-
 def _cmd_generate_synthetic(args: argparse.Namespace) -> Outputs:
     if args.docs < 1:
         raise UsageError("--docs must be >= 1")
@@ -211,18 +207,19 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> Outputs:
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
     corpus = generate_synthetic(args.docs, num_labels=args.labels, seed=seed, label_correlation=args.label_correlation)
-    manifest = _simple_manifest(
-        "generate-synthetic",
-        seed,
-        started,
-        {
-            "documents": len(corpus),
-            "labels": list(corpus.vocab.labels),
-            "label_correlation": args.label_correlation,
-            "prevalence": {name: float(p) for name, p in zip(corpus.vocab.labels, corpus.prevalence())},
-        },
-    )
-    files = [partial(save_corpus, corpus), partial(save_vocab, corpus.vocab), manifest]
+    files = [
+        partial(save_corpus, corpus),
+        partial(save_vocab, corpus.vocab),
+        manifest(
+            "generate-synthetic",
+            seed,
+            started,
+            documents=len(corpus),
+            labels=list(corpus.vocab.labels),
+            label_correlation=args.label_correlation,
+            prevalence={name: float(p) for name, p in zip(corpus.vocab.labels, corpus.prevalence())},
+        ),
+    ]
     return files, [f"wrote {len(corpus)} documents to {args.out / 'corpus.jsonl'}"]
 
 
@@ -231,28 +228,29 @@ def _cmd_sample(args: argparse.Namespace) -> Outputs:
         raise UsageError("--size must be >= 1")
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
-    corpus = load_corpus(args.corpus, args.vocab)
+    corpus = _corpus(args)
     if args.size > len(corpus):
         raise UsageError(f"--size {args.size} exceeds corpus size {len(corpus)}")
     sample = stratified_sample(corpus, args.size, seed)
-    manifest = _simple_manifest(
-        "sample",
-        seed,
-        started,
-        {
-            "source_documents": len(corpus),
-            "sample_documents": len(sample),
-            "source_prevalence": {n: float(p) for n, p in zip(corpus.vocab.labels, corpus.prevalence())},
-            "sample_prevalence": {n: float(p) for n, p in zip(corpus.vocab.labels, sample.prevalence())},
-        },
-    )
-    files = [partial(save_corpus, sample), partial(save_vocab, corpus.vocab), manifest]
+    files = [
+        partial(save_corpus, sample),
+        partial(save_vocab, corpus.vocab),
+        manifest(
+            "sample",
+            seed,
+            started,
+            source_documents=len(corpus),
+            sample_documents=len(sample),
+            source_prevalence={n: float(p) for n, p in zip(corpus.vocab.labels, corpus.prevalence())},
+            sample_prevalence={n: float(p) for n, p in zip(corpus.vocab.labels, sample.prevalence())},
+        ),
+    ]
     return files, [f"wrote {len(sample)} documents to {args.out / 'sample.jsonl'}"]
 
 
 def _cmd_run(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = load_corpus(args.corpus, args.vocab)
+    corpus = _corpus(args)
     result = run_experiment(corpus, config)
     return run_outputs(result, config), [
         f"example_f1 {result.report.example_f1:.6f}  micro_f1 {result.report.micro_f1:.6f}",
@@ -262,8 +260,8 @@ def _cmd_run(args: argparse.Namespace) -> Outputs:
 
 def _cmd_tune(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = load_corpus(args.corpus, args.vocab)
-    space = load_space(args.space) if args.space else default_space()
+    corpus = _corpus(args)
+    space = _read("space", args.space, load_space) if args.space else default_space()
     result = run_tuning(corpus, config, space)
     meta = base_meta(config)
     files = [
@@ -279,7 +277,7 @@ def _cmd_tune(args: argparse.Namespace) -> Outputs:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> Outputs:
-    predictions = read_predictions(args.predictions)
+    predictions = _read("predictions", args.predictions, read_predictions)
     report = full_report(predictions)
     meta = {"version": mldistill.__version__, "source": str(args.predictions)}
     lines = [f"example_f1 {report.example_f1:.6f}", f"wrote {args.out / 'metrics.json'}"]
@@ -288,15 +286,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> Outputs:
 
 def _cmd_ablate(args: argparse.Namespace) -> Outputs:
     config = _resolve(args)
-    corpus = load_corpus(args.corpus, args.vocab)
-    rows, manifest = run_ablation(corpus, config)
+    corpus = _corpus(args)
+    rows, audit = run_ablation(corpus, config)
     lines = [*(f"{row.variant}\t{row.example_f1:.6f}" for row in rows), f"wrote {args.out / 'ablation.tsv'}"]
-    return [render_ablation_table(rows, meta=base_meta(config)), manifest], lines
+    return [render_ablation_table(rows, meta=base_meta(config)), audit], lines
 
 
 def _cmd_stats(args: argparse.Namespace) -> Outputs:
     interval_self_check()
-    groups = read_replications(args.replications)
+    groups = _read("replications", args.replications, read_replications)
     meta = {"version": mldistill.__version__, "source": str(args.replications)}
     return [render_stats_report(groups, meta=meta)], [f"wrote {args.out / 'stats.txt'}"]
 
@@ -332,9 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:  # the message names the path
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

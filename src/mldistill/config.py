@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-from mldistill.errors import DataError, UsageError, utf8_fault
+from mldistill.errors import DataError, UsageError, input_lines
 
 DEFAULT_FEATURE_DIM = 32768
 TEACHER_HIDDEN = (128, 64)
@@ -231,21 +231,17 @@ class RunConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh):
-            fault = utf8_fault(line)
-            if fault is not None:
-                raise DataError(f"config line {lineno}: {fault}")
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise DataError(f"config line {lineno}: expected 'key = value'")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in KEY_REGISTRY:
-                raise DataError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = raw.strip()
+    for lineno, line in input_lines(path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise DataError(f"line {lineno}: expected 'key = value'")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in KEY_REGISTRY:
+            raise DataError(f"line {lineno}: unknown key {key!r}")
+        values[key] = raw.strip()
     return values
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from mldistill.config import DEFAULT_FEATURE_DIM
-from mldistill.errors import DataError, utf8_fault
+from mldistill.errors import DataError, input_lines
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -92,13 +92,10 @@ def load_vocab(path: str | Path) -> LabelVocabulary:
     """Read one label per line; line order defines the label index.  Blank
     lines are skipped; a repeated label is rejected with its 0-based line."""
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()):
-        fault = utf8_fault(line)
-        if fault is not None:
-            raise DataError(f"vocabulary line {lineno}: {fault}")
+    for lineno, line in input_lines(path):
         name = line.strip()
         if name in first_line:
-            raise DataError(f"vocabulary line {lineno}: duplicate label {name!r} (first on line {first_line[name]})")
+            raise DataError(f"line {lineno}: duplicate label {name!r} (first on line {first_line[name]})")
         if name:
             first_line[name] = lineno
     return LabelVocabulary(tuple(first_line))
@@ -108,46 +105,41 @@ def save_vocab(vocab: LabelVocabulary, path: str | Path) -> None:
     Path(path).write_text("".join(name + "\n" for name in vocab.labels), encoding="utf-8")
 
 
-def load_corpus(path: str | Path, vocab_path: str | Path) -> Corpus:
-    """Load a line-delimited corpus file against a vocabulary file.
+def load_corpus(path: str | Path, vocab: LabelVocabulary) -> Corpus:
+    """Load a line-delimited corpus file against a label vocabulary.
 
     Each line is a JSON object with fields ``text`` (string), ``labels``
     (list of label names) and an optional ``id`` (defaults to the
     0-based line number).  Unknown labels, malformed records, empty text
     and repeated ids are rejected with the offending line number.
     """
-    vocab = load_vocab(vocab_path)
     documents: list[Document] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh):
-            fault = utf8_fault(line)
-            if fault is not None:
-                raise DataError(f"line {lineno}: {fault}")
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:  # malformed, or an integer past int's digit limit
-                raise DataError(f"line {lineno}: malformed record ({getattr(exc, 'msg', exc)})") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"line {lineno}: record is not an object")
-            text = record.get("text")
-            labels = record.get("labels")
-            if not isinstance(text, str) or not text.strip():
-                raise DataError(f"line {lineno}: missing or empty 'text'")
-            if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
-                raise DataError(f"line {lineno}: 'labels' must be a list of strings")
-            bits = [0] * len(vocab)
-            for name in labels:
-                if name not in vocab.index:
-                    raise DataError(f"line {lineno}: unknown label {name!r}")
-                bits[vocab.index[name]] = 1
-            doc_id = str(record.get("id", lineno))
-            if doc_id in first_line:
-                raise DataError(f"line {lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
-            first_line[doc_id] = lineno
-            documents.append(Document(id=doc_id, text=text, label_set=tuple(bits)))
+    for lineno, line in input_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or an integer of too many digits
+            raise DataError(f"line {lineno}: malformed record ({getattr(exc, 'msg', exc)})") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"line {lineno}: record is not an object")
+        text = record.get("text")
+        labels = record.get("labels")
+        if not isinstance(text, str) or not text.strip():
+            raise DataError(f"line {lineno}: missing or empty 'text'")
+        if not isinstance(labels, list) or any(not isinstance(x, str) for x in labels):
+            raise DataError(f"line {lineno}: 'labels' must be a list of strings")
+        bits = [0] * len(vocab)
+        for name in labels:
+            if name not in vocab.index:
+                raise DataError(f"line {lineno}: unknown label {name!r}")
+            bits[vocab.index[name]] = 1
+        doc_id = str(record.get("id", lineno))
+        if doc_id in first_line:
+            raise DataError(f"line {lineno}: duplicate document id {doc_id!r} (first on line {first_line[doc_id]})")
+        first_line[doc_id] = lineno
+        documents.append(Document(id=doc_id, text=text, label_set=tuple(bits)))
     return Corpus(tuple(documents), vocab)
 
 

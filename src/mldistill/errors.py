@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the check that an input
-line was UTF-8.
+"""Exception types shared across the package, and the one way an input
+file's lines are read.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 anything else -> 3.
 """
 
 import re
+from collections.abc import Iterator
+from pathlib import Path
 
 # Input files are opened with errors="surrogateescape", which keeps each
 # byte that is not UTF-8 as one of these lone surrogates.
@@ -27,3 +29,13 @@ def utf8_fault(line: str) -> str | None:
         return None
     escaped = _ESCAPED_BYTE.search(line)
     return None if escaped is None else f"not valid UTF-8 (byte 0x{ord(escaped.group()) - 0xDC00:02x})"
+
+
+def input_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each (0-based line number, line) of the file at ``path``; a line not UTF-8 raises a DataError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh):
+            fault = utf8_fault(line)
+            if fault is not None:
+                raise DataError(f"line {lineno}: {fault}")
+            yield lineno, line

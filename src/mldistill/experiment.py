@@ -101,6 +101,19 @@ def base_meta(config: RunConfig) -> dict:
     return {"version": mldistill.__version__, "config": config.audit_dict()}
 
 
+def manifest(command: str, seed: int, started: float, **extra) -> dict:
+    """A command's audit manifest: version, command, seed, the ``extra``
+    fields, the wall time since ``started``, and the peak RSS with workers."""
+    return {
+        "version": mldistill.__version__,
+        "command": command,
+        "seed": seed,
+        **extra,
+        "wall_clock_seconds": time.perf_counter() - started,
+        "peak_rss_kb": parallel.peak_rss_kb(),
+    }
+
+
 @dataclass
 class RunResult:
     predictions: PredictionSet
@@ -121,21 +134,19 @@ def run_experiment(corpus: Corpus, config: RunConfig) -> RunResult:
         report = full_report(predictions)
     except (ValueError, ArithmeticError) as exc:
         raise RuntimeError(f"{stage} stage failed: {exc}") from exc
-    manifest = {
-        "version": mldistill.__version__,
-        "command": "run",
-        "mode": config.mode.variant,
-        "preset": config.preset,
-        "seed": config.seed,
-        "documents": len(corpus),
-        "labels": list(corpus.vocab.labels),
-        "fold_hash": folds.content_hash(),
-        "config": config.audit_dict(),
-        "workers": config.workers,
-        "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": parallel.peak_rss_kb(),
-    }
-    return RunResult(predictions=predictions, report=report, folds=folds, manifest=manifest)
+    audit = manifest(
+        "run",
+        config.seed,
+        started,
+        mode=config.mode.variant,
+        preset=config.preset,
+        documents=len(corpus),
+        labels=list(corpus.vocab.labels),
+        fold_hash=folds.content_hash(),
+        config=config.audit_dict(),
+        workers=config.workers,
+    )
+    return RunResult(predictions=predictions, report=report, folds=folds, manifest=audit)
 
 
 ABLATION_VARIANTS = (
@@ -185,18 +196,15 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
     hashes = {row.fold_hash for row in rows}
     if hashes != {shared_hash}:
         raise AssertionError("ablation variants diverged from the shared fold assignment")
-    manifest = {
-        "version": mldistill.__version__,
-        "command": "ablate",
-        "seed": config.seed,
-        "fold_hash": shared_hash,
-        "row_fold_hashes": [row.fold_hash for row in rows],
-        "config": config.audit_dict(),
-        "workers": config.workers,
-        "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": parallel.peak_rss_kb(),
-    }
-    return rows, manifest
+    return rows, manifest(
+        "ablate",
+        config.seed,
+        started,
+        fold_hash=shared_hash,
+        row_fold_hashes=[row.fold_hash for row in rows],
+        config=config.audit_dict(),
+        workers=config.workers,
+    )
 
 
 def render_ablation_table(rows: list[AblationRow], meta: dict | None = None) -> str:
@@ -241,20 +249,18 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
     swarm_cfg = SwarmConfig(seed=derive_seed(config.seed, "swarm"), parallelism=config.workers, **settings)
     best_pos, best_score, trace = pso_optimize(space, objective, swarm_cfg)
     best_config = decode(best_pos, space)
-    manifest = {
-        "version": mldistill.__version__,
-        "command": "tune",
-        "seed": config.seed,
-        "fold_hash": folds.content_hash(),
-        "swarm": settings,
-        "iterations_run": len(trace),
-        "best_score": best_score,
-        "config": config.audit_dict(),
-        "workers": config.workers,
-        "wall_clock_seconds": time.perf_counter() - started,
-        "peak_rss_kb": parallel.peak_rss_kb(),
-    }
-    return TuneResult(best_config=best_config, best_score=best_score, trace=trace, manifest=manifest)
+    audit = manifest(
+        "tune",
+        config.seed,
+        started,
+        fold_hash=folds.content_hash(),
+        swarm=settings,
+        iterations_run=len(trace),
+        best_score=best_score,
+        config=config.audit_dict(),
+        workers=config.workers,
+    )
+    return TuneResult(best_config=best_config, best_score=best_score, trace=trace, manifest=audit)
 
 
 def render_trace(trace: list[TraceEntry], space: HyperSpace, meta: dict | None = None) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 
 from mldistill import parallel
 from mldistill.config import DistillConfig, SwarmConfig
-from mldistill.errors import DataError
+from mldistill.errors import DataError, input_lines
 from mldistill.seeding import particle_rng
 
 
@@ -86,8 +86,8 @@ def space_to_json(space: HyperSpace) -> str:
 
 def load_space(path: str | Path) -> HyperSpace:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed, or an integer past int's digit limit
+        raw = json.loads("".join(line for _, line in input_lines(path)))
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or an integer of too many digits
         raise DataError(f"malformed space file: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, list) or not raw:
         raise DataError("space file must be a non-empty list of dimensions")

@@ -260,7 +260,7 @@ def _final_labels(fh) -> list[str]:
             continue
         try:
             obj = _parse(line)
-        except ValueError:  # malformed, or an integer past int's digit limit
+        except (ValueError, RecursionError):  # malformed, nested too deep, or an integer of too many digits
             continue
         if isinstance(obj, dict) and "_meta" in obj:
             header = _header_labels(obj)
@@ -373,7 +373,7 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
                 raise DataError(f"line {lineno}: {fault}")
             try:
                 obj = _parse(line)
-            except ValueError as exc:  # malformed, or an integer past int's digit limit
+            except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or an integer of too many digits
                 if not line.strip():
                     continue
                 flush()
@@ -391,12 +391,15 @@ def _load(fh, final: list[str] | None) -> PredictionSet | None:
                     labels = header
                 continue
             if pred is None:
-                if final is None and not labels:
+                if labels:
+                    pred = PredictionSet(labels)
+                    label_index = {name: j for j, name in enumerate(labels)}
+                    if len(label_index) == len(labels) <= min(_LANE_MAX_LABELS, CHUNK_RECORDS):
+                        doc_lines = len(labels)
+                elif final is None:
                     return None
-                pred = PredictionSet(labels)
-                label_index = {name: j for j, name in enumerate(labels)}
-                if len(label_index) == len(labels) <= min(_LANE_MAX_LABELS, CHUNK_RECORDS):
-                    doc_lines = len(labels)
+                elif "label" not in obj:  # the final label list is empty, and this record has none
+                    raise DataError(f"line {lineno}: missing field 'label'")
             try:
                 doc_id, name, prob, true_bit, fold = _record_fields(obj)
             except KeyError:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from mldistill.errors import DataError, utf8_fault
+from mldistill.errors import DataError, input_lines
 
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -267,25 +267,21 @@ def read_replications(path: str | Path) -> dict[str, list[float]]:
     """One score per line: everything before the final whitespace run is
     the approach name, the last token is the score."""
     groups: dict[str, list[float]] = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh):
-            fault = utf8_fault(line)
-            if fault is not None:
-                raise DataError(f"line {lineno}: {fault}")
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.rsplit(None, 1)
-            if len(parts) != 2:
-                raise DataError(f"line {lineno}: expected '<approach> <score>'")
-            name, raw = parts
-            try:
-                score = float(raw)
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: score {raw!r} is not a number") from exc
-            if not math.isfinite(score):
-                raise DataError(f"line {lineno}: score {raw!r} is not a finite number")
-            groups.setdefault(name, []).append(score)
+    for lineno, line in input_lines(path):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.rsplit(None, 1)
+        if len(parts) != 2:
+            raise DataError(f"line {lineno}: expected '<approach> <score>'")
+        name, raw = parts
+        try:
+            score = float(raw)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: score {raw!r} is not a number") from exc
+        if not math.isfinite(score):
+            raise DataError(f"line {lineno}: score {raw!r} is not a finite number")
+        groups.setdefault(name, []).append(score)
     if not groups:
         raise DataError("replication file contains no scores")
     return groups

@@ -256,10 +256,10 @@ def test_criterion_10_ablation_shape(tmp_path):
         ]
     )
     assert code == 0
-    lines = [l for l in (out / "ablation.tsv").read_text().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in (out / "ablation.tsv").read_text(encoding="utf-8").splitlines() if l and not l.startswith("#")]
     rows = {parts[0]: float(parts[1]) for parts in (l.split("\t") for l in lines[1:])}
     assert len(rows) == 4
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert len(set(manifest["row_fold_hashes"])) == 1
     assert rows["sequential_kd"] >= rows["binary_relevance_kd"] - 0.02
     elapsed = time.perf_counter() - started

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import threading
@@ -53,7 +54,7 @@ class TestGenerateAndSample:
     def test_generate_outputs(self, data_dir):
         assert (data_dir / "corpus.jsonl").exists()
         assert (data_dir / "vocab.txt").exists()
-        manifest = json.loads((data_dir / "manifest.json").read_text())
+        manifest = json.loads((data_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["documents"] == 48
         assert "prevalence" in manifest
 
@@ -64,9 +65,9 @@ class TestGenerateAndSample:
              "--size", 24, "--out", out, "--seed", 5]
         )
         assert code == 0
-        lines = [l for l in (out / "sample.jsonl").read_text().splitlines() if l.strip()]
+        lines = [l for l in (out / "sample.jsonl").read_text(encoding="utf-8").splitlines() if l.strip()]
         assert len(lines) == 24
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["sample_documents"] == 24
 
     def test_sample_size_zero_is_usage_error(self, data_dir, tmp_path):
@@ -77,13 +78,13 @@ class TestGenerateAndSample:
         assert code == 1
 
     def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "f").write_text("")
+        (tmp_path / "f").write_text("", encoding="utf-8")
         code = run_cli(["generate-synthetic", "--docs", 4, "--out", tmp_path / "f"])
         assert code == 1
         assert "--out" in capsys.readouterr().err
 
     def test_out_below_a_file_is_usage_error(self, tmp_path, capsys):
-        (tmp_path / "f").write_text("")
+        (tmp_path / "f").write_text("", encoding="utf-8")
         code = run_cli(["generate-synthetic", "--docs", 4, "--out", tmp_path / "f" / "sub"])
         assert code == 1
         assert "--out" in capsys.readouterr().err
@@ -95,7 +96,8 @@ class TestGenerateAndSample:
              "--size", 48, "--out", out]
         )
         assert code == 0
-        assert (out / "sample.jsonl").read_text() == (data_dir / "corpus.jsonl").read_text()
+        sampled = (out / "sample.jsonl").read_text(encoding="utf-8")
+        assert sampled == (data_dir / "corpus.jsonl").read_text(encoding="utf-8")
 
 
 class TestRun:
@@ -158,9 +160,10 @@ class TestRun:
         assert models == [(2 * fold + 2, fold_columns[fold]) for fold in range(3) for _ in range(per_fold)]
 
     def test_corpus_without_tokens_runs(self, tmp_path):
-        (tmp_path / "vocab.txt").write_text("a\nb\n")
+        (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
         (tmp_path / "corpus.jsonl").write_text(
-            "".join(json.dumps({"text": "!!! ?", "labels": ["ab"[i % 2]]}) + "\n" for i in range(12))
+            "".join(json.dumps({"text": "!!! ?", "labels": ["ab"[i % 2]]}) + "\n" for i in range(12)),
+            encoding="utf-8",
         )
         for mode in MODE_VARIANTS:
             out = tmp_path / mode
@@ -169,27 +172,28 @@ class TestRun:
                  "--mode", mode, "--run.k", 2, "--distill.epochs", 1]
             )
             assert code == 0
-            assert len((out / "predictions.jsonl").read_text().splitlines()) == 1 + 12 * 2
+            assert len((out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()) == 1 + 12 * 2
 
     @pytest.mark.parametrize(
         "vocab, corpus, message",
         [
             ("a\nb\n", ['{"id": "x", "text": "t", "labels": []}', "", '{"id": "x", "text": "u", "labels": []}'],
-             "line 2: duplicate document id 'x' (first on line 0)"),
+             "--corpus {corpus}: line 2: duplicate document id 'x' (first on line 0)"),
             ("a\nb\n\n a\n", ['{"text": "t", "labels": ["a"]}'],
-             "vocabulary line 3: duplicate label 'a' (first on line 0)"),
+             "--vocab {vocab}: line 3: duplicate label 'a' (first on line 0)"),
         ],
         ids=["document-id", "label"],
     )
     def test_duplicate_name_is_data_error_naming_it(self, tmp_path, capsys, vocab, corpus, message):
-        (tmp_path / "vocab.txt").write_text(vocab)
-        (tmp_path / "corpus.jsonl").write_text("\n".join(corpus) + "\n")
+        (tmp_path / "vocab.txt").write_text(vocab, encoding="utf-8")
+        (tmp_path / "corpus.jsonl").write_text("\n".join(corpus) + "\n", encoding="utf-8")
         code = run_cli(
             ["run", "--corpus", tmp_path / "corpus.jsonl", "--vocab", tmp_path / "vocab.txt",
              "--out", tmp_path / "o", *FAST]
         )
         assert code == 2
-        assert message in capsys.readouterr().err
+        expected = message.format(corpus=tmp_path / "corpus.jsonl", vocab=tmp_path / "vocab.txt")
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "reader",
@@ -216,11 +220,11 @@ class TestRun:
             expected = "malformed space file: Exceeds the limit" if reader == "space" else "space file dimension 5"
         else:
             path = tmp_path / "corpus.jsonl"
-            lines = [*corpus.read_text().splitlines(), '{"id": %s, "text": "t", "labels": []}' % big]
+            lines = [*corpus.read_text(encoding="utf-8").splitlines(), '{"id": %s, "text": "t", "labels": []}' % big]
             args = ["sample", "--size", 1] if reader == "sample_corpus" else ["run"]
             args += ["--corpus", path, "--vocab", vocab]
             expected = f"line {len(lines) - 1}: malformed record (Exceeds the limit"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = run_cli([*args, "--out", tmp_path / "o"])
         assert code == 2
         assert expected in capsys.readouterr().err
@@ -234,7 +238,7 @@ class TestRun:
              "--out", out, "--workers", 2, *FAST]
         )
         assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["peak_rss_kb"] > resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     def test_baseline_mode_shares_report_schema(self, data_dir, tmp_path):
@@ -246,8 +250,8 @@ class TestRun:
                  "--out", out, "--mode", mode, *FAST]
             )
             assert code == 0
-        a = json.loads((out_seq / "metrics.json").read_text())
-        b = json.loads((out_base / "metrics.json").read_text())
+        a = json.loads((out_seq / "metrics.json").read_text(encoding="utf-8"))
+        b = json.loads((out_base / "metrics.json").read_text(encoding="utf-8"))
         assert set(a) == set(b)
         assert set(a["labels"]) == set(b["labels"])
 
@@ -257,11 +261,11 @@ class TestRun:
             ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
              "--out", out, *FAST]
         )
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["version"]
         assert manifest["config"]["run.k"] == 3
         assert "wall_clock_seconds" in manifest and "peak_rss_kb" in manifest
-        header = json.loads((out / "predictions.jsonl").read_text().splitlines()[0])
+        header = json.loads((out / "predictions.jsonl").read_text(encoding="utf-8").splitlines()[0])
         assert header["_meta"]["config"]["run.k"] == 3
 
     def test_missing_corpus_is_data_error(self, data_dir, tmp_path):
@@ -325,21 +329,21 @@ class TestEvaluate:
         eval_out = tmp_path / "eval"
         code = run_cli(["evaluate", "--predictions", run_out / "predictions.jsonl", "--out", eval_out])
         assert code == 0
-        got = json.loads((eval_out / "metrics.json").read_text())
-        expected = json.loads((run_out / "metrics.json").read_text())
+        got = json.loads((eval_out / "metrics.json").read_text(encoding="utf-8"))
+        expected = json.loads((run_out / "metrics.json").read_text(encoding="utf-8"))
         got.pop("_meta"), expected.pop("_meta")
         assert got == expected
 
     def test_malformed_predictions_rejected_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"doc_id": "a", "label": "x", "prob": 0.2, "true": 0, "fold": 0}\ngarbage\n')
+        bad.write_text('{"doc_id": "a", "label": "x", "prob": 0.2, "true": 0, "fold": 0}\ngarbage\n', encoding="utf-8")
         code = run_cli(["evaluate", "--predictions", bad, "--out", tmp_path / "out"])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
     def test_non_number_value_is_data_error_naming_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"doc_id": "a", "label": "x", "prob": 0.2, "true": "yes", "fold": 0}\n')
+        bad.write_text('{"doc_id": "a", "label": "x", "prob": 0.2, "true": "yes", "fold": 0}\n', encoding="utf-8")
         code = run_cli(["evaluate", "--predictions", bad, "--out", tmp_path / "out"])
         assert code == 2
         assert "line 0: true must be a number, got 'yes'" in capsys.readouterr().err
@@ -354,7 +358,7 @@ class TestInputFaults:
 
         for name in ("load_corpus", "read_predictions", "run_experiment", "run_ablation", "run_tuning"):
             monkeypatch.setattr(cli, name, fail)
-        (tmp_path / "f").write_text("")
+        (tmp_path / "f").write_text("", encoding="utf-8")
         out = tmp_path / "f" / "sub" if below else tmp_path / "f"
         if command == "evaluate":
             inputs = ["--predictions", tmp_path / "pred.jsonl"]
@@ -388,7 +392,7 @@ class TestInputFaults:
             monkeypatch.setattr(cli, work, fail)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
-        (out / name / "kept.txt").write_text("x")
+        (out / name / "kept.txt").write_text("x", encoding="utf-8")
         before = sorted(out.rglob("*"))
         corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
         inputs = {
@@ -400,74 +404,12 @@ class TestInputFaults:
         code = run_cli([command, *inputs, "--out", out])
         assert code == 1
         assert f"usage error: --out {out}: cannot write {name} there (Is a directory)" in capsys.readouterr().err
-        assert sorted(out.rglob("*")) == before and (out / name / "kept.txt").read_text() == "x"
-
-    @pytest.mark.parametrize("below", [False, True], ids=["directory", "below_file"])
-    @pytest.mark.parametrize("role", ["predictions", "corpus", "vocab", "config", "replications", "space"])
-    def test_input_path_that_is_no_file_is_data_error_naming_it(self, data_dir, tmp_path, capsys, role, below):
-        (tmp_path / "f").write_text("")
-        (tmp_path / "d").mkdir()
-        path = tmp_path / "f" / "input" if below else tmp_path / "d"
-        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
-        args = {
-            "predictions": ["evaluate", "--predictions", path],
-            "corpus": ["run", "--corpus", path, "--vocab", vocab],
-            "vocab": ["run", "--corpus", corpus, "--vocab", path],
-            "config": ["run", "--corpus", corpus, "--vocab", vocab, "--config", path],
-            "replications": ["stats", "--replications", path],
-            "space": ["tune", "--corpus", corpus, "--vocab", vocab, "--space", path],
-        }[role]
-        code = run_cli([*args, "--out", tmp_path / "o"])
-        assert code == 2
-        reason = "Not a directory" if below else "Is a directory"
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and f"{reason}: '{path}'" in err
-        assert not (tmp_path / "o").exists()
+        assert sorted(out.rglob("*")) == before and (out / name / "kept.txt").read_text(encoding="utf-8") == "x"
 
     def test_failed_command_makes_no_out_directory(self, tmp_path):
         out = tmp_path / "new" / "out"
         assert run_cli(["evaluate", "--predictions", tmp_path / "missing.jsonl", "--out", out]) == 2
         assert not (tmp_path / "new").exists()
-
-    @pytest.mark.parametrize(
-        "role, message",
-        [
-            ("predictions_with_header", "line 2: not valid UTF-8 (byte 0xe9)"),
-            ("predictions", "line 1: not valid UTF-8 (byte 0xe9)"),
-            ("run_corpus", "line 48: not valid UTF-8 (byte 0xe9)"),
-            ("sample_corpus", "line 48: not valid UTF-8 (byte 0xe9)"),
-            ("vocab", "vocabulary line 1: not valid UTF-8 (byte 0xe9)"),
-            ("config", "config line 1: not valid UTF-8 (byte 0xe9)"),
-            ("replications", "line 2: not valid UTF-8 (byte 0xe9)"),
-        ],
-    )
-    def test_non_utf8_bytes_are_data_error_naming_line(self, data_dir, tmp_path, capsys, role, message):
-        corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
-        path = tmp_path / "input"
-        if role.startswith("predictions"):
-            lines = [b'{"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}',
-                     b'{"doc_id": "caf\xe9", "label": "a", "prob": 0.5, "true": 1, "fold": 0}']
-            if role == "predictions_with_header":
-                lines.insert(0, b'{"_meta": {"labels": ["a"]}}')
-            args = ["evaluate", "--predictions", path]
-        elif role.endswith("corpus"):
-            lines = [*corpus.read_bytes().splitlines(), b'{"text": "caf\xe9", "labels": []}']
-            args = ["sample", "--size", 1] if role == "sample_corpus" else ["run"]
-            args += ["--corpus", path, "--vocab", vocab]
-        elif role == "vocab":
-            lines = [b"a", b"caf\xe9"]
-            args = ["run", "--corpus", corpus, "--vocab", path]
-        elif role == "config":
-            lines = [b"run.k = 3", b"# caf\xe9"]
-            args = ["run", "--corpus", corpus, "--vocab", vocab, "--config", path]
-        else:
-            lines = [b"A 0.82", b"A 0.83", b"caf\xe9 0.7"]
-            args = ["stats", "--replications", path]
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        code = run_cli([*args, "--out", tmp_path / "o"])
-        assert code == 2
-        assert f"data error: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("role", ["predictions", "corpus"])
     def test_fault_before_non_utf8_bytes_is_reported_first(self, data_dir, tmp_path, capsys, role):
@@ -488,7 +430,184 @@ class TestInputFaults:
         assert len(lines[-1]) + path.stat().st_size < 8192
         code = run_cli([*args, "--out", tmp_path / "o"])
         assert code == 2
-        assert f"data error: {message}" in capsys.readouterr().err
+        assert f"data error: --{role} {path}: {message}" in capsys.readouterr().err
+
+
+# Every input's flag, and the arguments (all but --out) of a command that
+# reads it from PATH, its other inputs valid.
+INPUT_ROLES = {
+    "corpus": ("corpus", ["run", "--corpus", "PATH", "--vocab", "VOCAB", *FAST]),
+    "sample_corpus": ("corpus", ["sample", "--corpus", "PATH", "--vocab", "VOCAB", "--size", 1]),
+    "vocab": ("vocab", ["run", "--corpus", "CORPUS", "--vocab", "PATH", *FAST]),
+    "config": ("config", ["run", "--corpus", "CORPUS", "--vocab", "VOCAB", "--config", "PATH", *FAST]),
+    "space": ("space", ["tune", "--corpus", "CORPUS", "--vocab", "VOCAB", "--space", "PATH", *FAST]),
+    "predictions": ("predictions", ["evaluate", "--predictions", "PATH"]),
+    "replications": ("replications", ["stats", "--replications", "PATH"]),
+}
+MAIN_ROLES = [role for role in INPUT_ROLES if role != "sample_corpus"]
+
+# A fault while opening the input: how to make PATH, and the errno it raises.
+OPEN_FAULTS = {
+    "missing": (lambda path: None, errno.ENOENT),
+    "directory": (lambda path: path.mkdir(), errno.EISDIR),
+    "below_file": (None, errno.ENOTDIR),
+    "symlink_loop": (lambda path: path.symlink_to(path), errno.ELOOP),
+    "long_name": (lambda path: None, errno.ENAMETOOLONG),
+}
+
+BIG = "1" + "0" * 5000  # Python parses no integer literal of more than 4,300 digits
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than json's recursion limit
+DOC = '{"text": "t", "labels": %s}\n'
+RECORD = '{"doc_id": "x", "label": "a", "prob": %s, "true": %s, "fold": %s}\n'
+GOOD_RECORD = RECORD % (0.5, 1, 0)
+
+
+def space_text(change=None, old=None, new=None):
+    """The default space file, with ``change`` applied to its dimensions or
+    the text ``old`` replaced by ``new``."""
+    dims = json.loads(space_to_json(default_space()))
+    if change:
+        change(dims)
+    text = json.dumps(dims, indent=2) + "\n"
+    return text if old is None else text.replace(old, new)
+
+
+def with_bound(name, bound, value):
+    return lambda dims: next(d for d in dims if d["name"] == name).update({bound: value})
+
+
+# (role, fault, file content, exit code, the message after "--FLAG PATH: ",
+# or a key the usage error names).  The code is the one each cell gave
+# before the flag and path were named; an empty corpus is a usage error
+# (run.k exceeds its size), and an empty config is valid.  A content is
+# written with surrogateescape, so "\udce9" is the lone byte 0xe9.
+CONTENT_FAULTS = [
+    ("corpus", "not_utf8", DOC % "[]" + '{"text": "caf\udce9", "labels": []}\n', 2,
+     "line 1: not valid UTF-8 (byte 0xe9)"),
+    ("sample_corpus", "not_utf8", DOC % "[]" + '{"text": "caf\udce9", "labels": []}\n', 2,
+     "line 1: not valid UTF-8 (byte 0xe9)"),
+    ("corpus", "empty", "", 1, "run.k"),
+    ("corpus", "malformed", DOC % "[]" + '{"text": "t"\n', 2, "line 1: malformed record (Expecting"),
+    ("corpus", "wrong_type", DOC % "[]" + DOC % '"topic_00"', 2, "line 1: 'labels' must be a list of strings"),
+    ("corpus", "out_of_range", DOC % "[]" + DOC % '["zz"]', 2, "line 1: unknown label 'zz'"),
+    ("corpus", "duplicate", '{"id": "x", "text": "t", "labels": []}\n' * 2, 2,
+     "line 1: duplicate document id 'x' (first on line 0)"),
+    ("corpus", "huge_int", DOC % "[]" + '{"id": %s, "text": "t", "labels": []}\n' % BIG, 2,
+     "line 1: malformed record (Exceeds the limit"),
+    ("corpus", "deep_nesting", DOC % "[]" + DEEP + "\n", 2, "line 1: malformed record (maximum recursion depth"),
+    ("vocab", "not_utf8", "topic_00\ncaf\udce9\n", 2, "line 1: not valid UTF-8 (byte 0xe9)"),
+    ("vocab", "empty", "", 2, "label vocabulary is empty"),
+    ("vocab", "duplicate", "topic_00\ntopic_01\n\n topic_00\n", 2,
+     "line 3: duplicate label 'topic_00' (first on line 0)"),
+    ("config", "not_utf8", "run.k = 3\n# caf\udce9\n", 2, "line 1: not valid UTF-8 (byte 0xe9)"),
+    ("config", "empty", "", 0, None),
+    ("config", "malformed", "run.k 3\n", 2, "line 0: expected 'key = value'"),
+    ("config", "unknown_key", "# tuned\nrun.bogus = 1\n", 2, "line 1: unknown key 'run.bogus'"),
+    ("config", "wrong_type", "distill.temperature = abc\n", 1, "distill.temperature"),
+    ("config", "non_finite", "distill.alpha = nan\n", 1, "distill.alpha"),
+    ("config", "out_of_range", "distill.alpha = 2\n", 1, "distill.alpha"),
+    ("config", "huge_int", f"distill.max_length = {BIG}\n", 1, "distill.max_length"),
+    ("space", "not_utf8", space_text(old='"temperature"', new='"temp\udce9rature"'), 2,
+     "line 2: not valid UTF-8 (byte 0xe9)"),
+    ("space", "empty", "", 2, "malformed space file: Expecting value"),
+    ("space", "malformed", "[{\n", 2, "malformed space file: Expecting"),
+    ("space", "wrong_type", space_text(with_bound("alpha", "lower", "x")), 2,
+     "space file dimension 1: could not convert string to float: 'x'"),
+    ("space", "non_finite", space_text(with_bound("epochs", "upper", math.inf)), 2,
+     "space file dimension 4: dimension 'epochs' needs finite bounds"),
+    ("space", "out_of_range", space_text(with_bound("temperature", "lower", -4.0)), 2,
+     "space file: distill.temperature must be positive"),
+    ("space", "duplicate", space_text(lambda dims: dims.append(dims[1])), 2,
+     "space file: dimension 'alpha' is unknown or repeated"),
+    ("space", "huge_int", space_text(old='"upper": 512', new=f'"upper": {BIG}'), 2,
+     "malformed space file: Exceeds the limit"),
+    ("space", "deep_nesting", DEEP + "\n", 2, "malformed space file: maximum recursion depth"),
+    ("predictions", "not_utf8", GOOD_RECORD + GOOD_RECORD.replace('"x"', '"caf\udce9"'), 2,
+     "line 1: not valid UTF-8 (byte 0xe9)"),
+    ("predictions", "not_utf8_after_header",
+     '{"_meta": {"labels": ["a"]}}\n' + GOOD_RECORD + GOOD_RECORD.replace('"x"', '"caf\udce9"'), 2,
+     "line 2: not valid UTF-8 (byte 0xe9)"),
+    ("predictions", "empty", "", 2, "prediction file contains no records"),
+    ("predictions", "malformed", GOOD_RECORD + "garbage\n", 2, "line 1: malformed prediction record (Expecting value"),
+    ("predictions", "wrong_type", RECORD % (0.5, '"yes"', 0), 2, "line 0: true must be a number, got 'yes'"),
+    ("predictions", "non_finite", RECORD % ("NaN", 1, 0), 2, "line 0: probability nan outside [0, 1] for doc 'x'"),
+    ("predictions", "out_of_range", RECORD % (1.5, 1, 0), 2, "line 0: probability 1.5 outside [0, 1] for doc 'x'"),
+    ("predictions", "duplicate", GOOD_RECORD * 2, 2, "line 1: duplicate prediction for doc 'x', label index 0"),
+    ("predictions", "huge_int", GOOD_RECORD + RECORD % (0.5, 1, BIG), 2,
+     "line 1: malformed prediction record (Exceeds the limit"),
+    ("predictions", "deep_nesting", GOOD_RECORD + DEEP + "\n", 2,
+     "line 1: malformed prediction record (maximum recursion depth"),
+    ("predictions", "deep_nesting_after_header", '{"_meta": {"labels": ["a"]}}\n' + GOOD_RECORD + DEEP + "\n", 2,
+     "line 2: malformed prediction record (maximum recursion depth"),
+    # No header lists labels and no record has one: a corpus file, or
+    # records that lack the field.
+    ("predictions", "corpus_file", '{"id": "0", "text": "t", "labels": ["a"]}\n', 2, "line 0: missing field 'label'"),
+    ("predictions", "no_label", '{"doc_id": "a", "prob": 0.5}\n', 2, "line 0: missing field 'label'"),
+    ("predictions", "header_lists_no_label", '{"_meta": {"labels": []}}\n' + GOOD_RECORD, 2,
+     "line 1: label 'a' not in header label list"),
+    ("replications", "not_utf8", "A 0.82\nA 0.83\ncaf\udce9 0.7\n", 2, "line 2: not valid UTF-8 (byte 0xe9)"),
+    ("replications", "empty", "", 2, "replication file contains no scores"),
+    ("replications", "malformed", "OnlyName\n", 2, "line 0: expected '<approach> <score>'"),
+    ("replications", "wrong_type", "A abc\n", 2, "line 0: score 'abc' is not a number"),
+    ("replications", "non_finite", "A 0.8\nA nan\n", 2, "line 1: score 'nan' is not a finite number"),
+    # float() reads any number of digits: this one overflows to inf.
+    ("replications", "huge_int", f"A {BIG}\n", 2, f"line 0: score '{BIG}' is not a finite number"),
+]
+
+
+class TestInputMatrix:
+    """Each input of each command, and each fault in it: a data error that
+    begins with the input's flag and path and names the line where there is
+    one, and no --out."""
+
+    def run_role(self, data_dir, tmp_path, role, path):
+        flag, args = INPUT_ROLES[role]
+        names = {"PATH": path, "CORPUS": data_dir / "corpus.jsonl", "VOCAB": data_dir / "vocab.txt"}
+        out = tmp_path / "o"
+        return flag, out, run_cli([*(names.get(a, a) for a in args), "--out", out])
+
+    @pytest.mark.parametrize("fault", list(OPEN_FAULTS))
+    @pytest.mark.parametrize("role", MAIN_ROLES)
+    def test_fault_opening_input_is_data_error_naming_it(self, data_dir, tmp_path, capsys, role, fault):
+        make, code = OPEN_FAULTS[fault]
+        if fault == "below_file":
+            (tmp_path / "f").write_text("", encoding="utf-8")
+            path = tmp_path / "f" / "input"
+        else:
+            path = tmp_path / ("x" * 256 if fault == "long_name" else "input")
+            make(path)
+        flag, out, exit_code = self.run_role(data_dir, tmp_path, role, path)
+        assert exit_code == 2
+        assert capsys.readouterr().err == f"data error: --{flag} {path}: cannot read it ({os.strerror(code)})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "role, fault, content, code, message",
+        CONTENT_FAULTS,
+        ids=[f"{role}-{fault}" for role, fault, *_ in CONTENT_FAULTS],
+    )
+    def test_fault_in_input_keeps_its_exit_code(self, data_dir, tmp_path, capsys, role, fault, content, code, message):
+        path = tmp_path / "input"
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        flag, out, exit_code = self.run_role(data_dir, tmp_path, role, path)
+        err = capsys.readouterr().err
+        assert exit_code == code, err
+        if code == 2:
+            assert err.startswith(f"data error: --{flag} {path}: {message}"), err
+        elif code == 1:
+            assert err.startswith("usage error: ") and message in err, err
+        assert out.exists() == (code == 0)
+
+    def test_fault_in_work_after_inputs_is_internal_error(self, command_args, tmp_path, capsys, monkeypatch):
+        # A path fault from the work itself, not from reading an input, is no data error.
+        def missing(*args, **kwargs):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "scratch")
+
+        monkeypatch.setattr(cli, "full_report", missing)
+        out = tmp_path / "out"
+        assert run_cli(["evaluate", *command_args["evaluate"], "--out", out]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+        assert not out.exists()
 
 
 # The call that does each command's work; the commit follows it.
@@ -510,7 +629,7 @@ def command_args(data_dir, tmp_path_factory):
     inputs = tmp_path_factory.mktemp("inputs")
     corpus, vocab = data_dir / "corpus.jsonl", data_dir / "vocab.txt"
     assert run_cli(["run", "--corpus", corpus, "--vocab", vocab, "--out", inputs / "run", *FAST]) == 0
-    (inputs / "reps.txt").write_text("A 0.82\nA 0.83\nA 0.81\nB 0.70\nB 0.71\nB 0.72\n")
+    (inputs / "reps.txt").write_text("A 0.82\nA 0.83\nA 0.81\nB 0.70\nB 0.71\nB 0.72\n", encoding="utf-8")
     train = ["--corpus", corpus, "--vocab", vocab, "--seed", 4, *FAST]
     return {
         "generate-synthetic": ["--docs", 12, "--labels", 2, "--seed", 1],
@@ -545,7 +664,7 @@ class TestOutputCommit:
     ):
         out = tmp_path / "out"
         out.mkdir()
-        (out / "notes.txt").write_text("kept\n")
+        (out / "notes.txt").write_text("kept\n", encoding="utf-8")
         work = getattr(cli, WORK_CALLS[command])
         listed = []
 
@@ -567,7 +686,7 @@ class TestOutputCommit:
         assert f"usage error: --out {out}: cannot write {name} there ({reason})" in captured.err
         assert captured.out == ""
         assert listed and sorted(out.iterdir()) == listed
-        assert (out / "notes.txt").read_text() == "kept\n"
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
     def test_failed_commit_removes_the_directories_it_made(self, command_args, tmp_path, monkeypatch):
         out = tmp_path / "new" / "out"
@@ -582,7 +701,7 @@ class TestOutputCommit:
         names = cli._COMMANDS[command][1]
         assert run_cli([*args, "--out", out]) == 0
         for name in names:
-            (out / name).write_text("stale\n")
+            (out / name).write_text("stale\n", encoding="utf-8")
         assert run_cli([*args, "--out", out]) == 0
         assert run_cli([*args, "--out", fresh]) == 0
         assert sorted(path.name for path in out.iterdir()) == sorted(names)
@@ -591,6 +710,14 @@ class TestOutputCommit:
             if name == "manifest.json":  # wall clock and peak RSS vary from run to run
                 got, want = ({**json.loads(text), "wall_clock_seconds": 0, "peak_rss_kb": 0} for text in (got, want))
             assert got == want, name
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_outputs_are_owner_only(self, command_args, tmp_path, command):
+        # Outputs may hold sensitive text: each is made by mkstemp, mode 0600, whatever the umask.
+        out = tmp_path / "out"
+        names = cli._COMMANDS[command][1]
+        assert run_cli([command, *command_args[command], "--out", out]) == 0
+        assert {name: stat.S_IMODE((out / name).stat().st_mode) for name in names} == dict.fromkeys(names, 0o600)
 
     def test_run_writes_predictions_through_experiment(self, command_args, tmp_path, monkeypatch):
         # perfbench times predictions.write_s by rebinding this name.
@@ -610,7 +737,7 @@ class TestTune:
              "--pso.n", 2, "--pso.max_iters", 2, "--pso.threshold", 0]
         )
         assert code == 0
-        lines = (out / "trace.jsonl").read_text().splitlines()
+        lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
         assert header["_meta"]["format"] == "mldistill-trace/1"
         records = [json.loads(l) for l in lines[1:]]
@@ -619,7 +746,7 @@ class TestTune:
         assert all(set(r["gbest_config"]) == {
             "temperature", "alpha", "learning_rate", "batch_size", "epochs", "max_length"
         } for r in records)
-        best = (out / "best_config.txt").read_text()
+        best = (out / "best_config.txt").read_text(encoding="utf-8")
         assert "distill.temperature" in best
         # the emitted best config parses back through the config loader
         values = parse_config_file(out / "best_config.txt")
@@ -652,7 +779,7 @@ class TestTune:
             if dim["name"] == name:
                 dim[bound] = value
         space = tmp_path / "space.json"
-        space.write_text(json.dumps(dims))  # writes Infinity / -Infinity
+        space.write_text(json.dumps(dims), encoding="utf-8")  # writes Infinity / -Infinity
         out = tmp_path / "t"
         code = run_cli(
             ["tune", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
@@ -667,7 +794,7 @@ class TestTune:
 
 def _blas_threads() -> int:
     """Threads of numpy's bundled OpenBLAS, as loaded in this process."""
-    maps = Path("/proc/self/maps").read_text().splitlines()
+    maps = Path("/proc/self/maps").read_text(encoding="utf-8").splitlines()
     path = next(line.split()[-1] for line in maps if "libscipy_openblas64_" in line)
     return ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
 
@@ -683,7 +810,7 @@ class TestWorkersCap:
         log = tmp_path / "calls.log"
 
         def record(kind):
-            with open(log, "a") as fh:
+            with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{kind} {os.getpid()} {threading.active_count()} {_blas_threads()}\n")
 
         train_student, serve = distill.train_student, parallel._serve
@@ -700,7 +827,7 @@ class TestWorkersCap:
         monkeypatch.setattr(parallel, "_serve", counting_serve)
 
         def read():
-            rows = [line.split() for line in log.read_text().splitlines()]
+            rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
             return {kind: [tuple(map(int, row[1:])) for row in rows if row[0] == kind] for kind in ("train", "start")}
 
         return read
@@ -752,7 +879,8 @@ class TestAblate:
              "--out", out, "--seed", 6, *FAST]
         )
         assert code == 0
-        lines = [l for l in (out / "ablation.tsv").read_text().splitlines() if l and not l.startswith("#")]
+        text = (out / "ablation.tsv").read_text(encoding="utf-8")
+        lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert lines[0].split("\t") == ["approach", "f1", "micro_f1", "macro_f1", "weighted_f1"]
         rows = lines[1:]
         assert len(rows) == 4
@@ -761,7 +889,7 @@ class TestAblate:
             "binary_relevance_kd", "binary_relevance_kd_contrastive",
             "sequential_kd_contrastive", "sequential_kd",
         }
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert len(set(manifest["row_fold_hashes"])) == 1
         assert manifest["row_fold_hashes"][0] == manifest["fold_hash"]
 
@@ -789,7 +917,7 @@ class TestAblateOneLabel:
         )
         assert code == 0
         rows = {}
-        for line in (out / "ablation.tsv").read_text().splitlines():
+        for line in (out / "ablation.tsv").read_text(encoding="utf-8").splitlines():
             if line and not line.startswith(("#", "approach")):
                 name, *values = line.split("\t")
                 rows[name] = values
@@ -831,25 +959,25 @@ class TestDataCommandDeterminism:
 class TestStatsCommand:
     def test_stats_report(self, tmp_path):
         reps = tmp_path / "reps.txt"
-        reps.write_text("A 0.82\nA 0.83\nA 0.81\nB 0.70\nB 0.71\nB 0.72\n")
+        reps.write_text("A 0.82\nA 0.83\nA 0.81\nB 0.70\nB 0.71\nB 0.72\n", encoding="utf-8")
         out = tmp_path / "stats"
         code = run_cli(["stats", "--replications", reps, "--out", out])
         assert code == 0
-        text = (out / "stats.txt").read_text()
+        text = (out / "stats.txt").read_text(encoding="utf-8")
         assert "[descriptive]" in text and "[anova]" in text
 
     def test_zero_variance_groups(self, tmp_path):
         reps = tmp_path / "reps.txt"
-        reps.write_text("A 0.0\nA 0.0\nB 1.0\nB 1.0\n")
+        reps.write_text("A 0.0\nA 0.0\nB 1.0\nB 1.0\n", encoding="utf-8")
         out = tmp_path / "stats"
         code = run_cli(["stats", "--replications", reps, "--out", out])
         assert code == 0
-        assert "eta_squared\t1.000000" in (out / "stats.txt").read_text()
+        assert "eta_squared\t1.000000" in (out / "stats.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_is_data_error(self, tmp_path, capsys, score):
         reps = tmp_path / "reps.txt"
-        reps.write_text(f"A 0.82\nA 0.83\nB {score}\nB 0.71\n")
+        reps.write_text(f"A 0.82\nA 0.83\nB {score}\nB 0.71\n", encoding="utf-8")
         code = run_cli(["stats", "--replications", reps, "--out", tmp_path / "stats"])
         assert code == 2
         assert f"line 2: score {score!r} is not a finite number" in capsys.readouterr().err
@@ -871,14 +999,14 @@ class TestConfigResolution:
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("run.k = 7\ndistill.alpha = 0.3\n# comment\n")
+        path.write_text("run.k = 7\ndistill.alpha = 0.3\n# comment\n", encoding="utf-8")
         config = resolve_config(parse_config_file(path), {"distill.alpha": "0.9"})
         assert config.k == 7
         assert config.distill.alpha == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("run.bogus = 1\n")
+        path.write_text("run.bogus = 1\n", encoding="utf-8")
         from mldistill.errors import DataError
 
         with pytest.raises(DataError):
@@ -900,7 +1028,7 @@ class TestConfigResolution:
 
     def test_bool_key_parses_yes(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("pso.relative_threshold = yes\n")
+        path.write_text("pso.relative_threshold = yes\n", encoding="utf-8")
         assert resolve_config(parse_config_file(path)).resolved["pso.relative_threshold"] is True
 
     def test_int_key_rejects_fraction(self, data_dir, tmp_path, capsys):
@@ -933,7 +1061,9 @@ else:
 """
         src = str(Path(mldistill.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, encoding="utf-8", timeout=120
+        )
         assert result.returncode == 0, result.stderr
 
     def test_bad_preset_rejected(self):

@@ -8,6 +8,7 @@ from mldistill.corpus import (
     HashingTfidfVectorizer,
     LabelVocabulary,
     load_corpus,
+    load_vocab,
     save_corpus,
     tokenize,
 )
@@ -19,9 +20,9 @@ from conftest import featurize, make_corpus
 
 def write_corpus_file(tmp_path, lines, vocab=("A", "B")):
     corpus_path = tmp_path / "corpus.jsonl"
-    corpus_path.write_text("".join(json.dumps(x) + "\n" for x in lines))
+    corpus_path.write_text("".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8")
     vocab_path = tmp_path / "vocab.txt"
-    vocab_path.write_text("".join(v + "\n" for v in vocab))
+    vocab_path.write_text("".join(v + "\n" for v in vocab), encoding="utf-8")
     return corpus_path, vocab_path
 
 
@@ -31,7 +32,7 @@ class TestLoadCorpus:
             tmp_path,
             [{"text": "alpha beta", "labels": ["A"]}, {"text": "gamma", "labels": ["A", "B"]}],
         )
-        corpus = load_corpus(corpus_path, vocab_path)
+        corpus = load_corpus(corpus_path, load_vocab(vocab_path))
         assert len(corpus) == 2
         assert corpus.documents[0].label_set == (1, 0)
         assert corpus.documents[1].label_set == (1, 1)
@@ -44,25 +45,25 @@ class TestLoadCorpus:
             [{"text": "x y", "labels": ["A"]}, {"text": "z", "labels": ["C"]}],
         )
         with pytest.raises(DataError) as exc:
-            load_corpus(corpus_path, vocab_path)
+            load_corpus(corpus_path, load_vocab(vocab_path))
         assert "'C'" in str(exc.value)
         assert "line 1" in str(exc.value)
 
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         corpus_path, vocab_path = write_corpus_file(tmp_path, [])
-        corpus = load_corpus(corpus_path, vocab_path)
+        corpus = load_corpus(corpus_path, load_vocab(vocab_path))
         assert len(corpus) == 0
 
     def test_empty_text_rejected(self, tmp_path):
         corpus_path, vocab_path = write_corpus_file(tmp_path, [{"text": "   ", "labels": []}])
         with pytest.raises(DataError, match="line 0"):
-            load_corpus(corpus_path, vocab_path)
+            load_corpus(corpus_path, load_vocab(vocab_path))
 
     def test_malformed_record_rejected(self, tmp_path):
         corpus_path, vocab_path = write_corpus_file(tmp_path, [])
-        corpus_path.write_text("{not json}\n")
+        corpus_path.write_text("{not json}\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 0"):
-            load_corpus(corpus_path, vocab_path)
+            load_corpus(corpus_path, load_vocab(vocab_path))
 
     def test_duplicate_ids_rejected(self, tmp_path):
         corpus_path, vocab_path = write_corpus_file(
@@ -70,14 +71,14 @@ class TestLoadCorpus:
             [{"id": "d", "text": "x", "labels": []}, {"id": "d", "text": "y", "labels": []}],
         )
         with pytest.raises(DataError, match="duplicate"):
-            load_corpus(corpus_path, vocab_path)
+            load_corpus(corpus_path, load_vocab(vocab_path))
 
     def test_round_trip(self, tmp_path, small_corpus):
         path = tmp_path / "out.jsonl"
         save_corpus(small_corpus, path)
         vocab_path = tmp_path / "vocab.txt"
-        vocab_path.write_text("".join(v + "\n" for v in small_corpus.vocab.labels))
-        again = load_corpus(path, vocab_path)
+        vocab_path.write_text("".join(v + "\n" for v in small_corpus.vocab.labels), encoding="utf-8")
+        again = load_corpus(path, load_vocab(vocab_path))
         assert [d.id for d in again.documents] == [d.id for d in small_corpus.documents]
         assert [d.label_set for d in again.documents] == [d.label_set for d in small_corpus.documents]
 

@@ -489,7 +489,7 @@ class TestWorkUnits:
         streams = {}  # id of a live training stream -> the names it was derived from
 
         def write(*fields):
-            with open(log, "a") as fh:
+            with open(log, "a", encoding="utf-8") as fh:
                 fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
 
         def named_rng(*names):
@@ -512,7 +512,7 @@ class TestWorkUnits:
         monkeypatch.setattr(distill, "_fold_features", recording_features)
 
         def read(kind):
-            rows = [line.split() for line in log.read_text().splitlines()]
+            rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
             return [tuple(map(int, (pid, *rest))) for pid, what, *rest in rows if what == kind]
 
         return read

@@ -265,7 +265,7 @@ class TestPsoOptimize:
 class TestSpaceFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "space.json"
-        path.write_text(space_to_json(default_space()))
+        path.write_text(space_to_json(default_space()), encoding="utf-8")
         space = load_space(path)
         assert space == default_space()
 
@@ -297,13 +297,13 @@ class TestSpaceFile:
         from mldistill.errors import DataError
 
         path = tmp_path / "space.json"
-        path.write_text(json.dumps(change(json.loads(space_to_json(default_space())))))
+        path.write_text(json.dumps(change(json.loads(space_to_json(default_space())))), encoding="utf-8")
         with pytest.raises(DataError, match=named):
             load_space(path)
 
     def test_malformed_space_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{"name": "x", "lower": 1.0}]))
+        path.write_text(json.dumps([{"name": "x", "lower": 1.0}]), encoding="utf-8")
         from mldistill.errors import DataError
 
         with pytest.raises(DataError):

@@ -113,7 +113,7 @@ class TestExternalFiles:
             {"doc_id": "x", "label": "zed", "prob": 0.75, "true": 1, "fold": 2},
             {"doc_id": "x", "label": "ay", "prob": 0.25, "true": 0, "fold": 2},
         ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         pred = read_predictions(path)
         # without a header, labels are sorted by name
         assert pred.labels == ("ay", "zed")
@@ -121,19 +121,22 @@ class TestExternalFiles:
 
     def test_malformed_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}\nnot json\n')
+        path.write_text(
+            '{"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}\nnot json\n',
+            encoding="utf-8",
+        )
         with pytest.raises(DataError, match="line 1"):
             read_predictions(path)
 
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"doc_id": "x", "label": "a", "prob": 0.5}\n')
+        path.write_text('{"doc_id": "x", "label": "a", "prob": 0.5}\n', encoding="utf-8")
         with pytest.raises(DataError, match="true"):
             read_predictions(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(DataError):
             read_predictions(path)
 
@@ -145,7 +148,10 @@ class TestExternalFiles:
         # int() would silently truncate these instead
         good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n")
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n",
+            encoding="utf-8",
+        )
         with pytest.raises(DataError, match=f"line 1: {field} must be an integer"):
             read_predictions(path)
 
@@ -155,7 +161,10 @@ class TestExternalFiles:
         # float() and int() would coerce "0.5", "1" and booleans instead
         good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n")
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: value}) + "\n",
+            encoding="utf-8",
+        )
         with pytest.raises(DataError, match=rf"^line 1: {field} must be a number, got "):
             read_predictions(path)
 
@@ -163,14 +172,20 @@ class TestExternalFiles:
     def test_integer_beyond_float_range_rejected(self, tmp_path, field):
         good = {"doc_id": "x", "label": "a", "prob": 0.5, "true": 1, "fold": 0}
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: 10**400}) + "\n")
+        path.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "y", field: 10**400}) + "\n",
+            encoding="utf-8",
+        )
         with pytest.raises(DataError, match=f"^line 1: {field} must be a number within the float range$"):
             read_predictions(path)
 
     @pytest.mark.parametrize("true_bit, fold", [(1, 2), (1.0, 2.0)])
     def test_integral_bit_and_fold_accepted(self, tmp_path, true_bit, fold):
         path = tmp_path / "ext.jsonl"
-        path.write_text(json.dumps({"doc_id": "x", "label": "a", "prob": 0.5, "true": true_bit, "fold": fold}) + "\n")
+        path.write_text(
+            json.dumps({"doc_id": "x", "label": "a", "prob": 0.5, "true": true_bit, "fold": fold}) + "\n",
+            encoding="utf-8",
+        )
         pred = read_predictions(path)
         assert pred.canonical_rows() == [("x", [0.5], [1])]
         assert pred.fold_of == {"x": 2}

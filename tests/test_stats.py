@@ -204,13 +204,13 @@ class TestDistributionOracle:
 class TestReplicationFile:
     def test_reads_names_with_spaces(self, tmp_path):
         path = tmp_path / "reps.txt"
-        path.write_text("Traditional ML 0.7658\nTraditional ML 0.7600\nOther 0.5\n# comment\n")
+        path.write_text("Traditional ML 0.7658\nTraditional ML 0.7600\nOther 0.5\n# comment\n", encoding="utf-8")
         groups = read_replications(path)
         assert groups == {"Traditional ML": [0.7658, 0.76], "Other": [0.5]}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "reps.txt"
-        path.write_text("OnlyName\n")
+        path.write_text("OnlyName\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 0"):
             read_replications(path)
 
