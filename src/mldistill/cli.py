@@ -48,17 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="run seed (overrides run.seed)")
-    parser.add_argument("--workers", type=int, default=None, help="total concurrency cap (overrides run.workers)")
-    parser.add_argument("--config", type=Path, default=None, help="flat key=value configuration file")
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
-
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("config overrides (same names as config-file keys)")
-    for key in KEY_REGISTRY:
-        group.add_argument(f"--{key}", type=str, default=None, dest=key, metavar="VALUE")
+def _command(sub, name: str, summary: str, *, seed: bool = False, config: bool = False) -> _Parser:
+    """A subcommand with ``--out``, plus the common flags it reads: ``--seed``,
+    and where it resolves a config, ``--workers``, ``--config`` and a flag per key."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    if seed or config:
+        p.add_argument("--seed", type=int, default=None, help="seed (overrides run.seed where --config is taken)")
+    if config:
+        p.add_argument("--workers", type=int, default=None, help="total concurrency cap (overrides run.workers)")
+        p.add_argument("--config", type=Path, default=None, help="flat key=value configuration file")
+        group = p.add_argument_group("config overrides (same names as config-file keys)")
+        for key in KEY_REGISTRY:
+            group.add_argument(f"--{key}", type=str, default=None, dest=key, metavar="VALUE")
+    return p
 
 
 def _build_parser() -> _Parser:
@@ -66,46 +69,36 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"mldistill {mldistill.__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
-    p = sub.add_parser("generate-synthetic", help="write a keyword-separable synthetic corpus")
-    _add_common(p)
+    p = _command(sub, "generate-synthetic", "write a keyword-separable synthetic corpus", seed=True)
     p.add_argument("--docs", type=int, required=True)
     p.add_argument("--labels", type=int, default=10)
     p.add_argument("--label-correlation", type=float, default=0.0)
 
-    p = sub.add_parser("sample", help="stratified subset preserving label prevalence")
-    _add_common(p)
+    p = _command(sub, "sample", "stratified subset preserving label prevalence", seed=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--size", type=int, required=True)
 
-    p = sub.add_parser("run", help="train the selected mode end to end and report metrics")
-    _add_common(p)
-    _add_overrides(p)
+    p = _command(sub, "run", "train the selected mode end to end and report metrics", config=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--mode", type=str, default=None, help="training mode (overrides run.mode)")
     p.add_argument("--preset", type=str, default=None, help="hyperparameter preset (overrides run.preset)")
 
-    p = sub.add_parser("tune", help="particle-swarm search over the hyperparameter space")
-    _add_common(p)
-    _add_overrides(p)
+    p = _command(sub, "tune", "particle-swarm search over the hyperparameter space", config=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--space", type=Path, default=None, help="space description file (default: built-in ranges)")
     p.add_argument("--mode", type=str, default=None)
 
-    p = sub.add_parser("evaluate", help="metrics report for an existing predictions file")
-    _add_common(p)
+    p = _command(sub, "evaluate", "metrics report for an existing predictions file")
     p.add_argument("--predictions", type=Path, required=True)
 
-    p = sub.add_parser("ablate", help="all four training variants on shared folds")
-    _add_common(p)
-    _add_overrides(p)
+    p = _command(sub, "ablate", "all four training variants on shared folds", config=True)
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
 
-    p = sub.add_parser("stats", help="replication statistics report")
-    _add_common(p)
+    p = _command(sub, "stats", "replication statistics report")
     p.add_argument("--replications", type=Path, required=True)
 
     return parser
@@ -148,15 +141,20 @@ def _out_error(out: Path, name: str | None, reason: str) -> UsageError:
 def _check_out(out: Path, names: tuple[str, ...]) -> None:
     """Fail before any work if ``out`` names a file or lies below one, or if
     a directory stands where one of the output ``names`` goes; the
-    directory itself is made only when the outputs are committed."""
-    for path in (out, *out.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise _out_error(out, None, os.strerror(errno.EEXIST if path == out else errno.ENOTDIR))
-            break
-    for name in names:
-        if (out / name).is_dir():
-            raise _out_error(out, name, os.strerror(errno.EISDIR))
+    directory itself is made only when the outputs are committed.  A path
+    that cannot be probed (a name too long, say) fails the same way."""
+    name = None
+    try:
+        for path in (out, *out.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise _out_error(out, None, os.strerror(errno.EEXIST if path == out else errno.ENOTDIR))
+                break
+        for name in names:
+            if (out / name).is_dir():
+                raise _out_error(out, name, os.strerror(errno.EISDIR))
+    except OSError as exc:
+        raise _out_error(out, name, exc.strerror or str(exc)) from exc
 
 
 def _commit(out: Path, files: dict) -> None:
@@ -204,6 +202,8 @@ def _cmd_generate_synthetic(args: argparse.Namespace) -> Outputs:
         raise UsageError("--docs must be >= 1")
     if args.labels < 1:
         raise UsageError("--labels must be >= 1")
+    if not 0.0 <= args.label_correlation < 1.0:
+        raise UsageError("--label-correlation must lie in [0, 1)")
     started = time.perf_counter()
     seed = args.seed if args.seed is not None else 0
     corpus = generate_synthetic(args.docs, num_labels=args.labels, seed=seed, label_correlation=args.label_correlation)

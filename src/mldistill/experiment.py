@@ -118,7 +118,6 @@ def manifest(command: str, seed: int, started: float, **extra) -> dict:
 class RunResult:
     predictions: PredictionSet
     report: MetricsReport
-    folds: FoldAssignment
     manifest: dict
 
 
@@ -146,7 +145,7 @@ def run_experiment(corpus: Corpus, config: RunConfig) -> RunResult:
         config=config.audit_dict(),
         workers=config.workers,
     )
-    return RunResult(predictions=predictions, report=report, folds=folds, manifest=audit)
+    return RunResult(predictions=predictions, report=report, manifest=audit)
 
 
 ABLATION_VARIANTS = (

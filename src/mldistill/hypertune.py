@@ -46,9 +46,6 @@ class Dimension:
 class HyperSpace:
     dimensions: tuple[Dimension, ...]
 
-    def __len__(self) -> int:
-        return len(self.dimensions)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dimensions)
@@ -163,7 +160,6 @@ class SwarmState:
     gbest_score: float = -math.inf
     prev_best: float = -math.inf
     no_improv_count: int = 0
-    iteration: int = 0
 
 
 def init_swarm(space: HyperSpace, cfg: SwarmConfig) -> SwarmState:
@@ -257,7 +253,6 @@ def pso_optimize(
 
     with parallel.forked(evaluate, min(cfg.parallelism, cfg.n)) as run:
         for iteration in range(1, cfg.max_iters + 1):
-            state.iteration = iteration
             positions = [p.position.copy() for p in state.particles]
             raw_scores = run(positions)
 

@@ -31,10 +31,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class LabelMetrics:
@@ -81,11 +77,6 @@ def _confusion(predicted: np.ndarray, true: np.ndarray) -> list[ConfusionCounts]
     return [ConfusionCounts(*c) for c in zip(tp, fp, fn, tn)]
 
 
-def confusion_per_label(pred: PredictionSet) -> list[ConfusionCounts]:
-    _, predicted, true = _canonical(pred)
-    return _confusion(predicted, true)
-
-
 def _example_f1(predicted: np.ndarray, true: np.ndarray) -> float:
     sizes = np.count_nonzero(true, axis=1) + np.count_nonzero(predicted, axis=1)
     inter = np.count_nonzero(predicted & true, axis=1)
@@ -125,21 +116,9 @@ def _label_based(counts: list[ConfusionCounts]) -> tuple[float, float, float]:
     return micro, macro / len(counts), weighted
 
 
-def micro_f1(pred: PredictionSet) -> float:
-    return _label_based(confusion_per_label(pred))[0]
-
-
-def macro_f1(pred: PredictionSet) -> float:
-    return _label_based(confusion_per_label(pred))[1]
-
-
-def weighted_f1(pred: PredictionSet) -> float:
-    """Support-weighted mean of per-label F1; weights are positives_j
-    normalized to sum to 1."""
-    return _label_based(confusion_per_label(pred))[2]
-
-
 def _auc(values: np.ndarray, positive: np.ndarray) -> float | None:
+    """AUC from tie-averaged ranks, which is exactly the fraction of
+    (positive, negative) pairs ordered correctly; None if one class is absent."""
     n = len(values)
     pos = int(np.count_nonzero(positive))
     neg = n - pos
@@ -155,21 +134,6 @@ def _auc(values: np.ndarray, positive: np.ndarray) -> float | None:
     # Half-integers summing far below 2**52: exact in any order.
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
-
-
-def auc(scores: list[tuple[float, int]]) -> float | None:
-    """Mann-Whitney AUC with ties counted half; None if one class is absent.
-
-    Computed from tie-averaged ranks, which is exactly the fraction of
-    (positive, negative) pairs ordered correctly.
-    """
-    values = np.array([float(s) for s, _ in scores], dtype=float)
-    return _auc(values, np.array([bit == 1 for _, bit in scores], dtype=bool))
-
-
-def auc_per_label(pred: PredictionSet) -> list[float | None]:
-    probs, _, true = _canonical(pred)
-    return [_auc(probs[:, j], true[:, j]) for j in range(pred.num_labels)]
 
 
 def full_report(pred: PredictionSet) -> MetricsReport:

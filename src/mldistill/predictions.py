@@ -55,6 +55,18 @@ def _first(mask: np.ndarray) -> int | None:
     return i if mask[i] else None
 
 
+def _check_values(doc_ids, probs: np.ndarray, truth: np.ndarray) -> None:
+    """Raise for the first probability outside [0, 1], then for the first
+    true bit not 0 or 1; row i of ``probs`` and ``truth`` is ``doc_ids[i]``'s."""
+    i = _first(~((probs >= 0.0) & (probs <= 1.0)).ravel())
+    if i is not None:
+        doc = doc_ids[np.unravel_index(i, probs.shape)[0]]
+        raise DataError(f"probability {float(probs.flat[i])} outside [0, 1] for doc {doc!r}")
+    i = _first(((truth != 0) & (truth != 1)).ravel())
+    if i is not None:
+        raise DataError(f"true bit must be 0 or 1, got {int(truth.flat[i])!r}")
+
+
 class PredictionSet:
     """Per-(document, label) predicted probability, truth, and fold, in
     (documents x labels) arrays whose rows follow insertion order."""
@@ -79,9 +91,6 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._truth != MISSING))
-
-    def add(self, doc_id: str, label_index: int, prob: float, true_bit: int, fold: int) -> None:
-        self.add_many([doc_id], [label_index], [prob], [true_bit], [fold])
 
     def add_many(self, doc_ids, label_indices, probs, truth, folds) -> None:
         """Add one (probability, true bit, fold) per (document, label) cell,
@@ -109,12 +118,7 @@ class PredictionSet:
         i = _first((j < 0) | (j >= self.num_labels))
         if i is not None:
             raise ValueError(f"label index {label_indices[i]} out of range")
-        i = _first(~((prob >= 0.0) & (prob <= 1.0)))
-        if i is not None:
-            raise DataError(f"probability {float(prob[i])} outside [0, 1] for doc {doc_ids[i]!r}")
-        i = _first((bit != 0) & (bit != 1))
-        if i is not None:
-            raise DataError(f"true bit must be 0 or 1, got {int(bit[i])!r}")
+        _check_values(doc_ids, prob, bit)
 
         # u[i]: record i's document among this call's documents, which are
         # numbered in first-appearance order; first[k]: where document k
@@ -159,13 +163,7 @@ class PredictionSet:
             raise ValueError(f"need {n} x {self.num_labels} probabilities and true bits, and {n} folds")
         if not n:
             return
-        i = _first(~((probs >= 0.0) & (probs <= 1.0)).ravel())
-        if i is not None:
-            doc = doc_ids[i // self.num_labels]
-            raise DataError(f"probability {float(probs.flat[i])} outside [0, 1] for doc {doc!r}")
-        i = _first(((truth != 0) & (truth != 1)).ravel())
-        if i is not None:
-            raise DataError(f"true bit must be 0 or 1, got {int(truth.flat[i])!r}")
+        _check_values(doc_ids, probs, truth)
         if len(set(doc_ids)) < n or not self._doc_index.keys().isdisjoint(doc_ids):
             seen: set[str] = set()
             doc = next(d for d in doc_ids if d in self._doc_index or d in seen or seen.add(d))
@@ -279,7 +277,7 @@ def _add_records(pred: PredictionSet, linenos, doc_ids, label_indices, probs, tr
     except DataError:
         for lineno, *record in zip(linenos, doc_ids, label_indices, probs, truth, folds):
             try:
-                pred.add(*record)
+                pred.add_many(*([value] for value in record))
             except DataError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
         raise

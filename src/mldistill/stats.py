@@ -181,8 +181,8 @@ def describe(scores: list[float]) -> DescribeResult:
     )
 
 
-def t_test(a: list[float], b: list[float], equal_var: bool = False) -> TTestResult:
-    """Two-sample t-test, Welch by default (pooled with equal_var=True).
+def t_test(a: list[float], b: list[float]) -> TTestResult:
+    """Welch's two-sample t-test.
 
     Two zero-variance samples yield t = 0, p = 1 when the means agree
     and an infinite-t sentinel with p = 0 when they differ.
@@ -194,17 +194,12 @@ def t_test(a: list[float], b: list[float], equal_var: bool = False) -> TTestResu
     diff = mean_a - mean_b
     na, nb = len(a), len(b)
 
-    if equal_var:
-        df: float = na + nb - 2
-        pooled = ((na - 1) * var_a + (nb - 1) * var_b) / df
-        se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    qa, qb = var_a / na, var_b / nb
+    se = math.sqrt(qa + qb)
+    if qa + qb > 0:
+        df: float = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
     else:
-        qa, qb = var_a / na, var_b / nb
-        se = math.sqrt(qa + qb)
-        if qa + qb > 0:
-            df = (qa + qb) ** 2 / (qa * qa / (na - 1) + qb * qb / (nb - 1))
-        else:
-            df = na + nb - 2
+        df = na + nb - 2
 
     if se == 0.0:
         if diff == 0.0:

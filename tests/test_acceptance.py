@@ -22,7 +22,7 @@ from mldistill.distill import (
     teacher_cv_predictions,
 )
 from mldistill.hypertune import Dimension, HyperSpace, pso_optimize
-from mldistill.metrics import auc, example_f1
+from mldistill.metrics import example_f1, full_report
 from mldistill.model import default_student_spec, default_teacher_spec, softmax_t
 from mldistill.splits import stratified_kfold
 from mldistill.stats import anova, describe, f_sf, t_quantile, t_two_sided_p
@@ -30,7 +30,7 @@ from mldistill.synthetic import generate_synthetic
 
 from conftest import make_corpus
 from test_losses import check_gradients
-from test_metrics import build_prediction_set, oracle_metrics
+from test_metrics import auc_of, build_prediction_set, oracle_metrics
 from test_stats import f_sf_oracle, t_sf_oracle
 
 
@@ -78,8 +78,6 @@ def test_criterion_02_gradient_check():
 def test_criterion_03_metrics_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(3)
-    from mldistill.metrics import auc_per_label, macro_f1, micro_f1, weighted_f1
-
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
         width = int(rng.integers(1, 4))
@@ -88,11 +86,13 @@ def test_criterion_03_metrics_oracle():
         doc_ids = [f"d{i}" for i in range(n)]
         pred = build_prediction_set(probs, truth, doc_ids=doc_ids)
         ex, mic, mac, weighted, aucs = oracle_metrics(probs, truth, doc_ids)
+        report = full_report(pred)
         assert example_f1(pred) == ex
-        assert micro_f1(pred) == mic
-        assert macro_f1(pred) == mac
-        assert weighted_f1(pred) == weighted
-        assert auc_per_label(pred) == aucs
+        assert report.example_f1 == ex
+        assert report.micro_f1 == mic
+        assert report.macro_f1 == mac
+        assert report.weighted_f1 == weighted
+        assert [m.auc for m in report.per_label.values()] == aucs
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     passed(3, f"metrics vs brute-force oracle, 10000 cases bit-equal ({elapsed:.1f}s)")
@@ -107,7 +107,7 @@ def test_criterion_04_auc_matches_pairwise_brute_force():
         scores = [(float(rng.integers(0, 6)) / 5.0, int(rng.integers(0, 2))) for _ in range(n)]
         pos = [s for s, b in scores if b == 1]
         neg = [s for s, b in scores if b == 0]
-        got = auc(scores)
+        got = auc_of(scores)
         if not pos or not neg:
             assert got is None
             continue

@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import re
 import resource
+import shlex
 import stat
 import subprocess
 import sys
@@ -726,6 +728,57 @@ class TestOutputCommit:
         monkeypatch.setattr(experiment, "write_predictions", lambda *a, **k: calls.append(a[1]) or write(*a, **k))
         assert run_cli(["run", *command_args["run"], "--out", tmp_path / "out"]) == 0
         assert len(calls) == 1
+
+
+
+# Common flags that a command does not read, so its parser does not take them.
+UNREAD_FLAGS = [
+    *((command, flag) for command in ("generate-synthetic", "sample", "evaluate", "stats")
+      for flag in ("workers", "config")),
+    ("evaluate", "seed"),
+    ("stats", "seed"),
+]
+
+
+def readme_commands():
+    """Each ``mldistill`` command of the README's CLI walkthrough, as argv without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = re.search(r"^## CLI walkthrough\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = walkthrough.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mldistill ")]
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_usage_error(self, command_args, tmp_path, capsys, command, flag):
+        value = {"workers": 2, "config": tmp_path / "run.cfg", "seed": 3}[flag]
+        out = tmp_path / "out"
+        code = run_cli([command, *command_args[command], f"--{flag}", value, "--out", out])
+        assert code == 1
+        assert f"usage error: unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_walkthrough_parses(self):
+        commands = readme_commands()
+        assert sorted(argv[0] for argv in commands) == sorted(cli._COMMANDS)
+        for argv in commands:
+            cli._build_parser().parse_args(argv)  # a rejected flag raises UsageError
+
+    @pytest.mark.parametrize("below", [False, True], ids=["name", "below_name"])
+    def test_out_name_too_long_is_usage_error(self, tmp_path, capsys, below):
+        out = tmp_path / ("x" * 300)
+        out = out / "sub" if below else out
+        assert run_cli(["generate-synthetic", "--docs", 4, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: --out {out}: cannot make a directory there (File name too long)" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["2", "nan"])
+    def test_label_correlation_out_of_range_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run_cli(["generate-synthetic", "--docs", 10, "--label-correlation", value, "--out", out]) == 1
+        assert "usage error: --label-correlation must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTune:

@@ -8,15 +8,9 @@ from mldistill.metrics import (
     ConfusionCounts,
     LabelMetrics,
     MetricsReport,
-    auc,
-    auc_per_label,
-    confusion_per_label,
     example_f1,
     full_report,
-    macro_f1,
-    micro_f1,
     prf1,
-    weighted_f1,
 )
 from mldistill.predictions import PredictionSet
 
@@ -27,10 +21,14 @@ def build_prediction_set(probs, truth, labels=None, doc_ids=None, fold=0):
     labels = labels or [f"L{j}" for j in range(width)]
     doc_ids = doc_ids or [f"d{i}" for i in range(n)]
     pred = PredictionSet(labels)
-    for i in range(n):
-        for j in range(width):
-            pred.add(doc_ids[i], j, probs[i][j], truth[i][j], fold)
+    pred.add_documents(doc_ids, probs, truth, [fold] * n)
     return pred
+
+
+def auc_of(scores):
+    """The report's AUC for one label whose (probability, true bit) pairs are ``scores``."""
+    pred = build_prediction_set([[s] for s, _ in scores], [[bit] for _, bit in scores])
+    return full_report(pred).per_label["L0"].auc
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +148,35 @@ class TestLabelBasedF1:
     def test_micro_single_label_equals_label_f1(self):
         pred = build_prediction_set([[0.9], [0.1], [0.7]], [[1], [1], [0]])
         counts = ConfusionCounts(1, 1, 1, 0)
-        assert micro_f1(pred) == prf1(counts)[2]
+        assert full_report(pred).micro_f1 == prf1(counts)[2]
 
     def test_micro_pooled_counts(self):
         # label 0: tp=1 fp=0 fn=1; label 1: tp=1 fp=1 fn=0
         probs = [[0.9, 0.9], [0.1, 0.9], [0.1, 0.1]]
         truth = [[1, 1], [1, 0], [0, 0]]
         pred = build_prediction_set(probs, truth)
-        assert micro_f1(pred) == pytest.approx(2 / 3, abs=1e-15)
+        assert full_report(pred).micro_f1 == pytest.approx(2 / 3, abs=1e-15)
 
     def test_macro_mean(self):
         # one perfect label, one always-wrong label
         probs = [[0.9, 0.9], [0.1, 0.9]]
         truth = [[1, 0], [0, 0]]
         pred = build_prediction_set(probs, truth)
-        assert macro_f1(pred) == pytest.approx(0.5)
+        assert full_report(pred).macro_f1 == pytest.approx(0.5)
 
     def test_weighted_uniform_support_equals_macro(self):
         probs = [[0.9, 0.1], [0.1, 0.9], [0.9, 0.2], [0.3, 0.9]]
         truth = [[1, 0], [0, 1], [0, 1], [1, 0]]
         pred = build_prediction_set(probs, truth)
-        assert weighted_f1(pred) == pytest.approx(macro_f1(pred), abs=1e-15)
+        report = full_report(pred)
+        assert report.weighted_f1 == pytest.approx(report.macro_f1, abs=1e-15)
 
     def test_weighted_degenerate_support(self):
         probs = [[0.9, 0.1], [0.9, 0.4]]
         truth = [[1, 0], [0, 0]]
         pred = build_prediction_set(probs, truth)
         counts = ConfusionCounts(1, 1, 0, 0)
-        assert weighted_f1(pred) == pytest.approx(prf1(counts)[2])
+        assert full_report(pred).weighted_f1 == pytest.approx(prf1(counts)[2])
 
     def test_weighted_arithmetic(self):
         # supports 3 and 1, F1 0.8 and 0.4 -> 0.75*0.8 + 0.25*0.4 = 0.7
@@ -187,29 +186,29 @@ class TestLabelBasedF1:
         truth = [[1, 1], [1, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]
         pred = build_prediction_set(probs, truth)
         ex, mic, mac, weighted, _ = oracle_metrics(probs, truth, [f"d{i}" for i in range(7)])
-        assert weighted_f1(pred) == weighted
+        assert full_report(pred).weighted_f1 == weighted
 
 
 class TestAuc:
     def test_perfectly_separated(self):
-        assert auc([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]) == 1.0
+        assert auc_of([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]) == 1.0
 
     def test_all_ties(self):
-        assert auc([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]) == 0.5
+        assert auc_of([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]) == 0.5
 
     def test_pair_enumeration(self):
-        assert auc([(0.9, 1), (0.8, 0), (0.7, 1), (0.1, 0)]) == 0.75
+        assert auc_of([(0.9, 1), (0.8, 0), (0.7, 1), (0.1, 0)]) == 0.75
 
     def test_single_class_undefined(self):
-        assert auc([(0.9, 1), (0.5, 1)]) is None
-        assert auc([(0.9, 0)]) is None
+        assert auc_of([(0.9, 1), (0.5, 1)]) is None
+        assert auc_of([(0.9, 0)]) is None
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(7)
         scores = [(float(p), int(b)) for p, b in zip(rng.random(40), rng.integers(0, 2, 40))]
-        base = auc(scores)
+        base = auc_of(scores)
         squeezed = [(0.1 + 0.5 * p ** 3, b) for p, b in scores]
-        assert auc(squeezed) == base
+        assert auc_of(squeezed) == base
 
 
 class TestOracleEquality:
@@ -224,11 +223,13 @@ class TestOracleEquality:
             doc_ids = [f"d{i}" for i in range(n)]
             pred = build_prediction_set(probs, truth, doc_ids=doc_ids)
             ex, mic, mac, weighted, aucs = oracle_metrics(probs, truth, doc_ids)
+            report = full_report(pred)
             assert example_f1(pred) == ex
-            assert micro_f1(pred) == mic
-            assert macro_f1(pred) == mac
-            assert weighted_f1(pred) == weighted
-            assert auc_per_label(pred) == aucs
+            assert report.example_f1 == ex
+            assert report.micro_f1 == mic
+            assert report.macro_f1 == mac
+            assert report.weighted_f1 == weighted
+            assert [m.auc for m in report.per_label.values()] == aucs
 
     def test_six_by_three_report(self):
         rng = np.random.default_rng(42)
@@ -265,8 +266,8 @@ class TestInvariants:
 
         def build(order):
             pred = PredictionSet(labels)
-            for doc_id, j, p, t in order:
-                pred.add(doc_id, j, p, t, 0)
+            doc_ids, label_indices, ps, ts = zip(*order)
+            pred.add_many(doc_ids, label_indices, ps, ts, [0] * len(order))
             return pred
 
         base = build(records)
@@ -274,10 +275,7 @@ class TestInvariants:
         rng.shuffle(shuffled)
         other = build(shuffled)
         assert example_f1(base) == example_f1(other)
-        assert micro_f1(base) == micro_f1(other)
-        assert macro_f1(base) == macro_f1(other)
-        assert weighted_f1(base) == weighted_f1(other)
-        assert auc_per_label(base) == auc_per_label(other)
+        assert full_report(base) == full_report(other)
 
     def test_micro_invariant_to_label_list_order(self):
         rng = np.random.default_rng(21)
@@ -288,14 +286,15 @@ class TestInvariants:
         swapped = build_prediction_set(
             [[row[1], row[0]] for row in probs], [[row[1], row[0]] for row in truth], labels=["B", "A"]
         )
-        assert micro_f1(forward) == micro_f1(swapped)
-        assert macro_f1(forward) == macro_f1(swapped)
+        assert full_report(forward).micro_f1 == full_report(swapped).micro_f1
+        assert full_report(forward).macro_f1 == full_report(swapped).macro_f1
 
     def test_counts_sum_to_pairs(self):
         pred = build_prediction_set([[0.9, 0.1], [0.2, 0.8], [0.6, 0.6]], [[1, 0], [0, 1], [1, 1]])
         report = full_report(pred)
         for metrics in report.per_label.values():
-            assert metrics.counts.total == 3
+            c = metrics.counts
+            assert c.tp + c.fp + c.fn + c.tn == 3
 
     def test_empty_prediction_set_rejected(self):
         pred = PredictionSet(["L0"])
@@ -414,11 +413,7 @@ class TestListBasedEquality:
         report = full_report(pred)
         assert report == expected
         assert report.per_label["L0"].auc is None
-        assert (example_f1(pred), micro_f1(pred), macro_f1(pred), weighted_f1(pred)) == (
-            expected.example_f1, expected.micro_f1, expected.macro_f1, expected.weighted_f1
-        )
-        assert auc_per_label(pred) == [m.auc for m in expected.per_label.values()]
-        assert confusion_per_label(pred) == [m.counts for m in expected.per_label.values()]
+        assert example_f1(pred) == expected.example_f1
 
     def test_canonical_order_is_text_order(self):
         pred = build_prediction_set([[0.1]] * 4, [[0]] * 4, doc_ids=["9", "10", "d2", "d10"])

@@ -15,38 +15,33 @@ from mldistill.predictions import PredictionSet, read_predictions, write_predict
 
 def sample_set():
     pred = PredictionSet(["alpha", "beta"])
-    values = [
-        ("d0", 0, 0.123456789012345, 1, 0),
-        ("d0", 1, 0.9, 0, 0),
-        ("d1", 0, 1 / 3, 0, 1),
-        ("d1", 1, 0.25, 1, 1),
-    ]
-    for doc, j, p, t, fold in values:
-        pred.add(doc, j, p, t, fold)
+    pred.add_many(
+        ["d0", "d0", "d1", "d1"], [0, 1, 0, 1], [0.123456789012345, 0.9, 1 / 3, 0.25], [1, 0, 0, 1], [0, 0, 1, 1]
+    )
     return pred
 
 
 class TestPredictionSet:
     def test_duplicate_rejected(self):
         pred = PredictionSet(["a"])
-        pred.add("d", 0, 0.5, 1, 0)
+        pred.add_many(["d"], [0], [0.5], [1], [0])
         with pytest.raises(DataError, match="duplicate"):
-            pred.add("d", 0, 0.6, 1, 0)
+            pred.add_many(["d"], [0], [0.6], [1], [0])
 
     def test_doc_cannot_span_folds(self):
         pred = PredictionSet(["a", "b"])
-        pred.add("d", 0, 0.5, 1, 0)
+        pred.add_many(["d"], [0], [0.5], [1], [0])
         with pytest.raises(DataError, match="two folds"):
-            pred.add("d", 1, 0.5, 1, 1)
+            pred.add_many(["d"], [1], [0.5], [1], [1])
 
     def test_probability_range_enforced(self):
         pred = PredictionSet(["a"])
         with pytest.raises(DataError):
-            pred.add("d", 0, 1.5, 1, 0)
+            pred.add_many(["d"], [0], [1.5], [1], [0])
 
     def test_failed_bulk_add_writes_nothing(self):
         pred = PredictionSet(["a", "b"])
-        pred.add("d0", 0, 0.5, 1, 0)
+        pred.add_many(["d0"], [0], [0.5], [1], [0])
         with pytest.raises(DataError, match="duplicate prediction for doc 'd0', label index 0"):
             pred.add_many(["d1", "d1", "d0"], [0, 1, 0], [0.1, 0.2, 0.3], [0, 1, 0], [1, 1, 0])
         assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
@@ -56,7 +51,7 @@ class TestPredictionSet:
 
     def test_failed_add_documents_writes_nothing(self):
         pred = PredictionSet(["a", "b"])
-        pred.add("d0", 0, 0.5, 1, 0)
+        pred.add_many(["d0"], [0], [0.5], [1], [0])
         rows, bits = [[0.1, 0.2], [0.3, 0.4]], [[0, 1], [1, 0]]
         for doc_ids, probs, truth, message in [
             (["d1", "d2"], [[0.1, 0.2], [0.3, 1.5]], bits, "probability 1.5 outside [0, 1] for doc 'd2'"),
@@ -68,7 +63,7 @@ class TestPredictionSet:
                 pred.add_documents(doc_ids, probs, truth, [1, 1])
             assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
         pred.add_documents(["d2", "d1"], rows, bits, [-3, 2])
-        pred.add("d0", 1, 0.6, 0, 0)
+        pred.add_many(["d0"], [1], [0.6], [0], [0])
         assert pred.canonical_rows() == [
             ("d0", [0.5, 0.6], [1, 0]), ("d1", [0.3, 0.4], [1, 0]), ("d2", [0.1, 0.2], [0, 1]),
         ]
@@ -76,7 +71,7 @@ class TestPredictionSet:
 
     def test_incomplete_detected(self):
         pred = PredictionSet(["a", "b"])
-        pred.add("d", 0, 0.5, 1, 0)
+        pred.add_many(["d"], [0], [0.5], [1], [0])
         with pytest.raises(DataError, match="missing"):
             pred.validate_complete()
 
@@ -205,7 +200,7 @@ def collect_then_add(path):
     labels = labels if labels is not None else sorted({obj["label"] for obj in records})
     pred = PredictionSet(labels)
     for obj in records:
-        pred.add(obj["doc_id"], labels.index(obj["label"]), obj["prob"], obj["true"], obj["fold"])
+        pred.add_many([obj["doc_id"]], [labels.index(obj["label"])], [obj["prob"]], [obj["true"]], [obj["fold"]])
     return pred
 
 
@@ -372,7 +367,7 @@ def _reference_load(lines, final):
             raise DataError(f"line {lineno}: label {name!r} not in header label list")
         try:
             true_bit, fold = _reference_integral(obj["true"], "true"), _reference_integral(obj["fold"], "fold")
-            pred.add(str(obj["doc_id"]), label_index[name], float(obj["prob"]), true_bit, fold)
+            pred.add_many([str(obj["doc_id"])], [label_index[name]], [float(obj["prob"])], [true_bit], [fold])
         except (DataError, ValueError, TypeError) as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
     if pred is None:
@@ -709,18 +704,18 @@ class TestArrayStorage:
     def test_grows_past_initial_capacity(self):
         pred = PredictionSet(["a", "b"])
         for i in range(100):
-            pred.add(f"d{i}", 1, i / 100, i % 2, i % 3)
-            pred.add(f"d{i}", 0, 1 - i / 100, 1 - i % 2, i % 3)
+            pred.add_many([f"d{i}"], [1], [i / 100], [i % 2], [i % 3])
+            pred.add_many([f"d{i}"], [0], [1 - i / 100], [1 - i % 2], [i % 3])
         assert len(pred) == 200 and pred.num_docs == 100
         assert pred.canonical_rows()[0] == ("d0", [1.0, 0.0], [1, 0])
         with pytest.raises(DataError, match="duplicate"):
-            pred.add("d57", 1, 0.5, 1, 57 % 3)
+            pred.add_many(["d57"], [1], [0.5], [1], [57 % 3])
 
     def test_first_missing_cell_reported(self):
         pred = PredictionSet(["a", "b", "c"])
-        pred.add("d1", 0, 0.5, 1, 0)
-        pred.add("d0", 2, 0.5, 1, 0)
-        pred.add("d1", 2, 0.5, 1, 0)
+        pred.add_many(["d1"], [0], [0.5], [1], [0])
+        pred.add_many(["d0"], [2], [0.5], [1], [0])
+        pred.add_many(["d1"], [2], [0.5], [1], [0])
         with pytest.raises(DataError, match="missing prediction for doc 'd1', label 'b'"):
             pred.validate_complete()
         assert len(pred) == 3

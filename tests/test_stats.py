@@ -126,13 +126,6 @@ class TestTTest:
             assert ab.t_statistic == pytest.approx(-ba.t_statistic, abs=1e-12)
             assert ab.p_value == pytest.approx(ba.p_value, abs=1e-12)
 
-    def test_pooled_variant_flag(self):
-        a = [1.0, 2.0, 3.0, 4.0]
-        b = [2.0, 4.0, 6.0, 8.0, 10.0]
-        welch = t_test(a, b)
-        pooled = t_test(a, b, equal_var=True)
-        assert welch.t_statistic != pooled.t_statistic
-
     def test_sample_size_validation(self):
         with pytest.raises(ValueError):
             t_test([1.0], [1.0, 2.0])
