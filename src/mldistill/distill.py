@@ -98,13 +98,20 @@ def kd_loss_grad(z_s: np.ndarray, targets: np.ndarray, z_t: np.ndarray | None, c
     ``targets``; ``z_t=None`` takes the hard loss alone at full weight.
 
     Per row: (sigma_s - y) for the hard term and T * (sigma_s^T - sigma_t^T)
-    for the T^2-scaled soft term.
+    for the T^2-scaled soft term.  The three softmaxes are one, over the
+    stacked rows [z_s; z_s / T; z_t / T]: each row's is computed alone, and
+    ``z / 1.0`` is ``z`` exactly.
     """
-    grad = softmax_t(z_s, 1.0) - targets
-    if z_t is not None:
+    n = len(z_s)
+    if z_t is None:
+        grad = softmax_t(z_s, 1.0) - targets
+    else:
+        t = cfg.temperature
+        sigma = softmax_t(np.concatenate((z_s, z_s / t, z_t / t)), 1.0)
+        grad = sigma[:n] - targets
         grad *= 1.0 - cfg.alpha
-        grad += cfg.alpha * cfg.temperature * (softmax_t(z_s, cfg.temperature) - softmax_t(z_t, cfg.temperature))
-    grad /= len(z_s)
+        grad += cfg.alpha * t * (sigma[n : 2 * n] - sigma[2 * n :])
+    grad /= n
     return grad
 
 
@@ -131,10 +138,11 @@ def contrastive_grads(
     hidden_s: np.ndarray, hidden_t: np.ndarray, projection: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the summed per-row ``contrastive_loss``: (d / d hidden_s,
-    d / d projection), zero on rows where the loss is the constant fallback."""
+    d / d projection), zero on rows where the loss is the constant fallback.
+    The row norms are computed as ``np.linalg.norm(u, axis=1)`` computes them."""
     u = hidden_s @ projection.T
-    nu = np.linalg.norm(u, axis=1)
-    nt = np.linalg.norm(hidden_t, axis=1)
+    nu = np.sqrt((u * u).sum(axis=1))
+    nt = np.sqrt((hidden_t * hidden_t).sum(axis=1))
     valid = (nu >= _NORM_FLOOR) & (nt >= _NORM_FLOOR)
     denom = np.where(valid, nu * nt, 1.0)
     cos = np.where(valid, (u * hidden_t).sum(axis=1) / denom, 0.0)
@@ -224,20 +232,14 @@ def train_student(
                 teacher_hidden, teacher_logits = forward_rows(teacher, teacher_cache, rows)
             dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_logits if soft else None, cfg)
 
-            dhidden = None
-            new_projection = None
+            dhidden = d_projection = None
             if contrastive:
                 d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_hidden, projection)
                 dlogits *= 1.0 - beta
                 dhidden = (beta / rows.size) * d_hidden_s
-                new_projection = projection - lr * ((beta / rows.size) * d_proj_sum)
-                if not np.isfinite(new_projection).all():
-                    raise ValueError("non-finite gradient step in contrastive projection")
-
+                d_projection = (beta / rows.size) * d_proj_sum
             grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
-            student = sgd_step(student, grads, lr)
-            if new_projection is not None:
-                projection[...] = new_projection
+            student = sgd_step(student, grads, lr, projection, d_projection)
     return student, projection
 
 

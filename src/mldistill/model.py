@@ -5,7 +5,9 @@ two-logit head per label (index 0 = label absent, 1 = present).  The
 teacher default is wider and deeper than the student default, mirroring
 the capacity gap the distillation is meant to bridge.  Plain mini-batch
 gradient descent keeps the gradients exactly checkable against finite
-differences.
+differences.  Every parameter but the first layer's weights W0 is a view
+into one buffer per model: the encoder slice (b0, W1, b1, ...), then one
+slice per head.  A step updates W0's touched rows and two such slices.
 """
 
 from __future__ import annotations
@@ -49,24 +51,35 @@ def default_student_spec(input_dim: int) -> EncoderSpec:
     return EncoderSpec(input_dim=input_dim, hidden_sizes=STUDENT_HIDDEN, activation="tanh", role="student")
 
 
+def _pack(pairs):
+    """(flat, pairs): the arrays of the (weights, bias) ``pairs`` but the first
+    weights, copied end to end into one buffer, and the pairs of their views."""
+    arrays = [a for pair in pairs for a in pair][1:]
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    views = [v.reshape(np.shape(a)) for v, a in zip(np.split(flat, np.cumsum([np.size(a) for a in arrays])), arrays)]
+    return flat, [(pairs[0][0], views[0]), *zip(views[1::2], views[2::2])]
+
+
 @dataclass
 class ModelState:
-    """Encoder layer parameters plus per-label classification heads."""
+    """Encoder layer parameters plus per-label classification heads, packed
+    into ``flat``; ``grads`` is the buffer ``backward_batch`` writes into."""
 
     spec: EncoderSpec
     layers: list[tuple[np.ndarray, np.ndarray]]  # (W: in x out, b: out)
     heads: list[tuple[np.ndarray, np.ndarray]]  # (W: H x 2, b: 2)
+
+    def __post_init__(self) -> None:
+        self.flat, pairs = _pack([*self.layers, *self.heads])
+        self.layers, self.heads = pairs[: len(self.layers)], pairs[len(self.layers) :]
+        self.grads = Gradients([(None, pairs[0][1]), *self.layers[1:]], -1, self.heads[0])
 
     @property
     def num_labels(self) -> int:
         return len(self.heads)
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            spec=self.spec,
-            layers=[(W.copy(), b.copy()) for W, b in self.layers],
-            heads=[(W.copy(), b.copy()) for W, b in self.heads],
-        )
+        return ModelState(self.spec, [(self.layers[0][0].copy(), self.layers[0][1]), *self.layers[1:]], self.heads)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -101,8 +114,7 @@ def init_model(spec: EncoderSpec, num_labels: int, seed: int, columns=None) -> M
         row = int(columns[hi - 1]) + 1
     bitgen.advance((dim - row) * width)
     layers = [(W0, np.zeros(width))]
-    for fan_in, fan_out in zip(spec.hidden_sizes, spec.hidden_sizes[1:]):
-        layers.append((glorot_uniform(rng, fan_in, fan_out), np.zeros(fan_out)))
+    layers += [(glorot_uniform(rng, i, o), np.zeros(o)) for i, o in zip(spec.hidden_sizes, spec.hidden_sizes[1:])]
     heads = [(glorot_uniform(rng, spec.hidden_dim, 2), np.zeros(2)) for _ in range(num_labels)]
     return ModelState(spec=spec, layers=layers, heads=heads)
 
@@ -114,13 +126,6 @@ def _dense_layer(a, W: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray
     if activation == "tanh":
         return np.tanh(z, out=z)
     return np.maximum(z, 0.0, out=z)
-
-
-def _activation_prime(a: np.ndarray, activation: str) -> np.ndarray:
-    # Derivative expressed through the activation output itself.
-    if activation == "tanh":
-        return 1.0 - a * a
-    return (a > 0.0).astype(a.dtype)
 
 
 @dataclass
@@ -225,13 +230,10 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     if not isinstance(X, SparseBatch):
         X = sparse_batches(sparse.csr_matrix(X), max(X.shape[0], 1))[0]
     activations = [X]
-    a = X
     for W, b in model.layers:
-        a = _dense_layer(a, W, b, model.spec.activation)
-        activations.append(a)
+        activations.append(_dense_layer(activations[-1], W, b, model.spec.activation))
     W_head, b_head = model.heads[label]
-    logits = a @ W_head + b_head
-    return BatchCache(activations=activations, logits=logits, label=label)
+    return BatchCache(activations=activations, logits=activations[-1] @ W_head + b_head, label=label)
 
 
 def forward_rows(model: ModelState, cache: BatchCache, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,75 +276,73 @@ class RowSliceGrad:
 
 @dataclass
 class Gradients:
-    """Gradients matching the encoder layers plus one label head."""
+    """Gradients matching the encoder layers plus one label head, packed into
+    ``flat`` but the first weights' (a ``RowSliceGrad`` or a dense array)."""
 
     layers: list[tuple[np.ndarray | RowSliceGrad, np.ndarray]]
     head_label: int
     head: tuple[np.ndarray, np.ndarray]
 
+    def __post_init__(self) -> None:
+        self.flat, pairs = _pack([*self.layers, self.head])
+        self.layers, self.head = pairs[:-1], pairs[-1]
 
-def backward_batch(
-    model: ModelState,
-    cache: BatchCache,
-    dlogits: np.ndarray,
-    dhidden_extra: np.ndarray | None = None,
-) -> Gradients:
+
+def backward_batch(model: ModelState, cache: BatchCache, dlogits: np.ndarray, dhidden_extra=None) -> Gradients:
     """Backpropagate a logit-space gradient (plus an optional gradient
-    arriving directly at the last hidden layer) to all parameters."""
-    W_head, _ = model.heads[cache.label]
-    hidden = cache.activations[-1]
-    d_head_W = hidden.T @ dlogits
-    d_head_b = dlogits.sum(axis=0)
-    da = dlogits @ W_head.T
+    arriving directly at the last hidden layer) to all parameters.  The
+    result is ``model.grads``, rewritten by the next call on the model."""
+    grads = model.grads
+    np.matmul(cache.activations[-1].T, dlogits, out=grads.head[0])
+    dlogits.sum(axis=0, out=grads.head[1])
+    da = dlogits @ model.heads[cache.label][0].T
     if dhidden_extra is not None:
         da += dhidden_extra
-
-    layer_grads: list[tuple[np.ndarray | RowSliceGrad, np.ndarray]] = [None] * len(model.layers)  # type: ignore[list-item]
     for idx in range(len(model.layers) - 1, -1, -1):
-        a_out = cache.activations[idx + 1]
-        a_in = cache.activations[idx]
-        dz = _activation_prime(a_out, model.spec.activation)
+        a = cache.activations[idx + 1]  # the activation's derivative, through its output
+        dz = 1.0 - a * a if model.spec.activation == "tanh" else (a > 0.0).astype(a.dtype)
         dz *= da
-        db = dz.sum(axis=0)
-        W, _ = model.layers[idx]
-        if idx == 0:
-            dW = RowSliceGrad(rows=a_in.active, block=a_in.active_block().T @ dz, shape=W.shape)
-        else:
-            dW = a_in.T @ dz
-            da = dz @ W.T
-        layer_grads[idx] = (dW, db)
-    return Gradients(layers=layer_grads, head_label=cache.label, head=(d_head_W, d_head_b))
+        dz.sum(axis=0, out=grads.layers[idx][1])
+        if idx:
+            np.matmul(cache.activations[idx].T, dz, out=grads.layers[idx][0])
+            da = dz @ model.layers[idx][0].T
+    X = cache.activations[0]
+    dW0 = RowSliceGrad(rows=X.active, block=X.active_block().T @ dz, shape=model.layers[0][0].shape)
+    grads.layers[0], grads.head_label = (dW0, grads.layers[0][1]), cache.label
+    return grads
 
 
-def sgd_step(model: ModelState, grads: Gradients, lr: float) -> ModelState:
-    """Apply p <- p - lr * g in place and return the model.
-
-    Every updated array is computed before any is written.  A sum is finite
-    only when every term is, so a finite sum of their sums clears the step.
-    Otherwise a step that would leave a NaN or an Inf in the parameters (a
-    non-finite gradient always does) raises a ValueError naming the first
-    such array and leaves the model unchanged.
-    """
+def sgd_step(model: ModelState, grads: Gradients, lr: float, projection=None, d_projection=None) -> ModelState:
+    """Apply p <- p - lr * g in place (to ``projection`` too, given
+    ``d_projection``) and return the model.  The new values go into one
+    array first, and its finite sum clears the step: a sum is finite only
+    when every term is.  Otherwise a step that would leave a NaN or an Inf
+    raises a ValueError naming the first such array, and writes nothing."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    updates = []  # (parameter, index, updated values)
-    for (dW, db), (W, b) in zip(grads.layers, model.layers):
-        if isinstance(dW, RowSliceGrad):
-            new = W[dW.rows]
-            new -= lr * dW.block
-            updates.append((W, dW.rows, new))
-        else:
-            updates.append((W, ..., W - lr * dW))
-        updates.append((b, ..., b - lr * db))
-    dW, db = grads.head
-    W, b = model.heads[grads.head_label]
-    updates += [(W, ..., W - lr * dW), (b, ..., b - lr * db)]
-    if not np.isfinite(sum(new.sum() for _, _, new in updates)):
-        names = [f"encoder layer {i} {part}" for i in range(len(model.layers)) for part in ("weights", "bias")]
-        names += [f"head {grads.head_label} {part}" for part in ("weights", "bias")]
-        for (_, _, new), name in zip(updates, names):
-            if not np.isfinite(new).all():
-                raise ValueError(f"non-finite gradient step in {name}")
-    for param, index, new in updates:
-        param[index] = new
+    dW0 = grads.layers[0][0]
+    rows, block = (dW0.rows, dW0.block) if isinstance(dW0, RowSliceGrad) else (np.arange(len(dW0)), dW0)
+    W0, flat, g, head = model.layers[0][0], model.flat, grads.flat, grads.head[0].size + grads.head[1].size
+    p, enc = 0 if d_projection is None else d_projection.size, g.size - head
+    r, lo = p + block.size, enc + grads.head_label * head
+    new = np.empty(r + g.size)  # projection | W0 rows | encoder | head, each lr * g and then p minus that
+    if p:
+        new_projection = new[:p].reshape(d_projection.shape)
+        np.subtract(projection, np.multiply(d_projection, lr, out=new_projection), out=new_projection)
+    new_W0 = new[p:r].reshape(block.shape)
+    np.subtract(W0[rows], np.multiply(block, lr, out=new_W0), out=new_W0)
+    np.multiply(g, lr, out=new[r:])
+    np.subtract(flat[:enc], new[r : r + enc], out=new[r : r + enc])
+    np.subtract(flat[lo : lo + head], new[r + enc :], out=new[r + enc :])
+    if not np.isfinite(new.sum()) and not np.isfinite(new).all():
+        arrays = [block, grads.layers[0][1], *(a for pair in [*grads.layers[1:], grads.head] for a in pair)]
+        owners = [*(f"encoder layer {i}" for i in range(len(grads.layers))), f"head {grads.head_label}"]
+        names = ["contrastive projection", *(f"{owner} {part}" for owner in owners for part in ("weights", "bias"))]
+        first = np.searchsorted(np.cumsum([p, *(a.size for a in arrays)]), np.argmin(np.isfinite(new)), side="right")
+        raise ValueError(f"non-finite gradient step in {names[first]}")
+    if p:
+        projection[...] = new_projection
+    W0[rows] = new_W0
+    flat[:enc] = new[r : r + enc]
+    flat[lo : lo + head] = new[r + enc :]
     return model

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mldistill.corpus import Corpus, Document, HashingTfidfVectorizer, LabelVocabulary, tokenize
+from mldistill.distill import _NORM_FLOOR as NORM_FLOOR
+from mldistill.model import softmax_t
 from mldistill.synthetic import generate_synthetic
 
 
@@ -37,3 +39,30 @@ def dense(grad) -> np.ndarray:
     out = np.zeros(grad.shape)
     out[grad.rows] = grad.block
     return out
+
+
+# The step algebra as it was written before the flat-parameter step: the
+# references the rewritten gradients must equal bit for bit.
+
+
+def three_softmax_kd_loss_grad(z_s, targets, z_t, cfg) -> np.ndarray:
+    """``kd_loss_grad`` with one ``softmax_t`` call per softmax."""
+    grad = softmax_t(z_s, 1.0) - targets
+    if z_t is not None:
+        grad *= 1.0 - cfg.alpha
+        grad += cfg.alpha * cfg.temperature * (softmax_t(z_s, cfg.temperature) - softmax_t(z_t, cfg.temperature))
+    grad /= len(z_s)
+    return grad
+
+
+def linalg_norm_contrastive_grads(hidden_s, hidden_t, projection):
+    """``contrastive_grads`` with its row norms taken by ``np.linalg.norm``."""
+    u = hidden_s @ projection.T
+    nu = np.linalg.norm(u, axis=1)
+    nt = np.linalg.norm(hidden_t, axis=1)
+    valid = (nu >= NORM_FLOOR) & (nt >= NORM_FLOOR)
+    denom = np.where(valid, nu * nt, 1.0)
+    cos = np.where(valid, (u * hidden_t).sum(axis=1) / denom, 0.0)
+    d_u = -(hidden_t / denom[:, None] - (cos / np.where(valid, nu * nu, 1.0))[:, None] * u)
+    d_u[~valid] = 0.0
+    return d_u @ projection, d_u.T @ hidden_s

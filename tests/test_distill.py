@@ -1,7 +1,9 @@
 """Training procedures: teacher fine-tuning, sequential and binary-
 relevance distillation, and the classifier-chains baseline."""
 
+import cProfile
 import os
+import pstats
 
 import numpy as np
 import pytest
@@ -15,14 +17,13 @@ from mldistill.distill import (
     distill_binary_relevance,
     distill_sequential,
     hard_loss,
-    kd_loss_grad,
     teacher_cv_predictions,
     train_student,
 )
 from mldistill.metrics import example_f1
 from mldistill.model import (
+    ModelState,
     RowSliceGrad,
-    backward_batch,
     default_student_spec,
     default_teacher_spec,
     forward_batch,
@@ -33,7 +34,7 @@ from mldistill.seeding import rng_for
 from mldistill.splits import stratified_kfold
 from mldistill.synthetic import generate_synthetic
 
-from conftest import featurize, make_corpus
+from conftest import featurize, linalg_norm_contrastive_grads, make_corpus, three_softmax_kd_loss_grad
 
 DIM = 2048
 
@@ -156,9 +157,34 @@ class TestStudentEquivalences:
         assert (t_hard == s_hard).mean() > 0.9
 
 
-def _write_then_check_sgd_step(model, grads, lr):
-    """The SGD step as it was before updates were checked ahead of writes."""
-    for idx, ((dW, db), (W, b)) in enumerate(zip(grads.layers, model.layers)):
+def reference_backward(model, cache, dlogits, dhidden_extra=None):
+    """``backward_batch`` as it was before the flat gradient buffer: a fresh
+    array per gradient, as (per-layer (dW, db) pairs, head (dW, db))."""
+    W_head, _ = model.heads[cache.label]
+    hidden = cache.activations[-1]
+    head = (hidden.T @ dlogits, dlogits.sum(axis=0))
+    da = dlogits @ W_head.T
+    if dhidden_extra is not None:
+        da += dhidden_extra
+    layers = [None] * len(model.layers)
+    for idx in range(len(model.layers) - 1, -1, -1):
+        a_out, a_in = cache.activations[idx + 1], cache.activations[idx]
+        dz = 1.0 - a_out * a_out if model.spec.activation == "tanh" else (a_out > 0.0).astype(a_out.dtype)
+        dz *= da
+        W, _ = model.layers[idx]
+        if idx == 0:
+            dW = RowSliceGrad(rows=a_in.active, block=a_in.active_block().T @ dz, shape=W.shape)
+        else:
+            dW = a_in.T @ dz
+            da = dz @ W.T
+        layers[idx] = (dW, dz.sum(axis=0))
+    return layers, head
+
+
+def _write_then_check_sgd_step(model, layer_grads, head_grads, label, lr):
+    """The SGD step as it was before updates were checked ahead of writes,
+    one array at a time."""
+    for idx, ((dW, db), (W, b)) in enumerate(zip(layer_grads, model.layers)):
         if isinstance(dW, RowSliceGrad):
             W[dW.rows] -= lr * dW.block
         else:
@@ -166,19 +192,20 @@ def _write_then_check_sgd_step(model, grads, lr):
         b -= lr * db
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ValueError(f"non-finite parameters in encoder layer {idx}")
-    dW, db = grads.head
-    W, b = model.heads[grads.head_label]
+    dW, db = head_grads
+    W, b = model.heads[label]
     W -= lr * dW
     b -= lr * db
     if not (np.isfinite(W).all() and np.isfinite(b).all()):
-        raise ValueError(f"non-finite parameters in head {grads.head_label}")
+        raise ValueError(f"non-finite parameters in head {label}")
     return model
 
 
 def per_batch_train_student(X, y, label, student, teacher, cfg, rng, lr, projection=None, beta=None):
     """Reference for ``train_student``: the loop that indexes the rows of
-    every batch out of X, forwards the teacher on every batch, and checks
-    parameters after writing them."""
+    every batch out of X, forwards the teacher on every batch, and steps
+    with the per-array algebra above and the three-softmax and
+    ``np.linalg.norm`` gradients, checking parameters after writing them."""
     n = X.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -191,17 +218,18 @@ def per_batch_train_student(X, y, label, student, teacher, cfg, rng, lr, project
             teacher_cache = None
             if teacher is not None and cfg.alpha > 0.0:
                 teacher_cache = forward_batch(teacher, Xb, label)
-            dlogits = kd_loss_grad(cache.logits, onehot, None if teacher_cache is None else teacher_cache.logits, cfg)
+            z_t = None if teacher_cache is None else teacher_cache.logits
+            dlogits = three_softmax_kd_loss_grad(cache.logits, onehot, z_t, cfg)
             dhidden = d_proj = None
             if projection is not None and teacher is not None:
                 if teacher_cache is None:
                     teacher_cache = forward_batch(teacher, Xb, label)
-                d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_cache.hidden, projection)
+                d_hidden_s, d_proj_sum = linalg_norm_contrastive_grads(cache.hidden, teacher_cache.hidden, projection)
                 dlogits *= 1.0 - beta
                 dhidden = (beta / batch.size) * d_hidden_s
                 d_proj = (beta / batch.size) * d_proj_sum
-            grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
-            student = _write_then_check_sgd_step(student, grads, lr)
+            layer_grads, head_grads = reference_backward(student, cache, dlogits, dhidden_extra=dhidden)
+            student = _write_then_check_sgd_step(student, layer_grads, head_grads, label, lr)
             if d_proj is not None:
                 projection -= lr * d_proj
     return student, projection
@@ -313,6 +341,45 @@ class TestTrainingStep:
         assert models_equal(trained, student)
         assert np.array_equal(projection, start_projection)
 
+    @pytest.mark.parametrize(
+        "nan_in, message",
+        [(("hidden", "projection"), "contrastive projection"), (("hidden",), "encoder layer 0 weights")],
+        ids=["projection_and_encoder", "encoder_only"],
+    )
+    def test_nonfinite_step_names_projection_first(self, small_corpus, monkeypatch, nan_in, message):
+        # a NaN at the hidden layer reaches every encoder gradient; the
+        # projection is named ahead of them, as it is checked ahead of them
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, "kd_contrastive", 7)
+
+        def nan_grads(*args):
+            d_hidden, d_proj = contrastive_grads(*args)
+            for name, grad in (("hidden", d_hidden), ("projection", d_proj)):
+                if name in nan_in:
+                    grad[0, 0] = np.nan
+            return d_hidden, d_proj
+
+        monkeypatch.setattr(distill, "contrastive_grads", nan_grads)
+        trained, start_projection = student.copy(), projection.copy()
+        with pytest.raises(ValueError, match=message):
+            train_student(X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+        assert models_equal(trained, student)
+        assert np.array_equal(projection, start_projection)
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_fewer_calls_than_reference_loop(self, small_corpus, case):
+        # both loops take the same steps, so their total calls compare as
+        # their calls per step do
+        X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+
+        def profiled_calls(train, **kwargs):
+            profile = cProfile.Profile()
+            proj = None if projection is None else projection.copy()
+            profile.runcall(train, X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), projection=proj, **kwargs)
+            return pstats.Stats(profile).total_calls
+
+        reference = profiled_calls(per_batch_train_student, lr=0.4, beta=0.5)
+        assert profiled_calls(train_student, lr=0.4, contrastive_weight=0.5) <= 0.8 * reference
+
 
 class TestCompactColumns:
     """Training on only the columns the documents touch, from a first layer
@@ -341,8 +408,7 @@ class TestCompactColumns:
         assert not models_equal(full, start)
         (W0, b0), untouched = full.layers[0], np.setdiff1d(np.arange(DIM), columns)
         assert np.array_equal(W0[untouched], start.layers[0][0][untouched])
-        full_rows = full.copy()
-        full_rows.layers[0] = (W0[columns], b0)
+        full_rows = ModelState(full.spec, [(W0[columns], b0), *full.layers[1:]], full.heads)
         assert models_equal(compact, full_rows)
         if projection is not None:
             assert np.array_equal(compact_projection, full_projection)

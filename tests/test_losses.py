@@ -9,6 +9,7 @@ from scipy import sparse
 
 from mldistill.config import DistillConfig
 from mldistill.distill import (
+    _NORM_FLOOR,
     contrastive_grads,
     contrastive_loss,
     hard_loss,
@@ -26,7 +27,7 @@ from mldistill.model import (
     sparse_batches,
 )
 
-from conftest import dense
+from conftest import dense, linalg_norm_contrastive_grads, three_softmax_kd_loss_grad
 
 GRAD_EPS = 1e-5
 GRAD_RTOL = 1e-4
@@ -268,3 +269,40 @@ class TestGradients:
         # the first-layer gradient is a RowSliceGrad over a strict subset of
         # W0's rows; the rows it leaves out must have zero finite difference
         assert check_gradients(trials=15, seed=4321, compact=True) < GRAD_RTOL
+
+
+class TestRewrittenGradientsExact:
+    """``kd_loss_grad``'s one stacked softmax and ``contrastive_grads``'s
+    inline row norms give the bits of the forms they replaced."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.35, 1.0])
+    @pytest.mark.parametrize("temperature", [1.0, 2.5])
+    def test_kd_loss_grad_equals_three_softmaxes(self, alpha, temperature):
+        rng = np.random.default_rng(17)
+        cfg = DistillConfig(alpha=alpha, temperature=temperature)
+        for n in (1, 2, 7, 64):
+            for scale in (1e-3, 1.0, 3e2, 1e4):
+                z_s, z_t = rng.normal(scale=scale, size=(2, n, 2))
+                targets = np.eye(2)[rng.integers(0, 2, size=n)]
+                for teacher in (z_t, None):
+                    got = kd_loss_grad(z_s, targets, teacher, cfg)
+                    assert np.array_equal(got, three_softmax_kd_loss_grad(z_s, targets, teacher, cfg))
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_contrastive_grads_equal_linalg_norm_form(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 3e2):
+            hidden_s = rng.normal(scale=scale, size=(n, 4))
+            hidden_t = rng.normal(scale=scale, size=(n, 6))
+            projection = rng.normal(size=(6, 4))
+            # rows on both sides of the norm floor, for either input
+            hidden_s[0] *= 0.1 * _NORM_FLOOR / np.linalg.norm(hidden_s[0] @ projection.T)
+            hidden_t[-1] *= 10.0 * _NORM_FLOOR / np.linalg.norm(hidden_t[-1])
+            if n > 2:
+                hidden_t[1] = 0.0
+            got = contrastive_grads(hidden_s, hidden_t, projection)
+            ref = linalg_norm_contrastive_grads(hidden_s, hidden_t, projection)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
+            assert not got[0][0].any()  # below the floor: the constant fallback
+            if n > 1:
+                assert got[0][-1].any()  # just above it

@@ -7,6 +7,7 @@ from scipy import sparse
 from mldistill.model import (
     EncoderSpec,
     Gradients,
+    ModelState,
     RowSliceGrad,
     backward_batch,
     default_student_spec,
@@ -49,6 +50,18 @@ class TestInit:
         # and the draws actually use the range, not a tighter one
         assert np.abs(W).max() > 0.5
 
+    def test_one_buffer_behind_all_but_the_first_weights(self):
+        m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
+        (W0, b0), *deeper = m.layers
+        views = [b0, *(a for pair in deeper + m.heads for a in pair)]
+        assert not np.shares_memory(W0, m.flat)
+        m.flat[:] = np.arange(m.flat.size)  # encoder slice, then one slice per head
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), m.flat)
+        copy = m.copy()
+        copy.flat[:] = -1.0
+        copy.layers[0][0][:] = -1.0
+        assert np.array_equal(m.flat, np.arange(m.flat.size)) and not (W0 == -1.0).any()
+
     def test_head_count_matches_labels(self):
         m = init_model(tiny_spec(), 5, seed=0)
         assert m.num_labels == 5
@@ -83,7 +96,7 @@ class TestForward:
 
     def test_identity_layer_relu_passes_nonnegative_input(self):
         m = init_model(tiny_spec(input_dim=4, hidden=(4,), activation="relu"), 1, seed=0)
-        m.layers[0] = (np.eye(4), np.zeros(4))
+        m = ModelState(m.spec, [(np.eye(4), np.zeros(4))], m.heads)
         x = np.array([0.5, 0.0, 2.0, 1.0])
         assert np.allclose(forward_batch(m, x[None], 0).hidden[0], x)
 
@@ -212,9 +225,9 @@ class TestSgdStep:
 
     def test_single_step_arithmetic(self):
         m = init_model(tiny_spec(input_dim=1, hidden=(1,)), 1, seed=0)
-        m.layers[0] = (np.array([[1.0]]), np.zeros(1))
+        m.layers[0][0][...] = 1.0
         grads = dense_grads_like(m)
-        grads.layers[0] = (np.array([[0.5]]), np.zeros(1))
+        grads.layers[0][0][...] = 0.5
         sgd_step(m, grads, lr=0.1)
         assert m.layers[0][0][0, 0] == pytest.approx(0.95)
 
@@ -222,11 +235,14 @@ class TestSgdStep:
         m1 = init_model(tiny_spec(), 1, seed=9)
         m2 = m1.copy()
         rng = np.random.default_rng(2)
-        g1 = dense_grads_like(m1)
-        g2 = dense_grads_like(m1)
-        for g in (g1, g2):
-            g.layers = [(rng.normal(size=W.shape), rng.normal(size=b.shape)) for W, b in m1.layers]
-            g.head = (rng.normal(size=(4, 2)), rng.normal(size=2))
+        g1, g2 = (
+            Gradients(
+                layers=[(rng.normal(size=W.shape), rng.normal(size=b.shape)) for W, b in m1.layers],
+                head_label=0,
+                head=(rng.normal(size=(4, 2)), rng.normal(size=2)),
+            )
+            for _ in range(2)
+        )
         sgd_step(m1, g1, 0.3)
         sgd_step(m1, g2, 0.3)
         summed = Gradients(
@@ -278,7 +294,7 @@ class TestSgdStep:
 
     def test_finite_step_whose_sum_overflows_applies(self):
         m = init_model(tiny_spec(), 1, seed=1)
-        m.layers[0] = (np.full((8, 4), 1e308), np.zeros(4))
+        m.layers[0][0][...] = 1e308
         grads = dense_grads_like(m, scale=-1e307)
         with np.errstate(over="ignore"):  # the sum of the new weights overflows
             sgd_step(m, grads, 1.0)
@@ -305,20 +321,37 @@ class TestSgdStep:
             assert np.array_equal(W, W0) and np.array_equal(b, b0)
 
 
+    def test_nonfinite_projection_named_before_the_model(self):
+        m = init_model(tiny_spec(hidden=(4, 3)), 2, seed=1)
+        grads = dense_grads_like(m, scale=0.5)
+        grads.layers[1][0].flat[0] = np.nan
+        projection, d_projection = np.ones((5, 3)), np.zeros((5, 3))
+        d_projection[2, 1] = np.inf
+        snapshot, start = m.copy(), projection.copy()
+        with pytest.raises(ValueError, match="contrastive projection"):
+            sgd_step(m, grads, 0.1, projection, d_projection)
+        for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
+            assert np.array_equal(W, W0) and np.array_equal(b, b0)
+        assert np.array_equal(projection, start)
+
+
 class TestPredictProba:
     def test_symmetric_logits_give_half(self):
         m = init_model(tiny_spec(), 1, seed=3)
         for W, b in m.layers:
             W[:] = 0.0
-        m.heads[0] = (np.zeros((4, 2)), np.zeros(2))
+        m.heads[0][0][...] = 0.0
         assert softmax_t(forward_batch(m, np.ones((1, 8)), 0).logits, 1.0)[0, 1] == pytest.approx(0.5)
 
     def test_closed_form_value(self):
         m = init_model(tiny_spec(input_dim=2, hidden=(2,)), 1, seed=3)
-        m.layers[0] = (np.eye(2), np.zeros(2))
         # hidden = tanh(x); choose x = atanh([1/2, 1/2]) scaled weights so
         # logits = [0, ln 3] exactly via the head
-        m.heads[0] = (np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, math.log(3.0)]))
+        m = ModelState(
+            m.spec,
+            [(np.eye(2), np.zeros(2))],
+            [(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, math.log(3.0)]))],
+        )
         probs = softmax_t(forward_batch(m, np.zeros((1, 2)), 0).logits, 1.0)
         assert probs[0, 1] == pytest.approx(0.75, abs=1e-12)
 
