@@ -4,8 +4,8 @@ The package trains a small teacher network and distills it into an even
 smaller student, label by label, under stratified cross-validation.  It
 ships the full evaluation suite (example-based and label-based F1, AUC),
 a particle-swarm hyperparameter tuner, replication statistics, and a CLI
-that orchestrates end-to-end experiments.  Folds and particles run on
-forked worker processes, up to the ``--workers`` cap.
+that orchestrates end-to-end experiments.  The training commands' work
+units run on forked worker processes, up to the ``--workers`` cap.
 """
 
 import importlib

@@ -104,7 +104,6 @@ class SwarmConfig:
     threshold: float = 0.001
     patience: int = 1
     seed: int = 0
-    parallelism: int = 1
     relative_threshold: bool = False
 
     def __post_init__(self) -> None:
@@ -115,8 +114,6 @@ class SwarmConfig:
         for key in ("w", "c1", "c2"):
             if getattr(self, key) < 0:
                 raise ValueError(f"pso.{key} must be non-negative")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 PRESETS: dict[str, DistillConfig] = {
@@ -160,8 +157,8 @@ def _parse_optional_int_tuple(raw: str) -> tuple[int, ...] | None:
     return _parse_int_tuple(raw)
 
 
-# SwarmConfig fields that no pso.* key sets: run.seed and run.workers give them.
-_RUN_FIELDS = ("seed", "parallelism")
+# The SwarmConfig field that no pso.* key sets: run.seed gives it.
+_RUN_FIELDS = ("seed",)
 
 
 def _as_keys(settings: DistillConfig | SwarmConfig, prefix: str) -> dict[str, Any]:

@@ -11,28 +11,31 @@ is written twice: a value on one row (``soft_loss``, ``hard_loss``,
 only on the batched gradients, and the finite-difference tests
 differentiate the values against them.
 
-Every mode runs through one fold loop, ``_cross_validate``.  It checks
-the folds and the label order, then runs work units of one fold and
-some of its labels, serially or on forked worker processes
-(``parallel.map``): each fold is featurized (IDF from its training part
-only), narrowed to the hashed columns its documents touch, and trained,
-and its out-of-fold predictions are recorded in fold order.  A unit
-holds the whole label order when labels are chained, and one label in
-the binary-relevance variants, whose labels never interact, so two
-workers split an odd number of folds evenly.  A mode supplies a
-generator that trains fresh models on a unit label by label, in
-vocabulary order unless a permutation is given, and yields each label's
-validation probabilities.  The distillation modes fine-tune the teacher
-and distill it into the student (``teacher_cv_predictions`` records the
-teacher alone); the classifier-chains baseline trains one logistic
-classifier per label.  Epochs are innermost.  In the sequential variants
-the encoders persist across labels within a fold, which is the channel
-that carries cross-label information.
+Every mode runs through one fold loop, ``cross_validate``, which takes
+a list of fits: runs that have not started, each a generator that trains
+fresh models on a work unit of one fold and some of its labels, and yields
+each label's validation probabilities.  It checks the folds and the label
+order, then runs the units of every fit on one ``parallel.map``, serially
+or on forked worker processes: each fold is featurized (IDF from its
+training part only), narrowed to the hashed columns its documents touch,
+and trained, and its out-of-fold predictions are recorded in unit order.
+A unit holds the whole label order when labels are chained, and one label
+in the binary-relevance variants, whose labels never interact, so two
+workers split an odd number of folds evenly.  ``run`` passes one fit,
+``ablate`` its four variants and ``tune`` every particle of a swarm
+iteration.  Labels train in vocabulary order unless a permutation is
+given.  The distillation fits fine-tune the teacher and distill it into
+the student (``teacher_cv_predictions`` records the teacher alone); the
+classifier-chains baseline trains one logistic classifier per label.
+Epochs are innermost.  In the sequential variants the encoders persist
+across labels within a fold, which is the channel that carries
+cross-label information.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -50,7 +53,7 @@ from mldistill.model import (
     glorot_uniform,
     init_model,
     sgd_step,
-    softmax_t,
+    softmax,
     sparse_batches,
 )
 from mldistill.predictions import PredictionSet
@@ -99,15 +102,14 @@ def kd_loss_grad(z_s: np.ndarray, targets: np.ndarray, z_t: np.ndarray | None, c
 
     Per row: (sigma_s - y) for the hard term and T * (sigma_s^T - sigma_t^T)
     for the T^2-scaled soft term.  The three softmaxes are one, over the
-    stacked rows [z_s; z_s / T; z_t / T]: each row's is computed alone, and
-    ``z / 1.0`` is ``z`` exactly.
+    stacked rows [z_s; z_s / T; z_t / T]: each row's is computed alone.
     """
     n = len(z_s)
     if z_t is None:
-        grad = softmax_t(z_s, 1.0) - targets
+        grad = softmax(z_s) - targets
     else:
         t = cfg.temperature
-        sigma = softmax_t(np.concatenate((z_s, z_s / t, z_t / t)), 1.0)
+        sigma = softmax(np.concatenate((z_s, z_s / t, z_t / t)))
         grad = sigma[:n] - targets
         grad *= 1.0 - cfg.alpha
         grad += cfg.alpha * t * (sigma[n : 2 * n] - sigma[2 * n :])
@@ -212,7 +214,8 @@ def train_student(
     when its logits (``alpha > 0``) or its hidden state (a projection) are
     needed; each batch takes its rows from that pass through
     ``forward_rows``.  Each step checks every update, the projection's
-    included, before it writes any of them, and works in place, bit for bit.
+    included, before it writes any of them, and works in place, bit for bit,
+    on a student whose arrays are views into its ``flat``, as checked first.
     """
     n = X.shape[0]
     if n == 0:
@@ -221,6 +224,7 @@ def train_student(
     beta = contrastive_weight
     if projection is not None and beta is None:
         beta = DEFAULT_CONTRASTIVE_WEIGHT
+    student.check_packed()
     soft = teacher is not None and cfg.alpha > 0.0
     contrastive = teacher is not None and projection is not None
     teacher_cache = forward_batch(teacher, X, label) if soft or contrastive else None
@@ -281,32 +285,37 @@ def _fold_features(
     return columns, narrow(X_train), narrow(X_val)
 
 
-def _cross_validate(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    dim: int,
-    max_length: int,
-    label_order,
-    fit_fold: Callable[..., Iterator[np.ndarray]],
-    workers: int = 1,
-    fresh_per_label: bool = False,
-) -> PredictionSet:
-    """Out-of-fold predictions of ``fit_fold`` run on every fold.
+@dataclass(frozen=True)
+class Fit:
+    """A cross-validated run not yet started: its folds are featurized with
+    ``dim`` hashed columns and ``max_length`` tokens, and ``fit_fold(fold,
+    X_train, Y_train, X_val, labels, columns)`` trains fresh models on one
+    fold, whose features hold only the hashed ``columns`` its documents
+    touch, and yields the validation positive-class probabilities of each
+    label in ``labels``.  ``fresh_per_label`` makes each label a unit."""
 
-    ``fit_fold(fold, X_train, Y_train, X_val, labels, columns)`` trains
-    fresh models on one fold and yields the validation positive-class
-    probabilities of each label in ``labels``, one array per label.  The
-    features hold only the hashed ``columns`` the fold's documents touch
-    (``_fold_features``), so a first layer needs only those rows.
+    dim: int
+    max_length: int
+    fit_fold: Callable[..., Iterator[np.ndarray]]
+    fresh_per_label: bool = False
 
-    The work units are ``(fold, labels)`` in fold-major order: one per fold
-    with the whole label order when labels are chained, one per (fold,
-    label) when ``fresh_per_label`` makes them independent.  They run on up
-    to ``workers`` forked processes (``parallel.map``), each of which keeps
-    the features of the last fold it built, so it builds each fold at most
-    once.  The checks, the token lists and the recording of predictions, in
-    unit order, stay in the caller, so the output does not depend on
-    ``workers``.
+
+def cross_validate(
+    corpus: Corpus, folds: FoldAssignment, fits: Sequence[Fit], label_order=None, workers: int = 1
+) -> list[PredictionSet | ValueError | ArithmeticError]:
+    """Out-of-fold predictions of every fit run on every fold.
+
+    The work units are ``(fit, fold, labels)``, fit-major, then fold-major:
+    one per fold with the whole label order when labels are chained, one
+    per (fold, label) when the fit's labels are independent.  They all run
+    on one ``parallel.map`` over up to ``workers`` forked processes, each
+    keeping the features of the last (fold, dim, max_length) it built.  The
+    checks, the token lists and the recording of predictions, in unit
+    order, stay in the caller, so the output does not depend on
+    ``workers``.  Each fit's result is its ``PredictionSet``, or the
+    ``ValueError`` or ``ArithmeticError`` of its first failing unit in unit
+    order.  A process takes its units in unit order and skips a fit's units
+    once one has failed.  Any other exception ends the map.
     """
     if set(folds.fold_of) != {d.id for d in corpus.documents}:
         raise ValueError("fold assignment does not cover exactly the corpus documents")
@@ -320,43 +329,66 @@ def _cross_validate(
         if not train_idx or not val_idx:
             raise ValueError(f"fold {fold} leaves an empty training or validation split")
         splits.append((train_idx, val_idx))
-    per_fold = [[j] for j in order] if fresh_per_label else [order]
-    units = [(fold, labels) for fold in range(folds.k) for labels in per_fold]
-    built: dict[int, tuple] = {}  # this process's last fold: (columns, X_train, X_val)
+    units = [
+        (f, fold, labels)
+        for f, fit in enumerate(fits)
+        for fold in range(folds.k)
+        for labels in ([[j] for j in order] if fit.fresh_per_label else [order])
+    ]
+    built: dict[tuple, tuple] = {}  # this process's last (fold, dim, max_length): (columns, X_train, X_val)
+    failed: set[int] = set()  # the fits with a unit that failed in this process
 
-    def run_unit(unit: tuple[int, list[int]]) -> list[np.ndarray]:
-        fold, labels = unit
-        train_idx, val_idx = splits[fold]
-        if fold not in built:
-            built.clear()
-            built[fold] = _fold_features(tokens, train_idx, val_idx, dim, max_length)
-        columns, X_train, X_val = built[fold]
-        return list(fit_fold(fold, X_train, labels_matrix[train_idx], X_val, labels, columns))
+    def run_unit(unit: tuple[int, int, list[int]]) -> list[np.ndarray] | ValueError | ArithmeticError | None:
+        f, fold, labels = unit
+        if f in failed:
+            return None  # skipped: an earlier unit of this fit failed
+        fit, (train_idx, val_idx) = fits[f], splits[fold]
+        try:
+            key = (fold, fit.dim, fit.max_length)
+            if key not in built:
+                built.clear()
+                built[key] = _fold_features(tokens, train_idx, val_idx, fit.dim, fit.max_length)
+            columns, X_train, X_val = built[key]
+            return list(fit.fit_fold(fold, X_train, labels_matrix[train_idx], X_val, labels, columns))
+        except (ValueError, ArithmeticError) as exc:
+            failed.add(f)
+            return exc.with_traceback(None)  # the failing frames need not stay alive
 
-    predictions = PredictionSet(corpus.vocab.labels)
-    for (fold, labels), per_label in zip(units, parallel.map(run_unit, units, workers), strict=True):
-        _, val_idx = splits[fold]
-        val_ids = [corpus.documents[i].id for i in val_idx]
-        n = len(val_ids)
-        for j, probs in zip(labels, per_label, strict=True):
-            predictions.add_many(val_ids, [j] * n, probs.tolist(), labels_matrix[val_idx, j].tolist(), [fold] * n)
-    predictions.validate_complete()
-    return predictions
+    def collect(f: int) -> PredictionSet | ValueError | ArithmeticError:
+        predictions = PredictionSet(corpus.vocab.labels)
+        try:
+            for (g, fold, labels), per_label in zip(units, outcomes):
+                if g != f:
+                    continue
+                if isinstance(per_label, Exception):
+                    return per_label
+                _, val_idx = splits[fold]
+                val_ids = [corpus.documents[i].id for i in val_idx]
+                n = len(val_ids)
+                for j, probs in zip(labels, per_label, strict=True):
+                    truth = labels_matrix[val_idx, j].tolist()
+                    predictions.add_many(val_ids, [j] * n, probs.tolist(), truth, [fold] * n)
+            predictions.validate_complete()
+        except (ValueError, ArithmeticError) as exc:
+            return exc.with_traceback(None)
+        return predictions
+
+    outcomes = parallel.map(run_unit, units, workers)
+    return [collect(f) for f in range(len(fits))]
 
 
-def _run_distillation(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    teacher_spec: EncoderSpec,
-    student_spec: EncoderSpec | None,
-    cfg: DistillConfig,
-    seed: int,
-    fresh_per_label: bool,
-    contrastive_weight: float | None,
-    lr_scale: float,
-    label_order=None,
-    workers: int = 1,
-) -> PredictionSet:
+def raise_first_failure(results: list) -> list[PredictionSet]:
+    """``cross_validate``'s results, if no fit failed; else the first failure raises."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def distillation_fit(
+    teacher_spec: EncoderSpec, student_spec: EncoderSpec | None, cfg: DistillConfig, seed: int,
+    fresh_per_label: bool, contrastive_weight: float | None, lr_scale: float,
+) -> Fit:
     """Per label: fine-tune the teacher on the hard loss, then distill it
     into the student and record the student's validation probabilities.
 
@@ -385,7 +417,7 @@ def _run_distillation(
                 X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
             )
             if student_spec is None:
-                yield softmax_t(forward_batch(teacher, X_val, j).logits, 1.0)[:, 1]
+                yield softmax(forward_batch(teacher, X_val, j).logits)[:, 1]
                 continue
             student, projection = train_student(
                 X_train,
@@ -399,11 +431,9 @@ def _run_distillation(
                 projection=projection,
                 contrastive_weight=contrastive_weight,
             )
-            yield softmax_t(forward_batch(student, X_val, j).logits, 1.0)[:, 1]
+            yield softmax(forward_batch(student, X_val, j).logits)[:, 1]
 
-    return _cross_validate(
-        corpus, folds, teacher_spec.input_dim, cfg.max_length, label_order, fit_fold, workers, fresh_per_label
-    )
+    return Fit(teacher_spec.input_dim, cfg.max_length, fit_fold, fresh_per_label)
 
 
 def distill_sequential(
@@ -419,11 +449,8 @@ def distill_sequential(
     workers: int = 1,
 ) -> PredictionSet:
     """Teacher and student encoders persist across labels within a fold."""
-    return _run_distillation(
-        corpus, folds, teacher_spec, student_spec, cfg, seed,
-        fresh_per_label=False, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        label_order=label_order, workers=workers,
-    )
+    fit = distillation_fit(teacher_spec, student_spec, cfg, seed, False, contrastive_weight, lr_scale)
+    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
 
 
 def distill_binary_relevance(
@@ -439,11 +466,8 @@ def distill_binary_relevance(
     workers: int = 1,
 ) -> PredictionSet:
     """Fresh teacher and student per (fold, label): labels never interact."""
-    return _run_distillation(
-        corpus, folds, teacher_spec, student_spec, cfg, seed,
-        fresh_per_label=True, contrastive_weight=contrastive_weight, lr_scale=lr_scale,
-        label_order=label_order, workers=workers,
-    )
+    fit = distillation_fit(teacher_spec, student_spec, cfg, seed, True, contrastive_weight, lr_scale)
+    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
 
 
 def teacher_cv_predictions(
@@ -459,10 +483,8 @@ def teacher_cv_predictions(
     This is the sequential run without a student, so the recorded
     teacher is the one the student distills from.
     """
-    return _run_distillation(
-        corpus, folds, teacher_spec, None, cfg, seed,
-        fresh_per_label=False, contrastive_weight=None, lr_scale=lr_scale,
-    )
+    fit = distillation_fit(teacher_spec, None, cfg, seed, False, None, lr_scale)
+    return raise_first_failure(cross_validate(corpus, folds, [fit]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +519,7 @@ def _train_logistic(
     return w, b
 
 
-def baseline_classifier_chains(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    cfg: DistillConfig,
-    seed: int,
-    feature_dim: int = 32768,
-    lr: float = BASELINE_LEARNING_RATE,
-    label_order=None,
-    workers: int = 1,
-) -> PredictionSet:
+def chains_fit(cfg: DistillConfig, seed: int, feature_dim: int, lr: float = BASELINE_LEARNING_RATE) -> Fit:
     """TF-IDF + chained linear classifiers trained with logistic loss.
 
     Classifier j sees the feature row plus the bits of the labels
@@ -527,4 +540,19 @@ def baseline_classifier_chains(
             chain_train = np.hstack([chain_train, y_train[:, j][:, None]])
             chain_val = np.hstack([chain_val, (probs >= 0.5).astype(np.float64)[:, None]])
 
-    return _cross_validate(corpus, folds, feature_dim, cfg.max_length, label_order, fit_fold, workers)
+    return Fit(feature_dim, cfg.max_length, fit_fold)
+
+
+def baseline_classifier_chains(
+    corpus: Corpus,
+    folds: FoldAssignment,
+    cfg: DistillConfig,
+    seed: int,
+    feature_dim: int = 32768,
+    lr: float = BASELINE_LEARNING_RATE,
+    label_order=None,
+    workers: int = 1,
+) -> PredictionSet:
+    """The classifier-chains baseline (``chains_fit``) cross-validated."""
+    fit = chains_fit(cfg, seed, feature_dim, lr)
+    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]

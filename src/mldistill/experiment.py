@@ -17,12 +17,12 @@ from functools import partial
 import numpy as np
 
 import mldistill
-from mldistill import parallel
+from mldistill import hypertune, parallel
 from mldistill.config import DistillConfig, RunConfig, SwarmConfig, TrainingMode, swarm_settings
 from mldistill.corpus import Corpus
-from mldistill.distill import baseline_classifier_chains, distill_binary_relevance, distill_sequential
+from mldistill.distill import Fit, chains_fit, cross_validate, distillation_fit, raise_first_failure
 from mldistill.errors import UsageError
-from mldistill.hypertune import HyperSpace, TraceEntry, decode, decode_values, pso_optimize
+from mldistill.hypertune import HyperSpace, TraceEntry, decode, decode_values
 from mldistill.metrics import MetricsReport, example_f1, full_report, render_report
 from mldistill.model import EncoderSpec
 from mldistill.predictions import PredictionSet, write_predictions
@@ -61,40 +61,24 @@ def folds_for(corpus: Corpus, config: RunConfig) -> FoldAssignment:
     return stratified_kfold(corpus, config.k, derive_seed(config.seed, "folds"))
 
 
-def dispatch_mode(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    config: RunConfig,
-    mode: TrainingMode | None = None,
-    distill_cfg: DistillConfig | None = None,
-    seed: int | None = None,
-) -> PredictionSet:
-    """Run one training mode end to end, its work units on up to
-    ``config.workers`` processes, and return its predictions."""
-    mode = mode if mode is not None else config.mode
-    cfg = distill_cfg if distill_cfg is not None else config.distill
-    seed = config.seed if seed is None else seed
-    label_order = config.resolved.get("run.label_order")
-
+def mode_fit(config: RunConfig, mode: TrainingMode, cfg: DistillConfig, seed: int) -> Fit:
+    """The fit of one training mode under ``config``."""
     if mode.variant == "classifier_chains_baseline":
-        return baseline_classifier_chains(
-            corpus, folds, cfg, seed, feature_dim=config.feature_dim, label_order=label_order, workers=config.workers
-        )
+        return chains_fit(cfg, seed, config.feature_dim)
+    teacher, student = _encoder_specs(config)
+    independent = not mode.is_sequential
+    return distillation_fit(teacher, student, cfg, seed, independent, mode.contrastive_weight, config.lr_scale)
 
-    teacher_spec, student_spec = _encoder_specs(config)
-    runner = distill_sequential if mode.is_sequential else distill_binary_relevance
-    return runner(
-        corpus,
-        folds,
-        teacher_spec,
-        student_spec,
-        cfg,
-        seed,
-        contrastive_weight=mode.contrastive_weight,
-        lr_scale=config.lr_scale,
-        label_order=label_order,
-        workers=config.workers,
-    )
+
+def cross_validate_fits(corpus: Corpus, folds: FoldAssignment, config: RunConfig, fits: list[Fit]) -> list:
+    """``cross_validate`` of ``fits``, their work units on up to ``config.workers`` processes."""
+    return cross_validate(corpus, folds, fits, config.resolved.get("run.label_order"), config.workers)
+
+
+def dispatch_mode(corpus: Corpus, folds: FoldAssignment, config: RunConfig) -> PredictionSet:
+    """Run the configured training mode end to end and return its predictions."""
+    fit = mode_fit(config, config.mode, config.distill, config.seed)
+    return raise_first_failure(cross_validate_fits(corpus, folds, config, [fit]))[0]
 
 
 def base_meta(config: RunConfig) -> dict:
@@ -173,13 +157,14 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
     folds = folds_for(corpus, config)
     shared_hash = folds.content_hash()
 
+    weight = config.resolved["run.contrastive_weight"]
+    fits = [
+        mode_fit(config, TrainingMode(v, weight if v.endswith("_contrastive") else None), config.distill, config.seed)
+        for v in ABLATION_VARIANTS
+    ]
+    results = raise_first_failure(cross_validate_fits(corpus, folds, config, fits))
     rows = []
-    for variant in ABLATION_VARIANTS:
-        if variant.endswith("_contrastive"):
-            mode = TrainingMode(variant=variant, contrastive_weight=config.resolved["run.contrastive_weight"])
-        else:
-            mode = TrainingMode(variant=variant)
-        predictions = dispatch_mode(corpus, folds, config, mode=mode)
+    for variant, predictions in zip(ABLATION_VARIANTS, results):
         report = full_report(predictions)
         rows.append(
             AblationRow(
@@ -236,17 +221,23 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
     folds = folds_for(corpus, config)
     objective_seed = derive_seed(config.seed, "tune-objective")
 
-    def objective(position: np.ndarray) -> float:
+    def position_fit(position: np.ndarray) -> Fit | None:
         try:
-            trial_cfg = decode(position, space)
-            predictions = dispatch_mode(corpus, folds, config, distill_cfg=trial_cfg, seed=objective_seed)
-            return example_f1(predictions)
+            return mode_fit(config, config.mode, decode(position, space), objective_seed)
         except (ValueError, ArithmeticError):
-            return -math.inf
+            return None
+
+    def evaluate(positions: list[np.ndarray]) -> list[float]:
+        """Each position's example F1, from one fold loop over the fits of all
+        positions; -inf where a position fails to decode or its fit fails."""
+        fits = [position_fit(position) for position in positions]
+        results = iter(cross_validate_fits(corpus, folds, config, [fit for fit in fits if fit is not None]))
+        scored = [next(results) if fit is not None else None for fit in fits]
+        return [example_f1(r) if isinstance(r, PredictionSet) else -math.inf for r in scored]
 
     settings = swarm_settings(config)
-    swarm_cfg = SwarmConfig(seed=derive_seed(config.seed, "swarm"), parallelism=config.workers, **settings)
-    best_pos, best_score, trace = pso_optimize(space, objective, swarm_cfg)
+    swarm_cfg = SwarmConfig(seed=derive_seed(config.seed, "swarm"), **settings)
+    best_pos, best_score, trace = hypertune.pso_optimize(space, evaluate, swarm_cfg)
     best_config = decode(best_pos, space)
     audit = manifest(
         "tune",

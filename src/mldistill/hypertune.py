@@ -1,13 +1,15 @@
-"""Parallel particle swarm optimization over a box-constrained space.
+"""Synchronous particle swarm optimization over a box-constrained space.
 
 Each particle keeps a personal best; the swarm keeps a global best.
 Velocities blend inertia with pulls toward both bests, scaled by
 per-dimension uniform random vectors.  Integer dimensions travel in
 continuous space and are rounded only when a position is decoded into a
-configuration.  The particles of each iteration may be evaluated in
-parallel, on worker processes forked once per run (``parallel.forked``);
-each particle owns a counter-based random stream and scores are merged
-in particle order, so the result is bit-identical at every worker count.
+configuration.  Every particle of an iteration is scored, by one call of
+the caller's ``evaluate`` on all their positions, before any particle
+moves; ``tune`` runs that call's cross-validations as the work units of
+one fold loop.  Each particle owns a counter-based random stream and
+scores are merged in particle order, so the result does not depend on
+how ``evaluate`` spreads its work.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from mldistill import parallel
 from mldistill.config import DistillConfig, SwarmConfig
 from mldistill.errors import DataError, input_lines
 from mldistill.seeding import particle_rng
@@ -232,59 +233,53 @@ class TraceEntry:
 
 def pso_optimize(
     space: HyperSpace,
-    objective: Callable[[np.ndarray], float],
+    evaluate: Callable[[list[np.ndarray]], list[float]],
     cfg: SwarmConfig,
 ) -> tuple[np.ndarray, float, list[TraceEntry]]:
     """Run the swarm and return (best position, best score, trace).
 
-    The objective is maximized and must be a pure function of the
-    position.  Non-finite objective values are treated as -inf and the
-    offending particle indices are flagged in the trace entry.  With
-    ``parallelism > 1`` the particles are evaluated on up to that many
-    processes, forked once per run, so at most that many objective calls
-    are live at once.
+    ``evaluate`` maps a list of positions to their scores, in order; each
+    score is maximized and must be a pure function of its position.
+    Non-finite scores are treated as -inf and the offending particle
+    indices are flagged in the trace entry.
     """
     state = init_swarm(space, cfg)
     rngs = [particle_rng(cfg.seed, i) for i in range(cfg.n)]
     trace: list[TraceEntry] = []
 
-    def evaluate(position: np.ndarray) -> float:
-        return float(objective(position.copy()))
+    for iteration in range(1, cfg.max_iters + 1):
+        positions = [p.position.copy() for p in state.particles]
+        raw_scores = [float(s) for s in evaluate([p.copy() for p in positions])]
 
-    with parallel.forked(evaluate, min(cfg.parallelism, cfg.n)) as run:
-        for iteration in range(1, cfg.max_iters + 1):
-            positions = [p.position.copy() for p in state.particles]
-            raw_scores = run(positions)
+        nonfinite = tuple(i for i, s in enumerate(raw_scores) if not math.isfinite(s))
+        scores = [s if math.isfinite(s) else -math.inf for s in raw_scores]
 
-            nonfinite = tuple(i for i, s in enumerate(raw_scores) if not math.isfinite(s))
-            scores = [s if math.isfinite(s) else -math.inf for s in raw_scores]
+        for i, particle in enumerate(state.particles):
+            if scores[i] > particle.pbest_score:
+                particle.pbest_score = scores[i]
+                particle.pbest_pos = positions[i].copy()
+            if scores[i] > state.gbest_score:
+                state.gbest_score = scores[i]
+                state.gbest_pos = positions[i].copy()
 
+        assert state.gbest_score == max(p.pbest_score for p in state.particles)
+
+        if state.gbest_pos is not None:
             for i, particle in enumerate(state.particles):
-                if scores[i] > particle.pbest_score:
-                    particle.pbest_score = scores[i]
-                    particle.pbest_pos = positions[i].copy()
-                if scores[i] > state.gbest_score:
-                    state.gbest_score = scores[i]
-                    state.gbest_pos = positions[i].copy()
+                velocity_update(particle, state.gbest_pos, cfg, rngs[i])
+                constrain_particle(particle, space)
 
-            assert state.gbest_score == max(p.pbest_score for p in state.particles)
-
-            if state.gbest_pos is not None:
-                for i, particle in enumerate(state.particles):
-                    velocity_update(particle, state.gbest_pos, cfg, rngs[i])
-                    constrain_particle(particle, space)
-
-            trace.append(
-                TraceEntry(
-                    iteration=iteration,
-                    gbest_score=state.gbest_score,
-                    gbest_position=tuple(float(x) for x in (state.gbest_pos if state.gbest_pos is not None else [])),
-                    nonfinite_particles=nonfinite,
-                )
+        trace.append(
+            TraceEntry(
+                iteration=iteration,
+                gbest_score=state.gbest_score,
+                gbest_position=tuple(float(x) for x in (state.gbest_pos if state.gbest_pos is not None else [])),
+                nonfinite_particles=nonfinite,
             )
+        )
 
-            if early_stop_check(state, cfg.threshold, cfg.patience, cfg.relative_threshold):
-                break
+        if early_stop_check(state, cfg.threshold, cfg.patience, cfg.relative_threshold):
+            break
 
     if state.gbest_pos is None:
         raise ValueError("no particle produced a finite objective value")

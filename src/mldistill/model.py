@@ -63,16 +63,20 @@ def _pack(pairs):
 @dataclass
 class ModelState:
     """Encoder layer parameters plus per-label classification heads, packed
-    into ``flat``; ``grads`` is the buffer ``backward_batch`` writes into."""
+    into ``flat``; ``grads`` is the buffer ``backward_batch`` writes into.
+    A pickled or copied model is rebuilt through the packing."""
 
     spec: EncoderSpec
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (W: in x out, b: out)
-    heads: list[tuple[np.ndarray, np.ndarray]]  # (W: H x 2, b: 2)
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]  # (W: in x out, b: out)
+    heads: tuple[tuple[np.ndarray, np.ndarray], ...]  # (W: H x 2, b: 2)
 
     def __post_init__(self) -> None:
         self.flat, pairs = _pack([*self.layers, *self.heads])
-        self.layers, self.heads = pairs[: len(self.layers)], pairs[len(self.layers) :]
+        self.layers, self.heads = tuple(pairs[: len(self.layers)]), tuple(pairs[len(self.layers) :])
         self.grads = Gradients([(None, pairs[0][1]), *self.layers[1:]], -1, self.heads[0])
+
+    def __reduce__(self):
+        return ModelState, (self.spec, self.layers, self.heads)
 
     @property
     def num_labels(self) -> int:
@@ -80,6 +84,14 @@ class ModelState:
 
     def copy(self) -> "ModelState":
         return ModelState(self.spec, [(self.layers[0][0].copy(), self.layers[0][1]), *self.layers[1:]], self.heads)
+
+    def check_packed(self) -> None:
+        """Raise naming the first array but W0 that is not a view into ``flat``."""
+        owners = [f"encoder layer {i}" for i in range(len(self.layers))] + [f"head {j}" for j in range(self.num_labels)]
+        names = [f"{owner} {part}" for owner in owners for part in ("weights", "bias")]
+        for name, array in zip(names[1:], [a for pair in [*self.layers, *self.heads] for a in pair][1:]):
+            if not np.shares_memory(array, self.flat):
+                raise RuntimeError(f"{name} is detached from the model's flat parameters")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -252,14 +264,9 @@ def forward_rows(model: ModelState, cache: BatchCache, rows: np.ndarray) -> tupl
     return a, a @ W_head + b_head
 
 
-def softmax_t(logits, temperature: float) -> np.ndarray:
-    """Temperature-scaled softmax, computed in the max-shifted stable form
-    (T = 1 skips the division: ``z / 1.0`` is ``z`` exactly)."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+def softmax(logits) -> np.ndarray:
+    """Softmax over the last axis, computed in the max-shifted stable form."""
     z = np.asarray(logits, dtype=np.float64)
-    if temperature != 1.0:
-        z = z / temperature
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -286,6 +293,9 @@ class Gradients:
     def __post_init__(self) -> None:
         self.flat, pairs = _pack([*self.layers, self.head])
         self.layers, self.head = pairs[:-1], pairs[-1]
+
+    def __reduce__(self):
+        return Gradients, (self.layers, self.head_label, self.head)
 
 
 def backward_batch(model: ModelState, cache: BatchCache, dlogits: np.ndarray, dhidden_extra=None) -> Gradients:

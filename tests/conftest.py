@@ -3,7 +3,7 @@ import pytest
 
 from mldistill.corpus import Corpus, Document, HashingTfidfVectorizer, LabelVocabulary, tokenize
 from mldistill.distill import _NORM_FLOOR as NORM_FLOOR
-from mldistill.model import softmax_t
+from mldistill.model import softmax
 from mldistill.synthetic import generate_synthetic
 
 
@@ -46,11 +46,11 @@ def dense(grad) -> np.ndarray:
 
 
 def three_softmax_kd_loss_grad(z_s, targets, z_t, cfg) -> np.ndarray:
-    """``kd_loss_grad`` with one ``softmax_t`` call per softmax."""
-    grad = softmax_t(z_s, 1.0) - targets
+    """``kd_loss_grad`` with one ``softmax`` call per softmax."""
+    grad = softmax(z_s) - targets
     if z_t is not None:
         grad *= 1.0 - cfg.alpha
-        grad += cfg.alpha * cfg.temperature * (softmax_t(z_s, cfg.temperature) - softmax_t(z_t, cfg.temperature))
+        grad += cfg.alpha * cfg.temperature * (softmax(z_s / cfg.temperature) - softmax(z_t / cfg.temperature))
     grad /= len(z_s)
     return grad
 

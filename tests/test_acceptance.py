@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from mldistill import parallel
 from mldistill.cli import main as cli_main
 from mldistill.config import DistillConfig, SwarmConfig
 from mldistill.distill import (
@@ -23,7 +24,7 @@ from mldistill.distill import (
 )
 from mldistill.hypertune import Dimension, HyperSpace, pso_optimize
 from mldistill.metrics import example_f1, full_report
-from mldistill.model import default_student_spec, default_teacher_spec, softmax_t
+from mldistill.model import default_student_spec, default_teacher_spec, softmax
 from mldistill.splits import stratified_kfold
 from mldistill.stats import anova, describe, f_sf, t_quantile, t_two_sided_p
 from mldistill.synthetic import generate_synthetic
@@ -56,8 +57,8 @@ def test_criterion_01_loss_algebra():
             cfg = DistillConfig(alpha=alpha, temperature=temperature)
             assert abs(kd_loss(z_s, z_t, 1, cfg) - (alpha * soft + (1 - alpha) * hard)) <= 1e-12
         # independent recomputation of the temperature-squared KL
-        sig_s = softmax_t(z_s, temperature)
-        sig_t = softmax_t(z_t, temperature)
+        sig_s = softmax(z_s / temperature)
+        sig_t = softmax(z_t / temperature)
         kl = float(np.sum(sig_t * (np.log(sig_t) - np.log(sig_s))))
         assert abs(soft - temperature ** 2 * kl) <= 1e-12
 
@@ -143,13 +144,23 @@ def test_criterion_06_pso_sphere_convergence():
     def objective(x):
         return -float(np.sum(x * x))
 
+    def serial(positions):
+        return [objective(x) for x in positions]
+
+    def forked(positions):
+        return parallel.map(objective, positions, 4)
+
+    def swarm(seed, max_iters):
+        return SwarmConfig(n=10, w=0.7, c1=1.5, c2=1.5, max_iters=max_iters, threshold=0.0, seed=seed)
+
     best_values = []
     for seed in (101, 202, 303, 404, 505):
-        serial = SwarmConfig(n=10, w=0.7, c1=1.5, c2=1.5, max_iters=100, threshold=0.0, seed=seed, parallelism=1)
-        parallel = SwarmConfig(n=10, w=0.7, c1=1.5, c2=1.5, max_iters=100, threshold=0.0, seed=seed, parallelism=4)
-        pos_s, score_s, trace_s = pso_optimize(space, objective, serial)
-        pos_p, score_p, trace_p = pso_optimize(space, objective, parallel)
-        assert np.array_equal(pos_s, pos_p) and score_s == score_p and trace_s == trace_p
+        pos_s, score_s, trace_s = pso_optimize(space, serial, swarm(seed, 100))
+        # The forked evaluator forks four workers per iteration, so it runs
+        # the first ten iterations, which must equal the serial trace's.
+        pos_p, score_p, trace_p = pso_optimize(space, forked, swarm(seed, 10))
+        assert trace_p == trace_s[:10]
+        assert score_p == trace_p[-1].gbest_score and tuple(pos_p) == trace_p[-1].gbest_position
         scores = [t.gbest_score for t in trace_s]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
         best_values.append(-score_s)
@@ -165,10 +176,10 @@ def test_criterion_07_early_stopping_contract():
     gbest_per_iteration = [0.5, 0.5005, 0.6, 0.7]  # improvements 0.5, 0.0005, ...
     calls = {"count": 0}
 
-    def scripted(_position):
+    def scripted(positions):
         iteration = calls["count"] // n
-        calls["count"] += 1
-        return gbest_per_iteration[min(iteration, len(gbest_per_iteration) - 1)]
+        calls["count"] += len(positions)
+        return [gbest_per_iteration[min(iteration, len(gbest_per_iteration) - 1)]] * len(positions)
 
     cfg = SwarmConfig(n=n, max_iters=50, threshold=0.001, patience=1, seed=0)
     _, score, trace = pso_optimize(space, scripted, cfg)

@@ -2,15 +2,17 @@
 relevance distillation, and the classifier-chains baseline."""
 
 import cProfile
+import dataclasses
 import os
 import pstats
+import time
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from mldistill import distill
-from mldistill.config import DistillConfig, TrainingMode
+from mldistill.config import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
 from mldistill.distill import (
     baseline_classifier_chains,
     contrastive_grads,
@@ -608,6 +610,75 @@ class TestWorkUnits:
             assert len({pid for pid, _ in mine}) == 1
         assert os.getpid() not in {pid for pid, _, _ in trained}
         assert sorted(read("features")) == sorted({(pid, fold) for pid, fold, _ in trained})
+
+
+class TestFoldLoop:
+    """One fold loop runs the units of many fits; each fit's result is its
+    predictions or the error of its first failing unit, in unit order."""
+
+    @staticmethod
+    def failing(fit, fold_to_fail, message):
+        """``fit`` with its units of ``fold_to_fail`` raising ``message``."""
+
+        def fit_fold(fold, *args):
+            if fold == fold_to_fail:
+                raise ValueError(message)
+            yield from fit.fit_fold(fold, *args)
+
+        return dataclasses.replace(fit, fit_fold=fit_fold)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failing_fit_leaves_the_others_as_their_solo_runs(self, cv_setup, workers):
+        corpus, folds, teacher, student, cfg = cv_setup
+        sequential = distill.distillation_fit(teacher, student, cfg, 5, False, None, DEFAULT_LR_SCALE)
+        independent = distill.distillation_fit(teacher, student, cfg, 5, True, 0.5, DEFAULT_LR_SCALE)
+        chains = distill.chains_fit(cfg, 5, DIM)
+        fits = [sequential, self.failing(independent, 1, "unit broke"), chains]
+        results = distill.cross_validate(corpus, folds, fits, workers=workers)
+        assert type(results[1]) is ValueError and str(results[1]) == "unit broke"
+        for fit, result in ((sequential, results[0]), (chains, results[2])):
+            [solo] = distill.cross_validate(corpus, folds, [fit])
+            assert result.canonical_rows() == solo.canonical_rows()
+
+    def test_failed_fit_skips_its_later_units(self, cv_setup):
+        corpus, folds, _, _, cfg = cv_setup
+        chains = distill.chains_fit(cfg, 5, DIM)
+        trained = []
+
+        def fit_fold(fold, *args):
+            trained.append(fold)
+            if fold == 1:
+                raise ValueError("unit broke")
+            yield from chains.fit_fold(fold, *args)
+
+        results = distill.cross_validate(corpus, folds, [dataclasses.replace(chains, fit_fold=fit_fold), chains])
+        assert trained == [0, 1]
+        assert str(results[0]) == "unit broke" and results[0].__traceback__ is None
+        assert results[1].canonical_rows() == distill.cross_validate(corpus, folds, [chains])[0].canonical_rows()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failing_unit_raises_whichever_fails_first(self, cv_setup, monkeypatch, workers):
+        """Fold 0's unit fails last in time, and its message is the one raised."""
+        corpus, folds, teacher, student, cfg = cv_setup
+        fold_of = {tuple(folds.val_indices(corpus, fold)): fold for fold in range(folds.k)}
+
+        def failing_features(tokens, train_idx, val_idx, dim, max_length):
+            fold = fold_of[tuple(val_idx)]
+            if fold == 0 and workers > 1:
+                time.sleep(0.2)
+            raise ValueError(f"fold {fold} broke")
+
+        monkeypatch.setattr(distill, "_fold_features", failing_features)
+        with pytest.raises(ValueError, match="^fold 0 broke$"):
+            distill_sequential(corpus, folds, teacher, student, cfg, seed=5, workers=workers)
+
+    def test_detached_student_is_refused(self, cv_setup):
+        corpus, folds, teacher, student, cfg = cv_setup
+        X = featurize(corpus, DIM)
+        model = init_model(student, len(corpus.vocab), seed=1)
+        model.flat = model.flat.copy()
+        with pytest.raises(RuntimeError, match="is detached"):
+            train_student(X, corpus.label_matrix()[:, 0], 0, model, None, cfg, np.random.default_rng(0))
 
 
 class TestClassifierChains:

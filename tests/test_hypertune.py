@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mldistill.config import SwarmConfig
+from mldistill import hypertune, parallel
+from mldistill.config import SwarmConfig, resolve_config
+from mldistill.experiment import run_tuning
 from mldistill.hypertune import (
     Dimension,
     HyperSpace,
@@ -22,6 +24,7 @@ from mldistill.hypertune import (
     space_to_json,
     velocity_update,
 )
+from mldistill.synthetic import generate_synthetic
 
 
 def box(dim=4, lo=-5.0, hi=5.0):
@@ -171,12 +174,12 @@ class TestPsoOptimize:
         target = 1.7
         for seed in (1, 2, 3, 4, 5):
             cfg = SwarmConfig(n=8, max_iters=100, threshold=0.0, seed=seed)
-            pos, score, _ = pso_optimize(space, lambda x: -float((x[0] - target) ** 2), cfg)
+            pos, score, _ = pso_optimize(space, lambda ps: [-float((x[0] - target) ** 2) for x in ps], cfg)
             assert abs(pos[0] - target) < 1e-3
 
     def test_constant_objective_stops_after_patience(self):
         cfg = SwarmConfig(n=3, max_iters=50, threshold=0.001, patience=1, seed=0)
-        _, _, trace = pso_optimize(box(2), lambda x: 0.25, cfg)
+        _, _, trace = pso_optimize(box(2), lambda ps: [0.25] * len(ps), cfg)
         # first iteration improves from -inf; the second shows zero improvement
         assert len(trace) == 2
 
@@ -185,7 +188,7 @@ class TestPsoOptimize:
         cfg = SwarmConfig(n=6, max_iters=30, threshold=0.0, seed=5)
         rng = np.random.default_rng(2)
         anchor = rng.uniform(-4, 4, size=3)
-        pos, _, trace = pso_optimize(space, lambda x: -float(np.sum((x - anchor) ** 2)), cfg)
+        pos, _, trace = pso_optimize(space, lambda ps: [-float(np.sum((x - anchor) ** 2)) for x in ps], cfg)
         scores = [t.gbest_score for t in trace]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
         assert np.all(pos >= space.lower) and np.all(pos <= space.upper)
@@ -197,9 +200,8 @@ class TestPsoOptimize:
             return -float(np.sum(x * x))
 
         results = []
-        for workers in (1, 4):
-            cfg = SwarmConfig(n=10, max_iters=25, threshold=0.0, seed=77, parallelism=workers)
-            pos, score, trace = pso_optimize(space, objective, cfg)
+        for evaluate in (lambda ps: [objective(x) for x in ps], lambda ps: parallel.map(objective, ps, 4)):
+            pos, score, trace = pso_optimize(space, evaluate, SwarmConfig(n=10, max_iters=25, threshold=0.0, seed=77))
             results.append((pos.tolist(), score, trace))
         assert results[0] == results[1]
 
@@ -210,7 +212,7 @@ class TestPsoOptimize:
             return math.nan if x[0] > 0 else float(x[0])
 
         cfg = SwarmConfig(n=6, max_iters=3, threshold=0.0, seed=8)
-        pos, score, trace = pso_optimize(space, objective, cfg)
+        pos, score, trace = pso_optimize(space, lambda ps: [objective(x) for x in ps], cfg)
         assert any(t.nonfinite_particles for t in trace)
         assert math.isfinite(score)
         assert pos[0] <= 0
@@ -225,7 +227,7 @@ class TestPsoOptimize:
         def objective(x):
             return -float(np.sum(x * x))
 
-        pos, score, trace = pso_optimize(space, objective, cfg)
+        pos, score, trace = pso_optimize(space, lambda ps: [objective(x) for x in ps], cfg)
         # weaker but meaningful: the returned best matches the trace maximum
         assert score == max(t.gbest_score for t in trace)
 
@@ -243,7 +245,7 @@ class TestPsoOptimize:
             return float(rng.random())
 
         cfg = SwarmConfig(n=3, max_iters=7, threshold=0.0, seed=2)
-        _, _, trace = pso_optimize(space, noisy, cfg)
+        _, _, trace = pso_optimize(space, lambda ps: [noisy(x) for x in ps], cfg)
         assert len(trace) <= 7
 
     def test_velocity_zeroed_on_clamped_dimensions(self):
@@ -308,3 +310,29 @@ class TestSpaceFile:
 
         with pytest.raises(DataError):
             load_space(path)
+
+
+class TestTuneEvaluate:
+    """``tune`` scores the positions of a swarm iteration in one fold loop."""
+
+    def test_failing_particles_score_minus_inf_and_the_rest_as_alone(self, monkeypatch):
+        corpus = generate_synthetic(60, num_labels=2, seed=21)
+        # relu is unbounded, so a huge learning rate diverges into a non-finite step
+        keys = {"run.k": "2", "run.feature_dim": "256", "model.activation": "relu", "run.workers": "3"}
+        captured = {}
+
+        def capture(space, evaluate, cfg):
+            captured["evaluate"] = evaluate
+            return space.lower, 0.0, []
+
+        monkeypatch.setattr(hypertune, "pso_optimize", capture)
+        run_tuning(corpus, resolve_config(overrides=keys), default_space())
+        evaluate = captured["evaluate"]
+        # (temperature, alpha, learning_rate, batch_size, epochs, max_length)
+        good = [np.array([3.0, 0.5, 5e-4, 16, 3, 128]), np.array([2.5, 0.3, 2e-4, 8, 3, 200])]
+        diverging = np.array([3.0, 0.5, 1e150, 16, 3, 128])
+        undecodable = np.array([3.0, 2.0, 5e-4, 16, 3, 128])  # alpha outside [0, 1]
+        scores = evaluate([good[0], diverging, undecodable, good[1]])
+        assert scores[1] == scores[2] == -math.inf
+        assert [scores[0], scores[3]] == [evaluate([p])[0] for p in good]
+        assert all(math.isfinite(s) for s in (scores[0], scores[3]))

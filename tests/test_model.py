@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from mldistill.model import (
     glorot_uniform,
     init_model,
     sgd_step,
-    softmax_t,
+    softmax,
     sparse_batches,
 )
 
@@ -53,7 +55,7 @@ class TestInit:
     def test_one_buffer_behind_all_but_the_first_weights(self):
         m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
         (W0, b0), *deeper = m.layers
-        views = [b0, *(a for pair in deeper + m.heads for a in pair)]
+        views = [b0, *(a for pair in [*deeper, *m.heads] for a in pair)]
         assert not np.shares_memory(W0, m.flat)
         m.flat[:] = np.arange(m.flat.size)  # encoder slice, then one slice per head
         assert np.array_equal(np.concatenate([v.ravel() for v in views]), m.flat)
@@ -159,19 +161,19 @@ class TestForward:
             forward_batch(m, np.zeros((1, 8)), 2)
 
 
-class TestSoftmaxT:
+class TestSoftmax:
     def test_symmetry(self):
         for temperature in (0.5, 1.0, 3.0):
-            assert np.allclose(softmax_t([1.0, 1.0], temperature), [0.5, 0.5])
+            assert np.allclose(softmax(np.array([1.0, 1.0]) / temperature), [0.5, 0.5])
 
     def test_derived_value(self):
         # softmax([1, 0]) after dividing [2, 0] by T = 2
-        out = softmax_t([2.0, 0.0], 2.0)
+        out = softmax(np.array([2.0, 0.0]) / 2.0)
         assert out[0] == pytest.approx(0.7310585786300049, abs=1e-12)
         assert out[1] == pytest.approx(0.2689414213699951, abs=1e-12)
 
     def test_extreme_logits_stable(self):
-        out = softmax_t([1000.0, 0.0], 1.0)
+        out = softmax([1000.0, 0.0])
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
 
@@ -180,7 +182,7 @@ class TestSoftmaxT:
         for _ in range(200):
             z = rng.normal(scale=10, size=2)
             temperature = rng.uniform(0.1, 10)
-            out = softmax_t(z, temperature)
+            out = softmax(z / temperature)
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out >= 0)
 
@@ -189,24 +191,17 @@ class TestSoftmaxT:
         for _ in range(100):
             z = rng.normal(size=2)
             c = rng.normal()
-            assert np.allclose(softmax_t(z, 2.0), softmax_t(z + c, 2.0), atol=1e-12)
+            assert np.allclose(softmax(z / 2.0), softmax((z + c) / 2.0), atol=1e-12)
 
     def test_high_temperature_limit(self):
-        out = softmax_t([3.0, -1.0], 1e6)
+        out = softmax(np.array([3.0, -1.0]) / 1e6)
         assert np.allclose(out, [0.5, 0.5], atol=1e-6)
 
-    @pytest.mark.parametrize("temperature", [1.0, 2.5])
-    def test_leaves_input_unchanged(self, temperature):
+    def test_leaves_input_unchanged(self):
         z = np.random.default_rng(2).normal(scale=5, size=(6, 2))
         before = z.copy()
-        out = softmax_t(z, temperature)
+        out = softmax(z)
         assert np.array_equal(z, before) and not np.shares_memory(out, z)
-
-    def test_temperature_validation(self):
-        with pytest.raises(ValueError):
-            softmax_t([0.0, 0.0], 0.0)
-        with pytest.raises(ValueError):
-            softmax_t([0.0, 0.0], -1.0)
 
 
 def dense_grads_like(model, scale=0.0):
@@ -341,7 +336,7 @@ class TestPredictProba:
         for W, b in m.layers:
             W[:] = 0.0
         m.heads[0][0][...] = 0.0
-        assert softmax_t(forward_batch(m, np.ones((1, 8)), 0).logits, 1.0)[0, 1] == pytest.approx(0.5)
+        assert softmax(forward_batch(m, np.ones((1, 8)), 0).logits)[0, 1] == pytest.approx(0.5)
 
     def test_closed_form_value(self):
         m = init_model(tiny_spec(input_dim=2, hidden=(2,)), 1, seed=3)
@@ -352,14 +347,14 @@ class TestPredictProba:
             [(np.eye(2), np.zeros(2))],
             [(np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([0.0, math.log(3.0)]))],
         )
-        probs = softmax_t(forward_batch(m, np.zeros((1, 2)), 0).logits, 1.0)
+        probs = softmax(forward_batch(m, np.zeros((1, 2)), 0).logits)
         assert probs[0, 1] == pytest.approx(0.75, abs=1e-12)
 
     def test_monotone_in_positive_logit(self):
         probs = []
         for extra in np.linspace(0.0, 3.0, 7):
             z = np.array([0.2, extra])
-            probs.append(float(softmax_t(z, 1.0)[1]))
+            probs.append(float(softmax(z)[1]))
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
 
@@ -428,6 +423,49 @@ class TestBatchBackward:
         assert grads.layers[0][0].rows.size == 0
         sgd_step(m, grads, 0.5)
         assert np.array_equal(m.layers[0][0], W0)
+
+
+class TestCopySafety:
+    """A deep-copied or unpickled model is rebuilt through the packing, so
+    its dense arrays stay views into its own ``flat`` and it trains as
+    ``m.copy()`` does."""
+
+    @staticmethod
+    def ten_steps(m):
+        """Ten plain gradient steps on fixed rows; every array's bytes after."""
+        X = np.random.default_rng(3).normal(size=(6, 8))
+        targets = np.eye(2)[[0, 1, 1, 0, 1, 0]]
+        for step in range(10):
+            cache = forward_batch(m, X, step % 2)
+            sgd_step(m, backward_batch(m, cache, softmax(cache.logits) - targets), 0.3)
+        return [a.tobytes() for pair in (*m.layers, *m.heads) for a in pair]
+
+    @pytest.mark.parametrize("protocol", [None, 2, 3, 4, 5], ids=["deepcopy", *(f"pickle{p}" for p in range(2, 6))])
+    def test_clone_trains_like_copy(self, protocol):
+        m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
+        clone = copy.deepcopy(m) if protocol is None else pickle.loads(pickle.dumps(m, protocol=protocol))
+        assert np.shares_memory(clone.flat, clone.layers[1][0]) and not np.shares_memory(clone.flat, m.flat)
+        clone.check_packed()
+        assert self.ten_steps(clone) == self.ten_steps(m.copy())
+
+    @pytest.mark.parametrize("protocol", [2, 5])
+    def test_unpickled_gradients_stay_packed(self, protocol):
+        m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
+        grads = pickle.loads(pickle.dumps(m.grads, protocol=protocol))
+        assert np.shares_memory(grads.flat, grads.layers[1][0]) and np.shares_memory(grads.flat, grads.head[1])
+
+    def test_item_assignment_raises(self):
+        m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
+        with pytest.raises(TypeError):
+            m.layers[1] = (m.layers[1][0].copy(), m.layers[1][1])
+        with pytest.raises(TypeError):
+            m.heads[0] = m.heads[1]
+
+    def test_swapped_flat_names_first_detached_array(self):
+        m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
+        m.flat = m.flat.copy()
+        with pytest.raises(RuntimeError, match="encoder layer 0 bias is detached"):
+            m.check_packed()
 
 
 def random_csr(n, dim, index_dtype, seed, unsorted=False):

@@ -63,14 +63,6 @@ def test_nested_call_in_a_worker_runs_serially():
         assert inner == [pid] * 3
 
 
-def test_forked_pool_serves_many_maps_with_the_same_workers():
-    with parallel.forked(lambda x: (x + 1, os.getpid()), 2) as run:
-        first, second = run([0, 1, 2]), run([3, 4])
-    assert [value for value, _ in first + second] == [1, 2, 3, 4, 5]
-    pids = {pid for _, pid in first + second}
-    assert len(pids) <= 2 and os.getpid() not in pids
-
-
 def test_peak_counts_the_workers(monkeypatch):
     monkeypatch.setattr(parallel, "_workers_peak_kb", 0)
     peaks = parallel.map(lambda _: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, range(2), 2)
