@@ -14,22 +14,23 @@ differentiate the values against them.
 Every mode runs through one fold loop, ``cross_validate``, which takes
 a list of fits: runs that have not started, each a generator that trains
 fresh models on a work unit of one fold and some of its labels, and yields
-each label's validation probabilities.  It checks the folds and the label
-order, then runs the units of every fit on one ``parallel.map``, serially
-or on forked worker processes: each fold is featurized (IDF from its
-training part only), narrowed to the hashed columns its documents touch,
-and trained, and its out-of-fold predictions are recorded in unit order.
-A unit holds the whole label order when labels are chained, and one label
-in the binary-relevance variants, whose labels never interact, so two
-workers split an odd number of folds evenly.  ``run`` passes one fit,
-``ablate`` its four variants and ``tune`` every particle of a swarm
-iteration.  Labels train in vocabulary order unless a permutation is
-given.  The distillation fits fine-tune the teacher and distill it into
-the student (``teacher_cv_predictions`` records the teacher alone); the
-classifier-chains baseline trains one logistic classifier per label.
-Epochs are innermost.  In the sequential variants the encoders persist
-across labels within a fold, which is the channel that carries
-cross-label information.
+each label's validation probabilities, one array per output of the fit.
+It checks the folds and the label order, then runs the units of every fit
+on one ``parallel.map``, serially or on forked worker processes: each fold
+is featurized (IDF from its training part only), narrowed to the hashed
+columns its documents touch, and trained, and its out-of-fold predictions
+are recorded in unit order.  A unit holds the whole label order when
+labels are chained, and one label in the binary-relevance variants, whose
+labels never interact, so two workers split an odd number of folds evenly.
+``run`` passes one fit, ``ablate`` two fits of one teacher and two
+students each, and ``tune`` every particle of a swarm iteration.  Labels
+train in vocabulary order unless a permutation is given.  A distillation
+unit fine-tunes the teacher once per label and distills that frozen
+teacher into each of its students (with none, ``teacher_cv_predictions``
+records the teacher alone); the classifier-chains baseline trains one
+logistic classifier per label.  Epochs are innermost.  In the sequential
+variants the encoders persist across labels within a fold, which is the
+channel that carries cross-label information.
 """
 
 from __future__ import annotations
@@ -291,19 +292,21 @@ class Fit:
     ``dim`` hashed columns and ``max_length`` tokens, and ``fit_fold(fold,
     X_train, Y_train, X_val, labels, columns)`` trains fresh models on one
     fold, whose features hold only the hashed ``columns`` its documents
-    touch, and yields the validation positive-class probabilities of each
-    label in ``labels``.  ``fresh_per_label`` makes each label a unit."""
+    touch, and yields for each label in ``labels`` a tuple of ``outputs``
+    arrays of validation positive-class probabilities.
+    ``fresh_per_label`` makes each label a unit."""
 
     dim: int
     max_length: int
-    fit_fold: Callable[..., Iterator[np.ndarray]]
+    fit_fold: Callable[..., Iterator[tuple[np.ndarray, ...]]]
     fresh_per_label: bool = False
+    outputs: int = 1
 
 
 def cross_validate(
     corpus: Corpus, folds: FoldAssignment, fits: Sequence[Fit], label_order=None, workers: int = 1
 ) -> list[PredictionSet | ValueError | ArithmeticError]:
-    """Out-of-fold predictions of every fit run on every fold.
+    """Out-of-fold predictions of every output of every fit run on every fold.
 
     The work units are ``(fit, fold, labels)``, fit-major, then fold-major:
     one per fold with the whole label order when labels are chained, one
@@ -312,10 +315,11 @@ def cross_validate(
     keeping the features of the last (fold, dim, max_length) it built.  The
     checks, the token lists and the recording of predictions, in unit
     order, stay in the caller, so the output does not depend on
-    ``workers``.  Each fit's result is its ``PredictionSet``, or the
-    ``ValueError`` or ``ArithmeticError`` of its first failing unit in unit
-    order.  A process takes its units in unit order and skips a fit's units
-    once one has failed.  Any other exception ends the map.
+    ``workers``.  The results are flat, in fit order and then output order:
+    each output's ``PredictionSet``, or for every output of a failed fit
+    the ``ValueError`` or ``ArithmeticError`` of its first failing unit in
+    unit order.  A process takes its units in unit order and skips a fit's
+    units once one has failed.  Any other exception ends the map.
     """
     if set(folds.fold_of) != {d.id for d in corpus.documents}:
         raise ValueError("fold assignment does not cover exactly the corpus documents")
@@ -354,27 +358,29 @@ def cross_validate(
             failed.add(f)
             return exc.with_traceback(None)  # the failing frames need not stay alive
 
-    def collect(f: int) -> PredictionSet | ValueError | ArithmeticError:
-        predictions = PredictionSet(corpus.vocab.labels)
+    def collect(f: int) -> list[PredictionSet | ValueError | ArithmeticError]:
+        predictions = [PredictionSet(corpus.vocab.labels) for _ in range(fits[f].outputs)]
         try:
             for (g, fold, labels), per_label in zip(units, outcomes):
                 if g != f:
                     continue
                 if isinstance(per_label, Exception):
-                    return per_label
+                    return [per_label] * len(predictions)
                 _, val_idx = splits[fold]
                 val_ids = [corpus.documents[i].id for i in val_idx]
                 n = len(val_ids)
                 for j, probs in zip(labels, per_label, strict=True):
                     truth = labels_matrix[val_idx, j].tolist()
-                    predictions.add_many(val_ids, [j] * n, probs.tolist(), truth, [fold] * n)
-            predictions.validate_complete()
+                    for output, p in zip(predictions, probs, strict=True):
+                        output.add_many(val_ids, [j] * n, p.tolist(), truth, [fold] * n)
+            for output in predictions:
+                output.validate_complete()
         except (ValueError, ArithmeticError) as exc:
-            return exc.with_traceback(None)
+            return [exc.with_traceback(None)] * len(predictions)
         return predictions
 
     outcomes = parallel.map(run_unit, units, workers)
-    return [collect(f) for f in range(len(fits))]
+    return [result for f in range(len(fits)) for result in collect(f)]
 
 
 def raise_first_failure(results: list) -> list[PredictionSet]:
@@ -386,18 +392,21 @@ def raise_first_failure(results: list) -> list[PredictionSet]:
 
 
 def distillation_fit(
-    teacher_spec: EncoderSpec, student_spec: EncoderSpec | None, cfg: DistillConfig, seed: int,
-    fresh_per_label: bool, contrastive_weight: float | None, lr_scale: float,
+    teacher_spec: EncoderSpec, students: tuple[tuple[EncoderSpec, float | None], ...], cfg: DistillConfig,
+    seed: int, fresh_per_label: bool, lr_scale: float,
 ) -> Fit:
-    """Per label: fine-tune the teacher on the hard loss, then distill it
-    into the student and record the student's validation probabilities.
+    """Per label: fine-tune the teacher on the hard loss, then distill that
+    frozen teacher into each student, a (spec, contrastive weight or None)
+    pair, and record each student's validation probabilities, in order.
 
-    Without a ``student_spec`` the teacher's own probabilities are
-    recorded.  Sequential runs initialize once per fold and carry the
-    encoders across labels; ``fresh_per_label`` trains each (fold, label)
-    as its own work unit, from models of its own.
+    With no students the teacher's own probabilities are recorded.
+    Sequential runs initialize once per fold and carry the encoders across
+    labels; ``fresh_per_label`` trains each (fold, label) as its own work
+    unit, from models of its own.  Each student draws its init, projection
+    and batches from the keys it would draw alone, and the teacher is only
+    read while students train, so each output equals its one-student fit.
     """
-    if student_spec is not None and teacher_spec.input_dim != student_spec.input_dim:
+    if any(spec.input_dim != teacher_spec.input_dim for spec, _ in students):
         raise ValueError("teacher and student must share the feature dimensionality")
     lr = cfg.learning_rate * lr_scale
 
@@ -406,34 +415,29 @@ def distillation_fit(
         every model's first layer holds only the fold's ``columns``."""
         num_labels, first = Y_train.shape[1], labels[0]
         teacher = init_model(teacher_spec, num_labels, derive_seed(seed, "init", "teacher", fold, first), columns)
-        student = projection = None
-        if student_spec is not None:
-            student = init_model(student_spec, num_labels, derive_seed(seed, "init", "student", fold, first), columns)
-        if contrastive_weight is not None:
-            proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, first)))
-            projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, student_spec.hidden_dim)
+        trained = []  # each student's (model, projection)
+        for spec, weight in students:
+            student = init_model(spec, num_labels, derive_seed(seed, "init", "student", fold, first), columns)
+            projection = None
+            if weight is not None:
+                proj_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "init", "projection", fold, first)))
+                projection = glorot_uniform(proj_rng, teacher_spec.hidden_dim, spec.hidden_dim)
+            trained.append((student, projection))
         for j in labels:
             teacher, _ = train_student(
                 X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
             )
-            if student_spec is None:
-                yield softmax(forward_batch(teacher, X_val, j).logits)[:, 1]
-                continue
-            student, projection = train_student(
-                X_train,
-                Y_train[:, j],
-                j,
-                student,
-                teacher,
-                cfg,
-                rng_for(seed, "batches", "student", fold, j),
-                lr=lr,
-                projection=projection,
-                contrastive_weight=contrastive_weight,
-            )
-            yield softmax(forward_batch(student, X_val, j).logits)[:, 1]
+            trained = [
+                train_student(
+                    X_train, Y_train[:, j], j, student, teacher, cfg, rng_for(seed, "batches", "student", fold, j),
+                    lr=lr, projection=projection, contrastive_weight=weight,
+                )
+                for (student, projection), (_, weight) in zip(trained, students)
+            ]
+            recorded = [student for student, _ in trained] or [teacher]
+            yield tuple(softmax(forward_batch(model, X_val, j).logits)[:, 1] for model in recorded)
 
-    return Fit(teacher_spec.input_dim, cfg.max_length, fit_fold, fresh_per_label)
+    return Fit(teacher_spec.input_dim, cfg.max_length, fit_fold, fresh_per_label, max(len(students), 1))
 
 
 def distill_sequential(
@@ -449,24 +453,7 @@ def distill_sequential(
     workers: int = 1,
 ) -> PredictionSet:
     """Teacher and student encoders persist across labels within a fold."""
-    fit = distillation_fit(teacher_spec, student_spec, cfg, seed, False, contrastive_weight, lr_scale)
-    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
-
-
-def distill_binary_relevance(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    teacher_spec: EncoderSpec,
-    student_spec: EncoderSpec,
-    cfg: DistillConfig,
-    seed: int,
-    contrastive_weight: float | None = None,
-    lr_scale: float = DEFAULT_LR_SCALE,
-    label_order=None,
-    workers: int = 1,
-) -> PredictionSet:
-    """Fresh teacher and student per (fold, label): labels never interact."""
-    fit = distillation_fit(teacher_spec, student_spec, cfg, seed, True, contrastive_weight, lr_scale)
+    fit = distillation_fit(teacher_spec, ((student_spec, contrastive_weight),), cfg, seed, False, lr_scale)
     return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
 
 
@@ -480,10 +467,10 @@ def teacher_cv_predictions(
 ) -> PredictionSet:
     """Out-of-fold predictions of the teacher alone (no distillation).
 
-    This is the sequential run without a student, so the recorded
-    teacher is the one the student distills from.
+    This is the sequential fit with no student, so the recorded teacher
+    is the one every student distills from.
     """
-    fit = distillation_fit(teacher_spec, None, cfg, seed, False, None, lr_scale)
+    fit = distillation_fit(teacher_spec, (), cfg, seed, False, lr_scale)
     return raise_first_failure(cross_validate(corpus, folds, [fit]))[0]
 
 
@@ -536,23 +523,9 @@ def chains_fit(cfg: DistillConfig, seed: int, feature_dim: int, lr: float = BASE
             w, b = _train_logistic(X_j, y_train[:, j], cfg.epochs, cfg.batch_size, lr, rng_for(seed, "chain", fold, j))
             X_val_j = sparse.hstack([X_val, sparse.csr_matrix(chain_val)], format="csr")
             probs = _sigmoid(np.asarray(X_val_j @ w) + b)
-            yield probs
+            yield (probs,)
             chain_train = np.hstack([chain_train, y_train[:, j][:, None]])
             chain_val = np.hstack([chain_val, (probs >= 0.5).astype(np.float64)[:, None]])
 
     return Fit(feature_dim, cfg.max_length, fit_fold)
 
-
-def baseline_classifier_chains(
-    corpus: Corpus,
-    folds: FoldAssignment,
-    cfg: DistillConfig,
-    seed: int,
-    feature_dim: int = 32768,
-    lr: float = BASELINE_LEARNING_RATE,
-    label_order=None,
-    workers: int = 1,
-) -> PredictionSet:
-    """The classifier-chains baseline (``chains_fit``) cross-validated."""
-    fit = chains_fit(cfg, seed, feature_dim, lr)
-    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]

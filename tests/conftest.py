@@ -3,6 +3,7 @@ import pytest
 
 from mldistill.corpus import Corpus, Document, HashingTfidfVectorizer, LabelVocabulary, tokenize
 from mldistill.distill import _NORM_FLOOR as NORM_FLOOR
+from mldistill.distill import cross_validate, raise_first_failure
 from mldistill.model import softmax
 from mldistill.synthetic import generate_synthetic
 
@@ -32,6 +33,11 @@ def featurize(corpus: Corpus, dim: int, max_length: int | None = None):
     """Hashed TF-IDF features for a whole corpus, IDF fitted on it."""
     tokens = [tokenize(d.text) for d in corpus.documents]
     return HashingTfidfVectorizer(dim=dim, max_length=max_length).fit(tokens).transform(tokens)
+
+
+def cross_validated(corpus: Corpus, folds, fit, label_order=None, workers: int = 1):
+    """The predictions of ``fit``'s one output, cross-validated alone; a failure raises."""
+    return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
 
 
 def dense(grad) -> np.ndarray:

@@ -946,17 +946,52 @@ class TestAblate:
         assert len(set(manifest["row_fold_hashes"])) == 1
         assert manifest["row_fold_hashes"][0] == manifest["fold_hash"]
 
-    def test_ablate_workers_byte_identical(self, data_dir, tmp_path):
-        tables = []
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}"
-            code = run_cli(
-                ["ablate", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
-                 "--out", out, "--seed", 6, "--workers", workers, *FAST]
-            )
-            assert code == 0
-            tables.append((out / "ablation.tsv").read_bytes())
-        assert tables[0] == tables[1]
+    @pytest.fixture(scope="class")
+    def serial_table(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("abl-w1")
+        code = run_cli(
+            ["ablate", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", out, "--seed", 6, "--workers", 1, *FAST]
+        )
+        assert code == 0
+        return (out / "ablation.tsv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ablate_workers_byte_identical(self, data_dir, tmp_path, serial_table, workers):
+        out = tmp_path / f"w{workers}"
+        code = run_cli(
+            ["ablate", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt",
+             "--out", out, "--seed", 6, "--workers", workers, *FAST]
+        )
+        assert code == 0
+        assert (out / "ablation.tsv").read_bytes() == serial_table
+
+    def test_each_teacher_trains_once(self, tmp_path, monkeypatch):
+        """On the pinned session's corpus (120 documents, 5 labels, 5 folds),
+        ``ablate`` trains 50 teachers, a fold's and label's once in each of its
+        two fits, and featurizes each fold once per fit.  One fit per variant
+        made 100 and 20."""
+        data = tmp_path / "data"
+        assert run_cli(["generate-synthetic", "--docs", 120, "--labels", 5, "--seed", 3, "--out", data]) == 0
+        train, fold_features = distill.train_student, distill._fold_features
+        calls = {"teacher": 0, "features": 0}
+
+        def counting_train(X, y, label, student, teacher, *args, **kwargs):
+            calls["teacher"] += teacher is None
+            return train(X, y, label, student, teacher, *args, **kwargs)
+
+        def counting_features(*args):
+            calls["features"] += 1
+            return fold_features(*args)
+
+        monkeypatch.setattr(distill, "train_student", counting_train)
+        monkeypatch.setattr(distill, "_fold_features", counting_features)
+        code = run_cli(
+            ["ablate", "--corpus", data / "corpus.jsonl", "--vocab", data / "vocab.txt", "--out", tmp_path / "abl",
+             "--run.preset", "trial_and_error", "--distill.epochs", 2, "--workers", 1]
+        )
+        assert code == 0
+        assert calls == {"teacher": 50, "features": 10}
 
 
 class TestAblateOneLabel:

@@ -14,10 +14,10 @@ from scipy import sparse
 from mldistill import distill
 from mldistill.config import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
 from mldistill.distill import (
-    baseline_classifier_chains,
+    chains_fit,
     contrastive_grads,
-    distill_binary_relevance,
     distill_sequential,
+    distillation_fit,
     hard_loss,
     teacher_cv_predictions,
     train_student,
@@ -36,7 +36,13 @@ from mldistill.seeding import rng_for
 from mldistill.splits import stratified_kfold
 from mldistill.synthetic import generate_synthetic
 
-from conftest import featurize, linalg_norm_contrastive_grads, make_corpus, three_softmax_kd_loss_grad
+from conftest import (
+    cross_validated,
+    featurize,
+    linalg_norm_contrastive_grads,
+    make_corpus,
+    three_softmax_kd_loss_grad,
+)
 
 DIM = 2048
 
@@ -45,6 +51,11 @@ def models_equal(a, b) -> bool:
     return all(np.array_equal(wa, wb) and np.array_equal(ba, bb) for (wa, ba), (wb, bb) in zip(a.layers, b.layers)) and all(
         np.array_equal(wa, wb) and np.array_equal(ba, bb) for (wa, ba), (wb, bb) in zip(a.heads, b.heads)
     )
+
+
+def relevance_fit(teacher, student, cfg, seed):
+    """Binary-relevance KD: a fresh teacher and student per (fold, label)."""
+    return distillation_fit(teacher, ((student, None),), cfg, seed, True, DEFAULT_LR_SCALE)
 
 
 def mean_hard_loss(model, X, y, label):
@@ -444,9 +455,9 @@ def cv_setup():
 class TestCrossValidatedRuns:
     def test_prediction_set_complete(self, cv_setup):
         corpus, folds, teacher, student, cfg = cv_setup
-        for runner in (distill_sequential, distill_binary_relevance):
-            preds = runner(corpus, folds, teacher, student, cfg, seed=5)
-            assert len(preds) == len(corpus) * len(corpus.vocab)
+        for fresh_per_label in (False, True):
+            fit = distillation_fit(teacher, ((student, None),), cfg, 5, fresh_per_label, DEFAULT_LR_SCALE)
+            assert len(cross_validated(corpus, folds, fit)) == len(corpus) * len(corpus.vocab)
 
     def test_one_label_modes_coincide(self):
         corpus = generate_synthetic(40, num_labels=1, seed=31)
@@ -454,7 +465,7 @@ class TestCrossValidatedRuns:
         teacher, student = default_teacher_spec(DIM), default_student_spec(DIM)
         cfg = DistillConfig(epochs=2)
         sequential = distill_sequential(corpus, folds, teacher, student, cfg, seed=7)
-        relevance = distill_binary_relevance(corpus, folds, teacher, student, cfg, seed=7)
+        relevance = cross_validated(corpus, folds, relevance_fit(teacher, student, cfg, 7))
         assert sequential.canonical_rows() == relevance.canonical_rows()
 
     def test_binary_relevance_label_independence(self):
@@ -471,8 +482,9 @@ class TestCrossValidatedRuns:
         folds_a = stratified_kfold(base, 2, seed=3)
         teacher, student = default_teacher_spec(DIM), default_student_spec(DIM)
         cfg = DistillConfig(epochs=2)
-        preds_a = distill_binary_relevance(base, folds_a, teacher, student, cfg, seed=9)
-        preds_b = distill_binary_relevance(flipped, folds_a, teacher, student, cfg, seed=9)
+        fit = relevance_fit(teacher, student, cfg, 9)
+        preds_a = cross_validated(base, folds_a, fit)
+        preds_b = cross_validated(flipped, folds_a, fit)
         probs_a = {doc: p[1] for doc, p, _ in preds_a.canonical_rows()}
         probs_b = {doc: p[1] for doc, p, _ in preds_b.canonical_rows()}
         assert probs_a == probs_b
@@ -483,7 +495,7 @@ class TestCrossValidatedRuns:
         # label is the carried encoder state
         corpus, folds, teacher, student, cfg = cv_setup
         sequential = distill_sequential(corpus, folds, teacher, student, cfg, seed=5)
-        relevance = distill_binary_relevance(corpus, folds, teacher, student, cfg, seed=5)
+        relevance = cross_validated(corpus, folds, relevance_fit(teacher, student, cfg, 5))
         seq_rows = {doc: probs for doc, probs, _ in sequential.canonical_rows()}
         rel_rows = {doc: probs for doc, probs, _ in relevance.canonical_rows()}
         first = [(seq_rows[d][0], rel_rows[d][0]) for d in seq_rows]
@@ -517,9 +529,9 @@ class TestCrossValidatedRuns:
         [
             lambda c, f, t, s, cfg: distill_sequential(c, f, t, s, cfg, seed=5),
             lambda c, f, t, s, cfg: teacher_cv_predictions(c, f, t, cfg, seed=5),
-            lambda c, f, t, s, cfg: baseline_classifier_chains(c, f, cfg, seed=5, feature_dim=DIM),
+            lambda c, f, t, s, cfg: cross_validated(c, f, chains_fit(cfg, 5, DIM)),
         ],
-        ids=["distill_sequential", "teacher_cv_predictions", "baseline_classifier_chains"],
+        ids=["distill_sequential", "teacher_cv_predictions", "chains_fit"],
     )
     def test_fold_mismatch_rejected(self, cv_setup, run):
         corpus, folds, teacher, student, cfg = cv_setup
@@ -588,7 +600,7 @@ class TestWorkUnits:
     def test_binary_relevance_spreads_fold_label_units(self, cv_setup, tmp_path, monkeypatch):
         corpus, folds, teacher, student, cfg = cv_setup
         read = self.record_schedule(monkeypatch, tmp_path / "log", corpus, folds)
-        distill_binary_relevance(corpus, folds, teacher, student, cfg, seed=5, workers=2)
+        cross_validated(corpus, folds, relevance_fit(teacher, student, cfg, 5), workers=2)
         trained, featurized = read("train"), read("features")
         units = sorted((fold, j) for _, fold, j in trained)
         assert units == [(fold, j) for fold in range(folds.k) for j in range(len(corpus.vocab))]
@@ -630,15 +642,64 @@ class TestFoldLoop:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failing_fit_leaves_the_others_as_their_solo_runs(self, cv_setup, workers):
         corpus, folds, teacher, student, cfg = cv_setup
-        sequential = distill.distillation_fit(teacher, student, cfg, 5, False, None, DEFAULT_LR_SCALE)
-        independent = distill.distillation_fit(teacher, student, cfg, 5, True, 0.5, DEFAULT_LR_SCALE)
+        sequential = distill.distillation_fit(teacher, ((student, None),), cfg, 5, False, DEFAULT_LR_SCALE)
+        independent = distill.distillation_fit(teacher, ((student, 0.5),), cfg, 5, True, DEFAULT_LR_SCALE)
         chains = distill.chains_fit(cfg, 5, DIM)
         fits = [sequential, self.failing(independent, 1, "unit broke"), chains]
         results = distill.cross_validate(corpus, folds, fits, workers=workers)
         assert type(results[1]) is ValueError and str(results[1]) == "unit broke"
         for fit, result in ((sequential, results[0]), (chains, results[2])):
-            [solo] = distill.cross_validate(corpus, folds, [fit])
-            assert result.canonical_rows() == solo.canonical_rows()
+            assert result.canonical_rows() == cross_validated(corpus, folds, fit).canonical_rows()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failing_student_fails_every_output_of_its_fit(self, cv_setup, monkeypatch, workers):
+        """The second student of each binary-relevance unit fails: both of that
+        fit's outputs carry its error, and each output of the other fits equals
+        its one-output run."""
+        corpus, folds, teacher, student, cfg = cv_setup
+        train = distill.train_student
+
+        def failing_train(*args, contrastive_weight=None, **kwargs):
+            if contrastive_weight == 0.25:
+                raise ArithmeticError("student broke")
+            return train(*args, contrastive_weight=contrastive_weight, **kwargs)
+
+        monkeypatch.setattr(distill, "train_student", failing_train)
+        pair = distill.distillation_fit(teacher, ((student, None), (student, 0.25)), cfg, 5, True, DEFAULT_LR_SCALE)
+        kd, contrastive = (student, None), (student, 0.5)
+        sequential = distill.distillation_fit(teacher, (contrastive, kd), cfg, 5, False, DEFAULT_LR_SCALE)
+        chains = distill.chains_fit(cfg, 5, DIM)
+        results = distill.cross_validate(corpus, folds, [chains, pair, sequential], workers=workers)
+        assert len(results) == 5
+        assert type(results[1]) is ArithmeticError and str(results[1]) == "student broke"
+        assert results[2] is results[1]
+        assert results[0].canonical_rows() == cross_validated(corpus, folds, chains).canonical_rows()
+        for one, result in zip((contrastive, kd), results[3:]):
+            solo = distill.distillation_fit(teacher, (one,), cfg, 5, False, DEFAULT_LR_SCALE)
+            assert result.canonical_rows() == cross_validated(corpus, folds, solo).canonical_rows()
+
+    def test_shared_teacher_stays_frozen(self, cv_setup, monkeypatch):
+        """A unit's two students train against one teacher, whose ``flat`` and
+        ``W0`` bytes neither of them changes."""
+        corpus, folds, teacher, student, cfg = cv_setup
+        train = distill.train_student
+        served = []  # per student trained: (the teacher, its bytes before, its bytes after)
+
+        def recording_train(X, y, label, model, frozen, *args, **kwargs):
+            if frozen is None:
+                return train(X, y, label, model, frozen, *args, **kwargs)
+            before = frozen.flat.tobytes() + frozen.layers[0][0].tobytes()
+            trained = train(X, y, label, model, frozen, *args, **kwargs)
+            served.append((frozen, before, frozen.flat.tobytes() + frozen.layers[0][0].tobytes()))
+            return trained
+
+        monkeypatch.setattr(distill, "train_student", recording_train)
+        fit = distill.distillation_fit(teacher, ((student, None), (student, 0.5)), cfg, 5, False, DEFAULT_LR_SCALE)
+        distill.cross_validate(corpus, folds, [fit])
+        assert len(served) == 2 * folds.k * len(corpus.vocab)
+        for (first, *first_bytes), (second, *second_bytes) in zip(served[::2], served[1::2]):
+            assert first is second
+            assert len({*first_bytes, *second_bytes}) == 1
 
     def test_failed_fit_skips_its_later_units(self, cv_setup):
         corpus, folds, _, _, cfg = cv_setup
@@ -685,7 +746,7 @@ class TestClassifierChains:
     def test_single_label_plain_classifier(self):
         corpus = generate_synthetic(150, num_labels=1, seed=41)
         folds = stratified_kfold(corpus, 3, seed=2)
-        preds = baseline_classifier_chains(corpus, folds, DistillConfig(epochs=10), seed=3, feature_dim=DIM, lr=2.0)
+        preds = cross_validated(corpus, folds, chains_fit(DistillConfig(epochs=10), 3, DIM, lr=2.0))
         assert len(preds) == len(corpus)
         assert example_f1(preds) > 0.9
 
@@ -704,7 +765,7 @@ class TestClassifierChains:
             texts.append(" ".join(words))
         corpus = make_corpus(label_sets, ["A", "B"], texts=texts)
         folds = stratified_kfold(corpus, 4, seed=5)
-        preds = baseline_classifier_chains(corpus, folds, DistillConfig(epochs=8), seed=6, feature_dim=DIM)
+        preds = cross_validated(corpus, folds, chains_fit(DistillConfig(epochs=8), 6, DIM))
         per_doc = {doc: (p, t) for doc, p, t in preds.canonical_rows()}
         tp = fp = fn = 0
         for doc, (p, t) in per_doc.items():
@@ -720,13 +781,13 @@ class TestClassifierChains:
 
     def test_deterministic(self, cv_setup):
         corpus, folds, _, _, cfg = cv_setup
-        a = baseline_classifier_chains(corpus, folds, cfg, seed=4, feature_dim=DIM)
-        b = baseline_classifier_chains(corpus, folds, cfg, seed=4, feature_dim=DIM)
+        a = cross_validated(corpus, folds, chains_fit(cfg, 4, DIM))
+        b = cross_validated(corpus, folds, chains_fit(cfg, 4, DIM))
         assert a.canonical_rows() == b.canonical_rows()
 
     def test_complete_prediction_set(self, cv_setup):
         corpus, folds, _, _, cfg = cv_setup
-        preds = baseline_classifier_chains(corpus, folds, cfg, seed=4, feature_dim=DIM)
+        preds = cross_validated(corpus, folds, chains_fit(cfg, 4, DIM))
         assert len(preds) == len(corpus) * len(corpus.vocab)
 
 
@@ -738,6 +799,6 @@ class TestEndToEndQuality:
         preds = distill_sequential(
             corpus, folds, default_teacher_spec(DIM), default_student_spec(DIM), cfg, seed=12
         )
-        chains = baseline_classifier_chains(corpus, folds, cfg, seed=12, feature_dim=DIM, lr=2.0)
+        chains = cross_validated(corpus, folds, chains_fit(cfg, 12, DIM, lr=2.0))
         assert example_f1(chains) >= 0.95  # separability oracle
         assert example_f1(preds) >= 0.90
