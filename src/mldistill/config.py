@@ -2,18 +2,21 @@
 config format, and the resolution order defaults < preset < config file <
 command line.
 
-The ``distill.*`` and ``pso.*`` keys derive from the fields of
-``DistillConfig`` and ``SwarmConfig``.  Every key in the registry can be
-set in a config file (``key = value`` per line, '#' comments) or
-overridden by a CLI flag of the same name.  The fully resolved mapping is
-embedded into every output file.  Nothing from the package but ``errors``
-is imported, so reading settings loads neither numpy nor scipy.
+Each key section is one frozen dataclass whose fields declare its keys,
+defaults and parsers, and whose ``__post_init__`` checks them:
+``RunSettings`` (``run.*``), ``DistillConfig`` (``distill.*``),
+``ModelSettings`` (``model.*``) and ``SwarmConfig`` (``pso.*``).  Every
+key in the registry can be set in a config file (``key = value`` per
+line, '#' comments) or overridden by a CLI flag of the same name.  The
+fully resolved mapping is embedded into every output file.  Nothing from
+the package but ``errors`` is imported, so reading settings loads
+neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -31,8 +34,6 @@ ACTIVATIONS = ("tanh", "relu")
 # the tuning range onto it too.
 DEFAULT_LR_SCALE = 5e3
 
-DEFAULT_CONTRASTIVE_WEIGHT = 0.5
-
 MODE_VARIANTS = (
     "sequential_kd",
     "binary_relevance_kd",
@@ -40,6 +41,39 @@ MODE_VARIANTS = (
     "binary_relevance_kd_contrastive",
     "classifier_chains_baseline",
 )
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """The ``run.*`` keys: the training mode, its folds, seed and scale."""
+
+    mode: str = "sequential_kd"
+    preset: str = "custom"
+    k: int = 5
+    seed: int = 0
+    feature_dim: int = DEFAULT_FEATURE_DIM
+    lr_scale: float = DEFAULT_LR_SCALE
+    workers: int = 1
+    contrastive_weight: float = 0.5
+    # An optional permutation of the label indices for the sequential and
+    # chain order; check_corpus tests it against the vocabulary.
+    label_order: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.preset not in PRESET_NAMES:
+            raise ValueError(f"run.preset must be one of {PRESET_NAMES}, got {self.preset!r}")
+        if not 0.0 <= self.contrastive_weight <= 1.0:
+            raise ValueError(f"run.contrastive_weight must lie in [0, 1], got {self.contrastive_weight}")
+        if self.mode not in MODE_VARIANTS:
+            raise ValueError(f"run.mode must be one of {MODE_VARIANTS}, got {self.mode!r}")
+        if self.k < 2:
+            raise ValueError("run.k must be >= 2")
+        if self.workers < 1:
+            raise ValueError("run.workers must be >= 1")
+        if self.feature_dim < 2:
+            raise ValueError("run.feature_dim must be >= 2")
+        if self.lr_scale <= 0:
+            raise ValueError("run.lr_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,29 +103,20 @@ class DistillConfig:
 
 
 @dataclass(frozen=True)
-class TrainingMode:
-    variant: str
-    contrastive_weight: float | None = None
+class ModelSettings:
+    """The ``model.*`` keys: the teacher's and the student's encoder."""
+
+    teacher_hidden: tuple[int, ...] = TEACHER_HIDDEN
+    student_hidden: tuple[int, ...] = STUDENT_HIDDEN
+    activation: str = "tanh"
 
     def __post_init__(self) -> None:
-        if self.variant not in MODE_VARIANTS:
-            raise ValueError(f"unknown training mode {self.variant!r}")
-        if self.is_contrastive:
-            weight = self.contrastive_weight
-            if weight is None:
-                object.__setattr__(self, "contrastive_weight", DEFAULT_CONTRASTIVE_WEIGHT)
-            elif not 0.0 <= weight <= 1.0:
-                raise ValueError("contrastive_weight must lie in [0, 1]")
-        elif self.contrastive_weight is not None:
-            raise ValueError(f"contrastive_weight is only valid for contrastive variants, not {self.variant!r}")
-
-    @property
-    def is_contrastive(self) -> bool:
-        return self.variant.endswith("_contrastive")
-
-    @property
-    def is_sequential(self) -> bool:
-        return self.variant.startswith("sequential")
+        for key in ("teacher_hidden", "student_hidden"):
+            widths = getattr(self, key)
+            if min(widths) < 1:
+                raise ValueError(f"model.{key} widths must be positive, got {','.join(map(str, widths))}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"model.activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +128,11 @@ class SwarmConfig:
     max_iters: int = 10
     threshold: float = 0.001
     patience: int = 1
-    seed: int = 0
+    # No pso.* key sets it: run_tuning derives it from run.seed.
+    seed: int = field(default=0, metadata={"keyless": True})
     relative_threshold: bool = False
 
     def __post_init__(self) -> None:
-        # Named by their config keys: resolve_config builds one to check them.
         for key in ("n", "max_iters", "patience"):
             if getattr(self, key) < 1:
                 raise ValueError(f"pso.{key} must be >= 1")
@@ -157,58 +182,43 @@ def _parse_optional_int_tuple(raw: str) -> tuple[int, ...] | None:
     return _parse_int_tuple(raw)
 
 
-# The SwarmConfig field that no pso.* key sets: run.seed gives it.
-_RUN_FIELDS = ("seed",)
+# A key is parsed by its field's annotation.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[int, ...] | None": _parse_optional_int_tuple,
+}
+
+# Each key section and the dataclass whose fields declare its keys.
+_SECTIONS = {"run": RunSettings, "distill": DistillConfig, "model": ModelSettings, "pso": SwarmConfig}
 
 
-def _as_keys(settings: DistillConfig | SwarmConfig, prefix: str) -> dict[str, Any]:
-    """``{prefix.field: value}`` for each field of ``settings`` that a key sets."""
-    return {f"{prefix}.{f.name}": getattr(settings, f.name) for f in fields(settings) if f.name not in _RUN_FIELDS}
+def key_values(section: Any) -> dict[str, Any]:
+    """``{field: value}`` for each field of a settings section that a key sets."""
+    return {f.name: getattr(section, f.name) for f in fields(section) if not f.metadata.get("keyless")}
 
-
-def _from_keys(parsed: dict[str, Any], cls: type, prefix: str) -> dict[str, Any]:
-    """The keyword arguments of ``cls`` held in ``parsed``'s ``prefix.*`` keys."""
-    return {key.partition(".")[2]: parsed[key] for key in _as_keys(cls(), prefix)}
-
-
-# A derived key is parsed by the type of its default.
-_PARSERS = {float: _parse_float, bool: _parse_bool, int: int}
 
 # key -> (parser, default)
 KEY_REGISTRY: dict[str, tuple[Any, Any]] = {
-    "run.mode": (str, "sequential_kd"),
-    "run.preset": (str, "custom"),
-    "run.k": (int, 5),
-    "run.seed": (int, 0),
-    "run.feature_dim": (int, DEFAULT_FEATURE_DIM),
-    "run.lr_scale": (_parse_float, DEFAULT_LR_SCALE),
-    "run.workers": (int, 1),
-    "run.contrastive_weight": (_parse_float, DEFAULT_CONTRASTIVE_WEIGHT),
-    "run.label_order": (_parse_optional_int_tuple, None),
-    **{key: (_PARSERS[type(value)], value) for key, value in _as_keys(DistillConfig(), "distill").items()},
-    "model.teacher_hidden": (_parse_int_tuple, TEACHER_HIDDEN),
-    "model.student_hidden": (_parse_int_tuple, STUDENT_HIDDEN),
-    "model.activation": (str, "tanh"),
-    **{key: (_PARSERS[type(value)], value) for key, value in _as_keys(SwarmConfig(), "pso").items()},
+    f"{prefix}.{f.name}": (_PARSERS[f.type], f.default)
+    for prefix, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if not f.metadata.get("keyless")
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A resolved run; only ``resolve_config`` builds one."""
+    """A resolved run, one settings section per key prefix; only
+    ``resolve_config`` builds one."""
 
-    mode: TrainingMode
+    run: RunSettings
     distill: DistillConfig
-    preset: str
-    k: int
-    seed: int
-    feature_dim: int
-    lr_scale: float
-    workers: int
-    teacher_hidden: tuple[int, ...]
-    student_hidden: tuple[int, ...]
-    activation: str
-    resolved: dict[str, Any] = field(compare=False)
+    model: ModelSettings
+    pso: SwarmConfig
 
     def audit_dict(self) -> dict[str, Any]:
         """The fully resolved key-value mapping embedded in outputs.
@@ -218,12 +228,13 @@ class RunConfig:
         byte-identical across worker counts.  Manifests record it
         separately.
         """
-        out = {}
-        for key, value in sorted(self.resolved.items()):
-            if key == "run.workers":
-                continue
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
+        out = {
+            f"{prefix}.{name}": list(value) if isinstance(value, tuple) else value
+            for prefix in _SECTIONS
+            for name, value in key_values(getattr(self, prefix)).items()
+        }
+        del out["run.workers"]
+        return dict(sorted(out.items()))
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -253,68 +264,24 @@ def resolve_config(
     before either source is applied, so explicit settings still win over
     the preset.
     """
-    raw: dict[str, str] = {}
-    raw.update(file_values or {})
-    raw.update(overrides or {})
-
-    parsed: dict[str, Any] = {key: default for key, (_, default) in KEY_REGISTRY.items()}
-    preset = raw["run.preset"].strip() if "run.preset" in raw else parsed["run.preset"]
-    if preset not in PRESET_NAMES:
-        raise UsageError(f"unknown preset {preset!r}; choose from {PRESET_NAMES}")
-    parsed["run.preset"] = preset
-    if preset != "custom":
-        parsed.update(_as_keys(PRESETS[preset], "distill"))
-
+    raw = {**(file_values or {}), **(overrides or {})}
+    sections: dict[str, dict[str, Any]] = {prefix: {} for prefix in _SECTIONS}
     for key, raw_value in raw.items():
-        if key == "run.preset":
-            continue
         parser, _ = KEY_REGISTRY[key]
         try:
-            parsed[key] = parser(raw_value)
+            value = parser(raw_value)
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad value for {key}: {exc}") from exc
+        prefix, _, name = key.partition(".")
+        sections[prefix][name] = value
 
+    # An unknown preset leaves the defaults here; RunSettings rejects it.
+    preset = PRESETS.get(sections["run"].get("preset"), DistillConfig())
     try:
-        distill = DistillConfig(**_from_keys(parsed, DistillConfig, "distill"))
-        if not 0.0 <= parsed["run.contrastive_weight"] <= 1.0:
-            raise ValueError(f"run.contrastive_weight must lie in [0, 1], got {parsed['run.contrastive_weight']}")
-        variant = parsed["run.mode"]
-        if variant.endswith("_contrastive"):
-            mode = TrainingMode(variant=variant, contrastive_weight=parsed["run.contrastive_weight"])
-        else:
-            mode = TrainingMode(variant=variant)
-        if parsed["run.k"] < 2:
-            raise ValueError("run.k must be >= 2")
-        if parsed["run.workers"] < 1:
-            raise ValueError("run.workers must be >= 1")
-        if parsed["run.feature_dim"] < 2:
-            raise ValueError("run.feature_dim must be >= 2")
-        if parsed["run.lr_scale"] <= 0:
-            raise ValueError("run.lr_scale must be positive")
-        for key in ("model.teacher_hidden", "model.student_hidden"):
-            if min(parsed[key]) < 1:
-                raise ValueError(f"{key} widths must be positive, got {','.join(map(str, parsed[key]))}")
-        if parsed["model.activation"] not in ACTIVATIONS:
-            raise ValueError(f"model.activation must be one of {ACTIVATIONS}, got {parsed['model.activation']!r}")
-        config = RunConfig(
-            mode=mode,
-            distill=distill,
-            preset=preset,
-            k=parsed["run.k"],
-            seed=parsed["run.seed"],
-            feature_dim=parsed["run.feature_dim"],
-            lr_scale=parsed["run.lr_scale"],
-            workers=parsed["run.workers"],
-            teacher_hidden=tuple(parsed["model.teacher_hidden"]),
-            student_hidden=tuple(parsed["model.student_hidden"]),
-            activation=parsed["model.activation"],
-            resolved=parsed,
-        )
-        SwarmConfig(**swarm_settings(config))
+        distill = replace(preset, **sections["distill"])
+        run = RunSettings(**sections["run"])
+        model = ModelSettings(**sections["model"])
+        pso = SwarmConfig(**sections["pso"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return config
-
-
-def swarm_settings(config: RunConfig) -> dict[str, Any]:
-    return _from_keys(config.resolved, SwarmConfig, "pso")
+    return RunConfig(run, distill, model, pso)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from mldistill import parallel
-from mldistill.config import DEFAULT_CONTRASTIVE_WEIGHT, DEFAULT_LR_SCALE, DistillConfig
+from mldistill.config import DEFAULT_LR_SCALE, DistillConfig
 from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
@@ -208,8 +208,9 @@ def train_student(
 
     ``teacher=None`` trains on the hard loss alone at full weight, which
     is how the teacher itself is fine-tuned.  When a projection matrix is
-    given the total loss becomes (1 - beta) * combined + beta *
-    contrastive and the projection is trained jointly.
+    given, with its ``contrastive_weight`` beta, the total loss becomes
+    (1 - beta) * combined + beta * contrastive and the projection is
+    trained jointly.
 
     The teacher is forwarded once per call, over the whole split, and only
     when its logits (``alpha > 0``) or its hidden state (a projection) are
@@ -222,9 +223,6 @@ def train_student(
     if n == 0:
         raise ValueError("cannot train on an empty split")
     lr = cfg.learning_rate if lr is None else lr
-    beta = contrastive_weight
-    if projection is not None and beta is None:
-        beta = DEFAULT_CONTRASTIVE_WEIGHT
     student.check_packed()
     soft = teacher is not None and cfg.alpha > 0.0
     contrastive = teacher is not None and projection is not None
@@ -240,9 +238,9 @@ def train_student(
             dhidden = d_projection = None
             if contrastive:
                 d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_hidden, projection)
-                dlogits *= 1.0 - beta
-                dhidden = (beta / rows.size) * d_hidden_s
-                d_projection = (beta / rows.size) * d_proj_sum
+                dlogits *= 1.0 - contrastive_weight
+                dhidden = (contrastive_weight / rows.size) * d_hidden_s
+                d_projection = (contrastive_weight / rows.size) * d_proj_sum
             grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
             student = sgd_step(student, grads, lr, projection, d_projection)
     return student, projection

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
 import mldistill
 from mldistill import hypertune, parallel
-from mldistill.config import DistillConfig, RunConfig, SwarmConfig, TrainingMode, swarm_settings
+from mldistill.config import DistillConfig, RunConfig, key_values
 from mldistill.corpus import Corpus
 from mldistill.distill import Fit, chains_fit, cross_validate, distillation_fit, raise_first_failure
 from mldistill.errors import UsageError
@@ -32,15 +32,15 @@ from mldistill.splits import FoldAssignment, stratified_kfold
 
 def _encoder_specs(config: RunConfig) -> tuple[EncoderSpec, EncoderSpec]:
     teacher = EncoderSpec(
-        input_dim=config.feature_dim,
-        hidden_sizes=config.teacher_hidden,
-        activation=config.activation,
+        input_dim=config.run.feature_dim,
+        hidden_sizes=config.model.teacher_hidden,
+        activation=config.model.activation,
         role="teacher",
     )
     student = EncoderSpec(
-        input_dim=config.feature_dim,
-        hidden_sizes=config.student_hidden,
-        activation=config.activation,
+        input_dim=config.run.feature_dim,
+        hidden_sizes=config.model.student_hidden,
+        activation=config.model.activation,
         role="student",
     )
     return teacher, student
@@ -48,9 +48,9 @@ def _encoder_specs(config: RunConfig) -> tuple[EncoderSpec, EncoderSpec]:
 
 def check_corpus(config: RunConfig, corpus: Corpus) -> None:
     """Reject settings that cannot run on ``corpus``, before any training."""
-    if config.k > len(corpus):
-        raise UsageError(f"run.k must not exceed the corpus size {len(corpus)}, got {config.k}")
-    order = config.resolved.get("run.label_order")
+    if config.run.k > len(corpus):
+        raise UsageError(f"run.k must not exceed the corpus size {len(corpus)}, got {config.run.k}")
+    order = config.run.label_order
     if order is not None and sorted(order) != list(range(len(corpus.vocab))):
         raise UsageError(
             f"run.label_order must be a permutation of 0..{len(corpus.vocab) - 1}, got {','.join(map(str, order))}"
@@ -58,26 +58,28 @@ def check_corpus(config: RunConfig, corpus: Corpus) -> None:
 
 
 def folds_for(corpus: Corpus, config: RunConfig) -> FoldAssignment:
-    return stratified_kfold(corpus, config.k, derive_seed(config.seed, "folds"))
+    return stratified_kfold(corpus, config.run.k, derive_seed(config.run.seed, "folds"))
 
 
-def mode_fit(config: RunConfig, mode: TrainingMode, cfg: DistillConfig, seed: int) -> Fit:
-    """The fit of one training mode under ``config``."""
-    if mode.variant == "classifier_chains_baseline":
-        return chains_fit(cfg, seed, config.feature_dim)
+def mode_fit(config: RunConfig, cfg: DistillConfig, seed: int) -> Fit:
+    """The fit of ``config``'s training mode under the hyperparameters ``cfg``."""
+    mode = config.run.mode
+    if mode == "classifier_chains_baseline":
+        return chains_fit(cfg, seed, config.run.feature_dim)
     teacher, student = _encoder_specs(config)
-    students = ((student, mode.contrastive_weight),)
-    return distillation_fit(teacher, students, cfg, seed, not mode.is_sequential, config.lr_scale)
+    weight = config.run.contrastive_weight if mode.endswith("_contrastive") else None
+    fresh_per_label = not mode.startswith("sequential")
+    return distillation_fit(teacher, ((student, weight),), cfg, seed, fresh_per_label, config.run.lr_scale)
 
 
 def cross_validate_fits(corpus: Corpus, folds: FoldAssignment, config: RunConfig, fits: list[Fit]) -> list:
-    """``cross_validate`` of ``fits``, their work units on up to ``config.workers`` processes."""
-    return cross_validate(corpus, folds, fits, config.resolved.get("run.label_order"), config.workers)
+    """``cross_validate`` of ``fits``, their work units on up to ``run.workers`` processes."""
+    return cross_validate(corpus, folds, fits, config.run.label_order, config.run.workers)
 
 
 def dispatch_mode(corpus: Corpus, folds: FoldAssignment, config: RunConfig) -> PredictionSet:
     """Run the configured training mode end to end and return its predictions."""
-    fit = mode_fit(config, config.mode, config.distill, config.seed)
+    fit = mode_fit(config, config.distill, config.run.seed)
     return raise_first_failure(cross_validate_fits(corpus, folds, config, [fit]))[0]
 
 
@@ -119,15 +121,15 @@ def run_experiment(corpus: Corpus, config: RunConfig) -> RunResult:
         raise RuntimeError(f"{stage} stage failed: {exc}") from exc
     audit = manifest(
         "run",
-        config.seed,
+        config.run.seed,
         started,
-        mode=config.mode.variant,
-        preset=config.preset,
+        mode=config.run.mode,
+        preset=config.run.preset,
         documents=len(corpus),
         labels=list(corpus.vocab.labels),
         fold_hash=folds.content_hash(),
         config=config.audit_dict(),
-        workers=config.workers,
+        workers=config.run.workers,
     )
     return RunResult(predictions=predictions, report=report, manifest=audit)
 
@@ -157,10 +159,10 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
     started = time.perf_counter()
     folds = folds_for(corpus, config)
     teacher, student = _encoder_specs(config)
-    kd, contrastive = (student, None), (student, config.resolved["run.contrastive_weight"])
+    kd, contrastive = (student, None), (student, config.run.contrastive_weight)
     fits = [  # their outputs in ABLATION_VARIANTS order
-        distillation_fit(teacher, (kd, contrastive), config.distill, config.seed, True, config.lr_scale),
-        distillation_fit(teacher, (contrastive, kd), config.distill, config.seed, False, config.lr_scale),
+        distillation_fit(teacher, (kd, contrastive), config.distill, config.run.seed, True, config.run.lr_scale),
+        distillation_fit(teacher, (contrastive, kd), config.distill, config.run.seed, False, config.run.lr_scale),
     ]
     results = raise_first_failure(cross_validate_fits(corpus, folds, config, fits))
     rows = []
@@ -170,12 +172,12 @@ def run_ablation(corpus: Corpus, config: RunConfig) -> tuple[list[AblationRow], 
     fold_hash = folds.content_hash()
     return rows, manifest(
         "ablate",
-        config.seed,
+        config.run.seed,
         started,
         fold_hash=fold_hash,
         row_fold_hashes=[fold_hash] * len(rows),
         config=config.audit_dict(),
-        workers=config.workers,
+        workers=config.run.workers,
     )
 
 
@@ -207,11 +209,11 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
     check_corpus(config, corpus)
     started = time.perf_counter()
     folds = folds_for(corpus, config)
-    objective_seed = derive_seed(config.seed, "tune-objective")
+    objective_seed = derive_seed(config.run.seed, "tune-objective")
 
     def position_fit(position: np.ndarray) -> Fit | None:
         try:
-            return mode_fit(config, config.mode, decode(position, space), objective_seed)
+            return mode_fit(config, decode(position, space), objective_seed)
         except (ValueError, ArithmeticError):
             return None
 
@@ -223,20 +225,19 @@ def run_tuning(corpus: Corpus, config: RunConfig, space: HyperSpace) -> TuneResu
         scored = [next(results) if fit is not None else None for fit in fits]
         return [example_f1(r) if isinstance(r, PredictionSet) else -math.inf for r in scored]
 
-    settings = swarm_settings(config)
-    swarm_cfg = SwarmConfig(seed=derive_seed(config.seed, "swarm"), **settings)
+    swarm_cfg = replace(config.pso, seed=derive_seed(config.run.seed, "swarm"))
     best_pos, best_score, trace = hypertune.pso_optimize(space, evaluate, swarm_cfg)
     best_config = decode(best_pos, space)
     audit = manifest(
         "tune",
-        config.seed,
+        config.run.seed,
         started,
         fold_hash=folds.content_hash(),
-        swarm=settings,
+        swarm=key_values(config.pso),
         iterations_run=len(trace),
         best_score=best_score,
         config=config.audit_dict(),
-        workers=config.workers,
+        workers=config.run.workers,
     )
     return TuneResult(best_config=best_config, best_score=best_score, trace=trace, manifest=audit)
 

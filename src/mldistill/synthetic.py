@@ -14,6 +14,10 @@ import numpy as np
 from mldistill.corpus import Corpus, Document, LabelVocabulary
 from mldistill.seeding import rng_for
 
+TOKENS_PER_DOC = (8, 16)  # the fewest and the most filler tokens of a document
+FILLER_VOCAB = 200
+KEYWORD_COPIES = 3  # how often a document repeats the marker of each of its labels
+
 
 def default_prevalences(num_labels: int) -> list[float]:
     """Imbalanced prevalences from 0.45 down to 0.08, like real topic data."""
@@ -27,10 +31,6 @@ def generate_synthetic(
     num_labels: int = 10,
     seed: int = 0,
     label_correlation: float = 0.0,
-    prevalences: list[float] | None = None,
-    tokens_per_doc: tuple[int, int] = (8, 16),
-    filler_vocab: int = 200,
-    keyword_copies: int = 3,
 ) -> Corpus:
     if num_docs < 1:
         raise ValueError("num_docs must be >= 1")
@@ -38,13 +38,11 @@ def generate_synthetic(
         raise ValueError("num_labels must be >= 1")
     if not 0.0 <= label_correlation < 1.0:
         raise ValueError("label_correlation must lie in [0, 1)")
-    prevalences = prevalences if prevalences is not None else default_prevalences(num_labels)
-    if len(prevalences) != num_labels:
-        raise ValueError("need one prevalence per label")
+    prevalences = default_prevalences(num_labels)
 
     rng = rng_for(seed, "synthetic")
     vocab = LabelVocabulary(tuple(f"topic_{j:02d}" for j in range(num_labels)))
-    fillers = [f"word{i:03d}" for i in range(filler_vocab)]
+    fillers = [f"word{i:03d}" for i in range(FILLER_VOCAB)]
     markers = [f"marker{j:02d}" for j in range(num_labels)]
 
     documents = []
@@ -55,11 +53,11 @@ def generate_synthetic(
                 bits[j] = bits[j - 1]
             else:
                 bits[j] = 1 if rng.random() < prevalences[j] else 0
-        n_tokens = int(rng.integers(tokens_per_doc[0], tokens_per_doc[1] + 1))
-        tokens = [fillers[int(k)] for k in rng.integers(0, filler_vocab, size=n_tokens)]
+        n_tokens = int(rng.integers(TOKENS_PER_DOC[0], TOKENS_PER_DOC[1] + 1))
+        tokens = [fillers[int(k)] for k in rng.integers(0, FILLER_VOCAB, size=n_tokens)]
         for j in range(num_labels):
             if bits[j]:
-                tokens.extend([markers[j]] * keyword_copies)
+                tokens.extend([markers[j]] * KEYWORD_COPIES)
         rng.shuffle(tokens)
         documents.append(Document(id=str(i), text=" ".join(tokens), label_set=tuple(int(b) for b in bits)))
     return Corpus(tuple(documents), vocab)

@@ -293,6 +293,12 @@ class TestRun:
         "key, value",
         [
             ("run.k", 49),
+            ("run.k", 1),
+            ("run.mode", "magic"),
+            ("run.preset", "bogus"),
+            ("run.workers", 0),
+            ("run.feature_dim", 1),
+            ("run.lr_scale", 0),
             ("model.activation", "sigmoid"),
             ("run.label_order", "0,0"),
             ("model.student_hidden", "0"),
@@ -1089,7 +1095,7 @@ class TestConfigResolution:
         path = tmp_path / "run.cfg"
         path.write_text("run.k = 7\ndistill.alpha = 0.3\n# comment\n", encoding="utf-8")
         config = resolve_config(parse_config_file(path), {"distill.alpha": "0.9"})
-        assert config.k == 7
+        assert config.run.k == 7
         assert config.distill.alpha == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -1113,11 +1119,23 @@ class TestConfigResolution:
         got = resolve_config().audit_dict()
         assert got == expected
         assert {key: type(value) for key, value in got.items()} == {key: type(v) for key, v in expected.items()}
+        # one value through each parser: str, int, float, bool, tuple and optional tuple
+        raw = {
+            "model.activation": "relu", "run.k": "7", "run.lr_scale": "250", "pso.relative_threshold": "yes",
+            "model.teacher_hidden": "64 32", "run.label_order": "",
+        }
+        parsed = {key: resolve_config(overrides=raw).audit_dict()[key] for key in raw}
+        expected = {
+            "model.activation": "relu", "run.k": 7, "run.lr_scale": 250.0, "pso.relative_threshold": True,
+            "model.teacher_hidden": [64, 32], "run.label_order": None,
+        }
+        assert parsed == expected
+        assert {key: type(value) for key, value in parsed.items()} == {key: type(v) for key, v in expected.items()}
 
     def test_bool_key_parses_yes(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("pso.relative_threshold = yes\n", encoding="utf-8")
-        assert resolve_config(parse_config_file(path)).resolved["pso.relative_threshold"] is True
+        assert resolve_config(parse_config_file(path)).pso.relative_threshold is True
 
     def test_int_key_rejects_fraction(self, data_dir, tmp_path, capsys):
         code = run_cli(

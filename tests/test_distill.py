@@ -12,7 +12,7 @@ import pytest
 from scipy import sparse
 
 from mldistill import distill
-from mldistill.config import DEFAULT_LR_SCALE, DistillConfig, TrainingMode
+from mldistill.config import DEFAULT_LR_SCALE, DistillConfig
 from mldistill.distill import (
     chains_fit,
     contrastive_grads,
@@ -61,20 +61,6 @@ def relevance_fit(teacher, student, cfg, seed):
 def mean_hard_loss(model, X, y, label):
     logits = forward_batch(model, X, label).logits
     return float(np.mean([hard_loss(z, int(t)) for z, t in zip(logits, y)]))
-
-
-class TestTrainingModeType:
-    def test_contrastive_weight_defaults_for_contrastive(self):
-        mode = TrainingMode("sequential_kd_contrastive")
-        assert mode.contrastive_weight == 0.5
-
-    def test_contrastive_weight_rejected_elsewhere(self):
-        with pytest.raises(ValueError):
-            TrainingMode("sequential_kd", contrastive_weight=0.5)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            TrainingMode("magic")
 
 
 class TestDistillConfig:
@@ -304,7 +290,9 @@ class TestTrainingStep:
             return forward_batch(model, *args)
 
         monkeypatch.setattr(distill, "forward_batch", counting_forward)
-        train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+        train_student(
+            X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+        )
         assert roles.count("teacher") == expected
         assert roles.count("student") == 2 * 9  # two epochs of ceil(60 / 7) batches
 
@@ -350,7 +338,9 @@ class TestTrainingStep:
         monkeypatch.setattr(distill, "contrastive_grads", nan_projection_grad)
         trained, start_projection = student.copy(), projection.copy()
         with pytest.raises(ValueError, match="contrastive projection"):
-            train_student(X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+            train_student(
+                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+            )
         assert models_equal(trained, student)
         assert np.array_equal(projection, start_projection)
 
@@ -374,7 +364,9 @@ class TestTrainingStep:
         monkeypatch.setattr(distill, "contrastive_grads", nan_grads)
         trained, start_projection = student.copy(), projection.copy()
         with pytest.raises(ValueError, match=message):
-            train_student(X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection)
+            train_student(
+                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+            )
         assert models_equal(trained, student)
         assert np.array_equal(projection, start_projection)
 
@@ -412,11 +404,12 @@ class TestCompactColumns:
             return None if projection is None else projection.copy()
 
         full, full_projection = train_student(
-            X[train], y[train], 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=proj()
+            X[train], y[train], 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=proj(),
+            contrastive_weight=0.5,
         )
         compact, compact_projection = train_student(
             X[train][:, columns], y[train], 1, compact, compact_teacher, cfg, rng_for(3, "s"), lr=0.4,
-            projection=proj(),
+            projection=proj(), contrastive_weight=0.5,
         )
         assert not models_equal(full, start)
         (W0, b0), untouched = full.layers[0], np.setdiff1d(np.arange(DIM), columns)
