@@ -15,12 +15,12 @@ Every mode runs through one fold loop, ``cross_validate``, which takes
 a list of fits: runs that have not started, each a generator that trains
 fresh models on a work unit of one fold and some of its labels, and yields
 each label's validation probabilities, one array per output of the fit.
-It checks the folds and the label order, then runs the units of every fit
-on one ``parallel.map``, serially or on forked worker processes: each fold
-is featurized (IDF from its training part only), narrowed to the hashed
-columns its documents touch, and trained, and its out-of-fold predictions
-are recorded in unit order.  A unit holds the whole label order when
-labels are chained, and one label in the binary-relevance variants, whose
+It checks the folds and the label order, featurizes each fold once per key
+(IDF from its training part only, narrowed to the hashed columns its
+documents touch), then runs the units of every fit on one ``parallel.map``,
+serially or on forked workers that inherit the features, and records the
+out-of-fold predictions in unit order.  A unit holds the whole label order
+when labels are chained, one label in the binary-relevance variants, whose
 labels never interact, so two workers split an odd number of folds evenly.
 ``run`` passes one fit, ``ablate`` two fits of one teacher and two
 students each, and ``tune`` every particle of a swarm iteration.  Labels
@@ -308,10 +308,11 @@ def cross_validate(
 
     The work units are ``(fit, fold, labels)``, fit-major, then fold-major:
     one per fold with the whole label order when labels are chained, one
-    per (fold, label) when the fit's labels are independent.  They all run
-    on one ``parallel.map`` over up to ``workers`` forked processes, each
-    keeping the features of the last (fold, dim, max_length) it built.  The
-    checks, the token lists and the recording of predictions, in unit
+    per (fold, label) when the fit's labels are independent.  The caller
+    featurizes each distinct (fold, dim, tokens ``max_length`` keeps) once,
+    in unit order, raising any error there, and the units run on one
+    ``parallel.map`` over up to ``workers`` forked processes, which inherit
+    those features.  The checks and the recording of predictions, in unit
     order, stay in the caller, so the output does not depend on
     ``workers``.  The results are flat, in fit order and then output order:
     each output's ``PredictionSet``, or for every output of a failed fit
@@ -337,20 +338,19 @@ def cross_validate(
         for fold in range(folds.k)
         for labels in ([[j] for j in order] if fit.fresh_per_label else [order])
     ]
-    built: dict[tuple, tuple] = {}  # this process's last (fold, dim, max_length): (columns, X_train, X_val)
+    longest = max(map(len, tokens), default=0)  # a max_length at or above it cuts no document
+    kept = [min(fit.max_length, longest) for fit in fits]
+    keys = dict.fromkeys((fold, fits[f].dim, kept[f]) for f, fold, _ in units)  # in unit order
+    features = {(fold, dim, n): _fold_features(tokens, *splits[fold], dim, n) for fold, dim, n in keys}
     failed: set[int] = set()  # the fits with a unit that failed in this process
 
     def run_unit(unit: tuple[int, int, list[int]]) -> list[np.ndarray] | ValueError | ArithmeticError | None:
         f, fold, labels = unit
         if f in failed:
             return None  # skipped: an earlier unit of this fit failed
-        fit, (train_idx, val_idx) = fits[f], splits[fold]
+        fit, (train_idx, _) = fits[f], splits[fold]
+        columns, X_train, X_val = features[fold, fit.dim, kept[f]]
         try:
-            key = (fold, fit.dim, fit.max_length)
-            if key not in built:
-                built.clear()
-                built[key] = _fold_features(tokens, train_idx, val_idx, fit.dim, fit.max_length)
-            columns, X_train, X_val = built[key]
             return list(fit.fit_fold(fold, X_train, labels_matrix[train_idx], X_val, labels, columns))
         except (ValueError, ArithmeticError) as exc:
             failed.add(f)

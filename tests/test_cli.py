@@ -22,9 +22,9 @@ import mldistill
 from mldistill import cli, distill, experiment, parallel
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_file, resolve_config
-from mldistill.corpus import HashingTfidfVectorizer
+from mldistill.corpus import HashingTfidfVectorizer, tokenize
 from mldistill.errors import UsageError
-from mldistill.hypertune import default_space, space_to_json
+from mldistill.hypertune import Dimension, HyperSpace, default_space, space_to_json
 
 
 @pytest.fixture(scope="module")
@@ -133,33 +133,55 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["sequential_kd", "binary_relevance_kd_contrastive"])
     def test_first_layer_holds_fold_columns(self, data_dir, tmp_path, monkeypatch, mode):
-        # folds run serially at --workers 1: each featurizes its training,
-        # then its validation documents at full hashed width, then draws its models
-        features, models = [], []
-        transform, init_model = HashingTfidfVectorizer.transform, distill.init_model
+        """Each fold's models hold exactly the hashed columns that fold's
+        training and validation documents touch, matched by fold: the fold
+        loop featurizes every fold before it draws any model."""
+        touched, fold_of, fold_of_seed = [], {}, {}
+        features, models = {}, []  # fold: its columns; (fold, first-layer rows) per model drawn
+        transform, folds_for = HashingTfidfVectorizer.transform, experiment.folds_for
+        fold_features, derive_seed, init_model = distill._fold_features, distill.derive_seed, distill.init_model
 
         def recording_transform(self, docs_tokens):
             X = transform(self, docs_tokens)
-            features.append(set(X.indices.tolist()))
+            touched.append(set(X.indices.tolist()))
             return X
 
-        def recording_init(*args, **kwargs):
-            model = init_model(*args, **kwargs)
-            models.append((len(features), model.layers[0][0].shape[0]))
+        def recording_folds(corpus, config):
+            folds = folds_for(corpus, config)
+            fold_of.update({tuple(folds.val_indices(corpus, fold)): fold for fold in range(folds.k)})
+            return folds
+
+        def recording_features(tokens, train_idx, val_idx, dim, max_length):
+            touched.clear()
+            built = fold_features(tokens, train_idx, val_idx, dim, max_length)
+            assert len(touched) == 2  # its training, then its validation documents, at full hashed width
+            features[fold_of[tuple(val_idx)]] = touched[0] | touched[1]
+            return built
+
+        def recording_seed(*names):
+            seed = derive_seed(*names)
+            fold_of_seed[seed] = names[3]  # (seed, "init", role, fold, first label)
+            return seed
+
+        def recording_init(spec, num_labels, seed, columns):
+            model = init_model(spec, num_labels, seed, columns)
+            models.append((fold_of_seed[seed], model.layers[0][0].shape[0]))
             return model
 
         monkeypatch.setattr(HashingTfidfVectorizer, "transform", recording_transform)
+        monkeypatch.setattr(experiment, "folds_for", recording_folds)
+        monkeypatch.setattr(distill, "_fold_features", recording_features)
+        monkeypatch.setattr(distill, "derive_seed", recording_seed)
         monkeypatch.setattr(distill, "init_model", recording_init)
         code = run_cli(
             ["run", "--corpus", data_dir / "corpus.jsonl", "--vocab", data_dir / "vocab.txt", "--out", tmp_path / "o",
              "--mode", mode, "--workers", 1, *FAST, "--run.feature_dim", 32768]
         )
         assert code == 0
-        assert len(features) == 2 * 3
-        fold_columns = [len(features[i] | features[i + 1]) for i in range(0, 6, 2)]
-        assert all(0 < c < 32768 for c in fold_columns)
+        assert sorted(features) == [0, 1, 2]
+        assert all(0 < len(columns) < 32768 for columns in features.values())
         per_fold = 2 if mode == "sequential_kd" else 2 * 2  # teacher and student, once or per label
-        assert models == [(2 * fold + 2, fold_columns[fold]) for fold in range(3) for _ in range(per_fold)]
+        assert sorted(models) == [(fold, len(features[fold])) for fold in range(3) for _ in range(per_fold)]
 
     def test_corpus_without_tokens_runs(self, tmp_path):
         (tmp_path / "vocab.txt").write_text("a\nb\n", encoding="utf-8")
@@ -975,8 +997,8 @@ class TestAblate:
     def test_each_teacher_trains_once(self, tmp_path, monkeypatch):
         """On the pinned session's corpus (120 documents, 5 labels, 5 folds),
         ``ablate`` trains 50 teachers, a fold's and label's once in each of its
-        two fits, and featurizes each fold once per fit.  One fit per variant
-        made 100 and 20."""
+        two fits, and featurizes each fold once, for both fits.  One fit per
+        variant made 100 and 20, and a feature cache per process 50 and 10."""
         data = tmp_path / "data"
         assert run_cli(["generate-synthetic", "--docs", 120, "--labels", 5, "--seed", 3, "--out", data]) == 0
         train, fold_features = distill.train_student, distill._fold_features
@@ -997,7 +1019,48 @@ class TestAblate:
              "--run.preset", "trial_and_error", "--distill.epochs", 2, "--workers", 1]
         )
         assert code == 0
-        assert calls == {"teacher": 50, "features": 10}
+        assert calls == {"teacher": 50, "features": 5}
+
+
+class TestFoldFeatures:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fold_loop_featurizes_k_times_per_distinct_key(self, tmp_path, monkeypatch, workers):
+        """On the pinned session's corpus (5 folds, no document longer than 28
+        tokens), every fold loop featurizes k times per distinct (dim, tokens
+        ``max_length`` keeps) of its fits, in the command's process: once per
+        fold in ``ablate``, and in ``tune`` per swarm iteration as its
+        particles' ``max_length`` cut the documents or not."""
+        data = tmp_path / "data"
+        assert run_cli(["generate-synthetic", "--docs", 120, "--labels", 5, "--seed", 3, "--out", data]) == 0
+        space = HyperSpace(
+            (*default_space().dimensions[:4], Dimension("epochs", 1, 2, "integer"),
+             Dimension("max_length", 4, 48, "integer"))
+        )
+        (tmp_path / "space.json").write_text(space_to_json(space), encoding="utf-8")
+        calls = []  # per fold loop: [featurizations, k x distinct keys]
+        fold_loop, fold_features = experiment.cross_validate, distill._fold_features
+
+        def counting_loop(corpus, folds, fits, *args):
+            longest = max(len(tokenize(d.text)) for d in corpus.documents)
+            calls.append([0, folds.k * len({(fit.dim, min(fit.max_length, longest)) for fit in fits})])
+            return fold_loop(corpus, folds, fits, *args)
+
+        def counting_features(*args):
+            assert os.getpid() == command_pid
+            calls[-1][0] += 1
+            return fold_features(*args)
+
+        command_pid = os.getpid()
+        monkeypatch.setattr(experiment, "cross_validate", counting_loop)
+        monkeypatch.setattr(distill, "_fold_features", counting_features)
+        corpus = ["--corpus", data / "corpus.jsonl", "--vocab", data / "vocab.txt", "--workers", workers]
+        assert run_cli(["ablate", *corpus, "--out", tmp_path / "abl", "--run.preset", "trial_and_error",
+                        "--distill.epochs", 1]) == 0
+        assert calls == [[5, 5]]
+        calls.clear()
+        assert run_cli(["tune", *corpus, "--out", tmp_path / "tune", "--space", tmp_path / "space.json",
+                        "--pso.n", 4, "--pso.max_iters", 2, "--pso.threshold", 0, "--pso.patience", 2]) == 0
+        assert calls == [[20, 20], [15, 15]]  # four keys among the four particles, then three
 
 
 class TestAblateOneLabel:

@@ -13,6 +13,7 @@ from scipy import sparse
 
 from mldistill import distill
 from mldistill.config import DEFAULT_LR_SCALE, DistillConfig
+from mldistill.corpus import tokenize
 from mldistill.distill import (
     chains_fit,
     contrastive_grads,
@@ -550,8 +551,9 @@ class TestCrossValidatedRuns:
 
 class TestWorkUnits:
     """Binary relevance spreads (fold, label) units over the workers; chained
-    labels keep a fold's whole label order in one unit.  A process featurizes
-    a fold once, however many of its units it runs."""
+    labels keep a fold's whole label order in one unit.  The calling process
+    featurizes each fold once, before it forks, and the workers inherit the
+    features."""
 
     @staticmethod
     def record_schedule(monkeypatch, log, corpus, folds):
@@ -601,8 +603,7 @@ class TestWorkUnits:
         assert len(pids) == 2 and os.getpid() not in pids
         # both idle workers take a unit of the first fold
         assert {pid for pid, fold, _ in trained if fold == 0} == pids
-        assert len(set(featurized)) == len(featurized)
-        assert {(pid, fold) for pid, fold, _ in trained} == set(featurized)
+        assert featurized == [(os.getpid(), fold) for fold in range(folds.k)]
 
     def test_sequential_fold_trains_its_labels_in_order_in_one_process(self, cv_setup, tmp_path, monkeypatch):
         corpus, folds, teacher, student, cfg = cv_setup
@@ -614,7 +615,36 @@ class TestWorkUnits:
             assert [j for _, j in mine] == [1, 0]
             assert len({pid for pid, _ in mine}) == 1
         assert os.getpid() not in {pid for pid, _, _ in trained}
-        assert sorted(read("features")) == sorted({(pid, fold) for pid, fold, _ in trained})
+        assert read("features") == [(os.getpid(), fold) for fold in range(folds.k)]
+
+    @pytest.mark.parametrize("max_lengths, featurized", [((128, 512), 1), ((8, 128), 2)], ids=["uncut", "truncating"])
+    def test_fits_share_the_features_of_the_tokens_they_keep(self, cv_setup, monkeypatch, max_lengths, featurized):
+        """No document here is longer than 19 tokens, so ``max_length`` 128
+        and 512 cut none and their fits share each fold's features; 8 cuts,
+        so its fit gets features of its own, and they differ.  Two workers
+        inherit the features and predict what one process does."""
+        corpus, folds, _, _, cfg = cv_setup
+        assert max(len(tokenize(d.text)) for d in corpus.documents) == 19
+        fold_features, built = distill._fold_features, []
+
+        def recording_features(*args):
+            built.append(fold_features(*args))
+            return built[-1]
+
+        monkeypatch.setattr(distill, "_fold_features", recording_features)
+        fits = [chains_fit(dataclasses.replace(cfg, max_length=n), 4, DIM) for n in max_lengths]
+        results = [result.canonical_rows() for result in distill.cross_validate(corpus, folds, fits)]
+        assert len(built) == featurized * folds.k
+        assert [result.canonical_rows() for result in distill.cross_validate(corpus, folds, fits, workers=2)] == results
+        assert results == [cross_validated(corpus, folds, fit).canonical_rows() for fit in fits]
+        assert (results[0] == results[1]) == (featurized == 1)
+        if featurized == 2:
+
+            def bits(features):
+                columns, X_train, X_val = features
+                return [columns.tobytes()] + [a.tobytes() for X in (X_train, X_val) for a in (X.data, X.indices)]
+
+            assert all(bits(built[fold]) != bits(built[folds.k + fold]) for fold in range(folds.k))
 
 
 class TestFoldLoop:
@@ -711,19 +741,25 @@ class TestFoldLoop:
         assert results[1].canonical_rows() == distill.cross_validate(corpus, folds, [chains])[0].canonical_rows()
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_first_failing_unit_raises_whichever_fails_first(self, cv_setup, monkeypatch, workers):
+    def test_first_failing_unit_raises_whichever_fails_first(self, cv_setup, workers):
         """Fold 0's unit fails last in time, and its message is the one raised."""
-        corpus, folds, teacher, student, cfg = cv_setup
-        fold_of = {tuple(folds.val_indices(corpus, fold)): fold for fold in range(folds.k)}
+        corpus, folds, _, _, cfg = cv_setup
 
-        def failing_features(tokens, train_idx, val_idx, dim, max_length):
-            fold = fold_of[tuple(val_idx)]
+        def fit_fold(fold, *args):
             if fold == 0 and workers > 1:
                 time.sleep(0.2)
             raise ValueError(f"fold {fold} broke")
 
-        monkeypatch.setattr(distill, "_fold_features", failing_features)
+        failing = dataclasses.replace(chains_fit(cfg, 5, DIM), fit_fold=fit_fold)
         with pytest.raises(ValueError, match="^fold 0 broke$"):
+            cross_validated(corpus, folds, failing, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_featurization_error_raises(self, cv_setup, workers):
+        """``EncoderSpec`` takes a one-column input, which the vectorizer refuses."""
+        corpus, folds, teacher, student, cfg = cv_setup
+        teacher, student = (dataclasses.replace(spec, input_dim=1) for spec in (teacher, student))
+        with pytest.raises(ValueError, match="^feature dim must be >= 2, got 1$"):
             distill_sequential(corpus, folds, teacher, student, cfg, seed=5, workers=workers)
 
     def test_detached_student_is_refused(self, cv_setup):
