@@ -1,12 +1,17 @@
-"""Alternating A/B pairs of benchmark runs, a parent checkout against a change.
+"""Balanced A/B pairs of benchmark runs, a parent checkout against a change.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B[,C,...] --out BENCH_N.json
 
 Both directories are checkouts holding `src/`, `perfbench/` and
-`BENCHMARK.json`.  The script byte-compiles both trees, then runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` once in each
-tree per seed, T being the change's `run_seconds`.  The parent runs first on
-the 1st, 3rd, ... pair and second on the others.
+`BENCHMARK.json`; they may be one directory, for an A/A calibration.  The
+script byte-compiles both trees, then runs
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` four times
+per seed, T being the change's `run_seconds`: parent, change, change, parent
+on an even seed, and change, parent, parent, change on an odd one.  So the
+side that runs first in a pair also runs last, and over consecutive seeds
+the sides take turns at it.  A side's value in the pair is the mean of
+its two runs, metric by metric, with their commands and failures added up;
+the pair keeps both raw runs too.
 
 The workload's entry in `--out` records every pair, each side's median and
 quartiles (inclusive method) of every end-to-end metric with the bound
@@ -26,6 +31,7 @@ from pathlib import Path
 
 CLAIM_METRIC = "wall_s"
 WIN_SHARE = 0.9
+RUN_FACTS = ("side", "correct", "attempted", "failed", "failures")  # a run's other fields are metrics
 
 
 def parse_seeds(text):
@@ -48,6 +54,20 @@ def bench_run(tree, workload, seed, seconds):
     side.update(correct=result["correct"], attempted=result["attempted"], failed=result["failed"],
                 failures=[line for line in lines if line.startswith("FAILED: ")])
     return side, machine
+
+
+def run_order(seed):
+    """The sides of a seed's four runs, in the order they run."""
+    return ("parent", "change", "change", "parent") if seed % 2 == 0 else ("change", "parent", "parent", "change")
+
+
+def side_mean(runs):
+    """One side's value in a pair: each metric's mean over the side's runs,
+    their commands and failures added up."""
+    side = {name: statistics.fmean(run[name] for run in runs) for name in runs[0] if name not in RUN_FACTS}
+    side.update(correct=all(run["correct"] for run in runs), attempted=sum(run["attempted"] for run in runs),
+                failed=sum(run["failed"] for run in runs), failures=[f for run in runs for f in run["failures"]])
+    return side
 
 
 def spread(values):
@@ -118,11 +138,15 @@ def main(argv=None):
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
 
     pairs, machines = [], {}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
+    for seed in args.seeds:
+        order = run_order(seed)
+        runs = []
         for side in order:
-            pair[side], machines[side] = bench_run(trees[side], args.workload, seed, seconds)
+            run, machines[side] = bench_run(trees[side], args.workload, seed, seconds)
+            runs.append({"side": side, **run})
+        pair = {"seed": seed, "order": order, "runs": runs}
+        for side in ("parent", "change"):
+            pair[side] = side_mean([run for run in runs if run["side"] == side])
         pair["example_f1_equal"] = pair["parent"]["example_f1"] == pair["change"]["example_f1"]
         pairs.append(pair)
         print(f"{args.workload} seed {seed} ({order[0]} first): {CLAIM_METRIC} "

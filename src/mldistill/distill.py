@@ -45,6 +45,7 @@ from mldistill import parallel
 from mldistill.config import DEFAULT_LR_SCALE, DistillConfig
 from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
+    BatchCache,
     EncoderSpec,
     ModelState,
     SparseBatch,
@@ -197,42 +198,40 @@ def train_student(
     y: np.ndarray,
     label: int,
     student: ModelState,
-    teacher: ModelState | None,
+    teacher: tuple[ModelState, BatchCache] | None,
     cfg: DistillConfig,
     rng: np.random.Generator,
-    lr: float | None = None,
+    lr: float,
     projection: np.ndarray | None = None,
     contrastive_weight: float | None = None,
 ) -> tuple[ModelState, np.ndarray | None]:
     """Train the student with the combined loss against a frozen teacher.
 
-    ``teacher=None`` trains on the hard loss alone at full weight, which
-    is how the teacher itself is fine-tuned.  When a projection matrix is
-    given, with its ``contrastive_weight`` beta, the total loss becomes
-    (1 - beta) * combined + beta * contrastive and the projection is
-    trained jointly.
+    ``teacher`` is the frozen teacher and its ``forward_batch`` over the
+    whole split ``X``.  Its logits are read when ``alpha > 0`` and its hidden
+    state when a projection is given, each batch taking its rows of the
+    pass through ``forward_rows``.  ``teacher=None`` trains on the hard loss
+    alone at full weight, which is how the teacher itself is fine-tuned.
+    When a projection matrix is given, with its ``contrastive_weight`` beta,
+    the total loss becomes (1 - beta) * combined + beta * contrastive and
+    the projection is trained jointly.
 
-    The teacher is forwarded once per call, over the whole split, and only
-    when its logits (``alpha > 0``) or its hidden state (a projection) are
-    needed; each batch takes its rows from that pass through
-    ``forward_rows``.  Each step checks every update, the projection's
-    included, before it writes any of them, and works in place, bit for bit,
-    on a student whose arrays are views into its ``flat``, as checked first.
+    Each step checks every update, the projection's included, before it
+    writes any of them, and works in place, bit for bit, on a student whose
+    arrays are views into its ``flat``, as checked first.
     """
     n = X.shape[0]
     if n == 0:
         raise ValueError("cannot train on an empty split")
-    lr = cfg.learning_rate if lr is None else lr
     student.check_packed()
     soft = teacher is not None and cfg.alpha > 0.0
     contrastive = teacher is not None and projection is not None
-    teacher_cache = forward_batch(teacher, X, label) if soft or contrastive else None
     targets = _onehot(y)
     for _ in range(cfg.epochs):
         for rows, Xb in _epoch_batches(X, cfg.batch_size, rng):
             cache = forward_batch(student, Xb, label)
-            if teacher_cache is not None:
-                teacher_hidden, teacher_logits = forward_rows(teacher, teacher_cache, rows)
+            if soft or contrastive:
+                teacher_hidden, teacher_logits = forward_rows(*teacher, rows)
             dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_logits if soft else None, cfg)
 
             dhidden = d_projection = None
@@ -396,6 +395,8 @@ def distillation_fit(
     """Per label: fine-tune the teacher on the hard loss, then distill that
     frozen teacher into each student, a (spec, contrastive weight or None)
     pair, and record each student's validation probabilities, in order.
+    When a student reads the teacher's logits or hidden state, the teacher
+    is forwarded once over the training split for all of them.
 
     With no students the teacher's own probabilities are recorded.
     Sequential runs initialize once per fold and carry the encoders across
@@ -407,6 +408,7 @@ def distillation_fit(
     if any(spec.input_dim != teacher_spec.input_dim for spec, _ in students):
         raise ValueError("teacher and student must share the feature dimensionality")
     lr = cfg.learning_rate * lr_scale
+    reads_teacher = any(cfg.alpha > 0.0 or weight is not None for _, weight in students)
 
     def fit_fold(fold, X_train, Y_train, X_val, labels, columns):
         """Models drawn for the first of ``labels`` carry across the rest;
@@ -425,13 +427,15 @@ def distillation_fit(
             teacher, _ = train_student(
                 X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
             )
+            taught = (teacher, forward_batch(teacher, X_train, j)) if reads_teacher else None
             trained = [
                 train_student(
-                    X_train, Y_train[:, j], j, student, teacher, cfg, rng_for(seed, "batches", "student", fold, j),
+                    X_train, Y_train[:, j], j, student, taught, cfg, rng_for(seed, "batches", "student", fold, j),
                     lr=lr, projection=projection, contrastive_weight=weight,
                 )
                 for (student, projection), (_, weight) in zip(trained, students)
             ]
+            del taught  # the pass is not held while the next label's teacher trains
             recorded = [student for student, _ in trained] or [teacher]
             yield tuple(softmax(forward_batch(model, X_val, j).logits)[:, 1] for model in recorded)
 

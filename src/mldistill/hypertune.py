@@ -196,15 +196,11 @@ def velocity_update(
     return particle
 
 
-def apply_constraints(position: np.ndarray, space: HyperSpace) -> np.ndarray:
-    """Clamp every coordinate into its [lower, upper] box."""
-    return np.clip(np.asarray(position, dtype=np.float64), space.lower, space.upper)
-
-
 def constrain_particle(particle: Particle, space: HyperSpace) -> Particle:
-    """Clamp the position; zero the velocity on every clamped dimension
-    so particles do not oscillate against the box walls."""
-    clamped = apply_constraints(particle.position, space)
+    """Clamp every coordinate of the position into its [lower, upper] box;
+    zero the velocity on every clamped dimension so particles do not
+    oscillate against the box walls."""
+    clamped = np.clip(np.asarray(particle.position, dtype=np.float64), space.lower, space.upper)
     particle.velocity[clamped != particle.position] = 0.0
     particle.position = clamped
     return particle

@@ -82,9 +82,6 @@ class ModelState:
     def num_labels(self) -> int:
         return len(self.heads)
 
-    def copy(self) -> "ModelState":
-        return ModelState(self.spec, [(self.layers[0][0].copy(), self.layers[0][1]), *self.layers[1:]], self.heads)
-
     def check_packed(self) -> None:
         """Raise naming the first array but W0 that is not a view into ``flat``."""
         owners = [f"encoder layer {i}" for i in range(len(self.layers))] + [f"head {j}" for j in range(self.num_labels)]
@@ -284,7 +281,7 @@ class RowSliceGrad:
 @dataclass
 class Gradients:
     """Gradients matching the encoder layers plus one label head, packed into
-    ``flat`` but the first weights' (a ``RowSliceGrad`` or a dense array)."""
+    ``flat`` but the first weights', a ``RowSliceGrad``."""
 
     layers: list[tuple[np.ndarray | RowSliceGrad, np.ndarray]]
     head_label: int
@@ -330,8 +327,7 @@ def sgd_step(model: ModelState, grads: Gradients, lr: float, projection=None, d_
     raises a ValueError naming the first such array, and writes nothing."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    dW0 = grads.layers[0][0]
-    rows, block = (dW0.rows, dW0.block) if isinstance(dW0, RowSliceGrad) else (np.arange(len(dW0)), dW0)
+    rows, block = grads.layers[0][0].rows, grads.layers[0][0].block
     W0, flat, g, head = model.layers[0][0], model.flat, grads.flat, grads.head[0].size + grads.head[1].size
     p, enc = 0 if d_projection is None else d_projection.size, g.size - head
     r, lo = p + block.size, enc + grads.head_label * head

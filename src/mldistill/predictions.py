@@ -202,11 +202,6 @@ class PredictionSet:
         order = sorted(range(self.num_docs), key=self.doc_ids.__getitem__)
         return [self.doc_ids[i] for i in order], self._probs[order], self._truth[order]
 
-    def canonical_rows(self) -> list[tuple[str, list[float], list[int]]]:
-        """(doc_id, probs, truth) rows in the canonical order, as Python lists."""
-        doc_ids, probs, truth = self.canonical_arrays()
-        return list(zip(doc_ids, probs.tolist(), truth.tolist()))
-
 
 def write_predictions(pred: PredictionSet, path: str | Path, meta: dict | None = None) -> None:
     """Write the header line plus one record per (document, label)."""

@@ -25,12 +25,6 @@ class FoldAssignment:
     k: int
     fold_of: dict[str, int]
 
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for fold in self.fold_of.values():
-            sizes[fold] += 1
-        return sizes
-
     def val_indices(self, corpus: Corpus, fold: int) -> list[int]:
         return [i for i, d in enumerate(corpus.documents) if self.fold_of[d.id] == fold]
 

@@ -40,6 +40,17 @@ def cross_validated(corpus: Corpus, folds, fit, label_order=None, workers: int =
     return raise_first_failure(cross_validate(corpus, folds, [fit], label_order, workers))[0]
 
 
+def canonical_rows(pred) -> list[tuple[str, list[float], list[int]]]:
+    """(doc_id, probs, truth) rows of ``pred.canonical_arrays()``, as Python lists."""
+    doc_ids, probs, truth = pred.canonical_arrays()
+    return list(zip(doc_ids, probs.tolist(), truth.tolist()))
+
+
+def fold_sizes(corpus: Corpus, folds) -> list[int]:
+    """Each fold's number of validation documents, as the fold loop takes them."""
+    return [len(folds.val_indices(corpus, fold)) for fold in range(folds.k)]
+
+
 def dense(grad) -> np.ndarray:
     """A ``RowSliceGrad`` at full size: its block on its rows, zeros elsewhere."""
     out = np.zeros(grad.shape)

@@ -29,7 +29,7 @@ from mldistill.splits import stratified_kfold
 from mldistill.stats import anova, describe, f_sf, t_quantile, t_two_sided_p
 from mldistill.synthetic import generate_synthetic
 
-from conftest import make_corpus
+from conftest import fold_sizes, make_corpus
 from test_losses import check_gradients
 from test_metrics import auc_of, build_prediction_set, oracle_metrics
 from test_stats import f_sf_oracle, t_sf_oracle
@@ -203,7 +203,7 @@ def test_criterion_08_stratification():
     matrix = corpus.label_matrix()
     for seed in range(20):
         folds = stratified_kfold(corpus, 5, seed=seed)
-        assert folds.fold_sizes() == [20] * 5
+        assert fold_sizes(corpus, folds) == [20] * 5
         for j, ideal in enumerate([10, 4, 2]):
             per_fold = [0] * 5
             for i, d in enumerate(corpus.documents):

@@ -25,6 +25,7 @@ from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_
 from mldistill.corpus import HashingTfidfVectorizer, tokenize
 from mldistill.errors import UsageError
 from mldistill.hypertune import Dimension, HyperSpace, default_space, space_to_json
+from mldistill.model import SparseBatch
 
 
 @pytest.fixture(scope="module")
@@ -997,29 +998,38 @@ class TestAblate:
     def test_each_teacher_trains_once(self, tmp_path, monkeypatch):
         """On the pinned session's corpus (120 documents, 5 labels, 5 folds),
         ``ablate`` trains 50 teachers, a fold's and label's once in each of its
-        two fits, and featurizes each fold once, for both fits.  One fit per
-        variant made 100 and 20, and a feature cache per process 50 and 10."""
+        two fits, forwards each trained teacher once over its training split
+        for both its students, and featurizes each fold once, for both fits.
+        One fit per variant made 100 teachers and 20 featurizations, a feature
+        cache per process 10 featurizations, and a pass per student 100
+        teacher passes."""
         data = tmp_path / "data"
         assert run_cli(["generate-synthetic", "--docs", 120, "--labels", 5, "--seed", 3, "--out", data]) == 0
-        train, fold_features = distill.train_student, distill._fold_features
-        calls = {"teacher": 0, "features": 0}
+        train, forward, fold_features = distill.train_student, distill.forward_batch, distill._fold_features
+        calls = {"teacher": 0, "teacher_passes": 0, "features": 0}
 
         def counting_train(X, y, label, student, teacher, *args, **kwargs):
             calls["teacher"] += teacher is None
             return train(X, y, label, student, teacher, *args, **kwargs)
+
+        def counting_forward(model, X, label):
+            # a training batch is a SparseBatch; a whole split is a matrix
+            calls["teacher_passes"] += model.spec.role == "teacher" and not isinstance(X, SparseBatch)
+            return forward(model, X, label)
 
         def counting_features(*args):
             calls["features"] += 1
             return fold_features(*args)
 
         monkeypatch.setattr(distill, "train_student", counting_train)
+        monkeypatch.setattr(distill, "forward_batch", counting_forward)
         monkeypatch.setattr(distill, "_fold_features", counting_features)
         code = run_cli(
             ["ablate", "--corpus", data / "corpus.jsonl", "--vocab", data / "vocab.txt", "--out", tmp_path / "abl",
              "--run.preset", "trial_and_error", "--distill.epochs", 2, "--workers", 1]
         )
         assert code == 0
-        assert calls == {"teacher": 50, "features": 5}
+        assert calls == {"teacher": 50, "teacher_passes": 50, "features": 5}
 
 
 class TestFoldFeatures:

@@ -1,6 +1,7 @@
 """Training procedures: teacher fine-tuning, sequential and binary-
 relevance distillation, and the classifier-chains baseline."""
 
+import copy
 import cProfile
 import dataclasses
 import os
@@ -38,6 +39,7 @@ from mldistill.splits import stratified_kfold
 from mldistill.synthetic import generate_synthetic
 
 from conftest import (
+    canonical_rows,
     cross_validated,
     featurize,
     linalg_norm_contrastive_grads,
@@ -57,6 +59,12 @@ def models_equal(a, b) -> bool:
 def relevance_fit(teacher, student, cfg, seed):
     """Binary-relevance KD: a fresh teacher and student per (fold, label)."""
     return distillation_fit(teacher, ((student, None),), cfg, seed, True, DEFAULT_LR_SCALE)
+
+
+def taught(teacher, X, label):
+    """``teacher`` and its forward pass over ``X``, as ``train_student`` takes
+    a teacher; no teacher stays None."""
+    return None if teacher is None else (teacher, forward_batch(teacher, X, label))
 
 
 def mean_hard_loss(model, X, y, label):
@@ -94,7 +102,7 @@ class TestTrainTeacher:
         X = featurize(small_corpus, dim=DIM, max_length=64)
         y = small_corpus.label_matrix()[:, 0]
         teacher = init_model(default_teacher_spec(DIM), 3, seed=4)
-        snapshot = teacher.copy()
+        snapshot = copy.deepcopy(teacher)
         teacher, _ = train_student(X, y, 0, teacher, None, cfg=DistillConfig(epochs=2), rng=rng_for(0, "t"), lr=0.0)
         assert models_equal(teacher, snapshot)
 
@@ -104,7 +112,7 @@ class TestTrainTeacher:
         teacher = init_model(default_teacher_spec(8), 1, seed=0)
         empty = sparse.csr_matrix((0, 8))
         with pytest.raises(ValueError):
-            train_student(empty, np.zeros(0), 0, teacher, None, DistillConfig(), rng_for(0, "t"))
+            train_student(empty, np.zeros(0), 0, teacher, None, DistillConfig(), rng_for(0, "t"), lr=0.1)
 
     def test_deterministic(self, small_corpus):
         X = featurize(small_corpus, dim=DIM, max_length=64)
@@ -124,8 +132,8 @@ class TestStudentEquivalences:
         teacher = init_model(default_teacher_spec(DIM), 3, seed=9)
         cfg = DistillConfig(alpha=0.0, epochs=2)
         with_teacher = init_model(default_student_spec(DIM), 3, seed=10)
-        without_teacher = with_teacher.copy()
-        with_teacher, _ = train_student(X, y, 0, with_teacher, teacher, cfg, rng_for(1, "s"), lr=0.4)
+        without_teacher = copy.deepcopy(with_teacher)
+        with_teacher, _ = train_student(X, y, 0, with_teacher, taught(teacher, X, 0), cfg, rng_for(1, "s"), lr=0.4)
         without_teacher, _ = train_student(X, y, 0, without_teacher, None, cfg, rng_for(1, "s"), lr=0.4)
         assert models_equal(with_teacher, without_teacher)
 
@@ -137,7 +145,7 @@ class TestStudentEquivalences:
         trained = []
         for alpha in (0.0, 0.5):
             model, _ = train_student(
-                X, y, 0, start.copy(), None, DistillConfig(alpha=alpha, epochs=2), rng_for(1, "s"), lr=0.4
+                X, y, 0, copy.deepcopy(start), None, DistillConfig(alpha=alpha, epochs=2), rng_for(1, "s"), lr=0.4
             )
             trained.append(model)
         assert models_equal(trained[0], trained[1])
@@ -149,7 +157,7 @@ class TestStudentEquivalences:
         teacher, _ = train_student(X, y, 0, teacher, None, DistillConfig(epochs=4), rng_for(2, "t"), lr=0.5)
         student = init_model(default_student_spec(DIM), 3, seed=10)
         cfg = DistillConfig(alpha=1.0, temperature=2.0, epochs=20)
-        student, _ = train_student(X, y, 0, student, teacher, cfg, rng_for(3, "s"), lr=1.0)
+        student, _ = train_student(X, y, 0, student, taught(teacher, X, 0), cfg, rng_for(3, "s"), lr=1.0)
         t_logits = forward_batch(teacher, X, 0).logits
         s_logits = forward_batch(student, X, 0).logits
         t_hard = np.argmax(t_logits, axis=1)
@@ -258,9 +266,9 @@ def _step_case(small_corpus, case, batch_size):
 
 
 class TestTrainingStep:
-    """``train_student`` forwards the teacher once per call, gathers batches
-    from one permutation per epoch and checks updates before writing them;
-    none of that may move a bit."""
+    """``train_student`` reads the teacher's rows from one pass over the split,
+    gathers batches from one permutation per epoch and checks updates before
+    writing them; none of that may move a bit."""
 
     # 60 documents: 7 leaves a partial last batch of 4, and 1 runs every
     # row through the single-row matrix products
@@ -269,11 +277,11 @@ class TestTrainingStep:
     def test_matches_per_batch_loop(self, small_corpus, case, batch_size):
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, batch_size)
         ref_student, ref_projection = per_batch_train_student(
-            X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), 0.4,
+            X, y, 1, copy.deepcopy(student), teacher, cfg, rng_for(3, "s"), 0.4,
             projection=None if projection is None else projection.copy(), beta=0.5,
         )
         new_student, new_projection = train_student(
-            X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), lr=0.4,
+            X, y, 1, copy.deepcopy(student), taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4,
             projection=None if projection is None else projection.copy(), contrastive_weight=0.5,
         )
         assert models_equal(new_student, ref_student)
@@ -281,9 +289,10 @@ class TestTrainingStep:
         if projection is not None:
             assert np.array_equal(new_projection, ref_projection)
 
-    @pytest.mark.parametrize("case, expected", [("kd_alpha_half", 1), ("kd_contrastive", 1), ("kd_alpha_zero", 0)])
-    def test_teacher_forwarded_once_per_call(self, small_corpus, monkeypatch, case, expected):
+    @pytest.mark.parametrize("case", ["kd_alpha_half", "kd_contrastive", "kd_alpha_zero"])
+    def test_teacher_not_forwarded(self, small_corpus, monkeypatch, case):
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+        teacher_pass = taught(teacher, X, 1)
         roles = []
 
         def counting_forward(model, *args):
@@ -292,16 +301,15 @@ class TestTrainingStep:
 
         monkeypatch.setattr(distill, "forward_batch", counting_forward)
         train_student(
-            X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+            X, y, 1, student, teacher_pass, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
         )
-        assert roles.count("teacher") == expected
-        assert roles.count("student") == 2 * 9  # two epochs of ceil(60 / 7) batches
+        assert roles == ["student"] * 2 * 9  # two epochs of ceil(60 / 7) batches
 
-    @pytest.mark.parametrize("case, extra", [("no_teacher", 0), ("kd_alpha_half", 1)])
-    def test_one_set_operation_per_epoch(self, small_corpus, monkeypatch, case, extra):
-        # the batches' active columns are planned once per epoch, not per
-        # step; the teacher's whole-split pass plans its one batch
+    @pytest.mark.parametrize("case", ["no_teacher", "kd_alpha_half"])
+    def test_one_set_operation_per_epoch(self, small_corpus, monkeypatch, case):
+        # the batches' active columns are planned once per epoch, not per step
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
+        teacher_pass = taught(teacher, X, 1)
         calls = []
         unique = np.unique
 
@@ -310,8 +318,8 @@ class TestTrainingStep:
             return unique(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting_unique)
-        train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4)
-        assert len(calls) == cfg.epochs + extra
+        train_student(X, y, 1, student, teacher_pass, cfg, rng_for(3, "s"), lr=0.4)
+        assert len(calls) == cfg.epochs
         assert calls == [X.nnz] * len(calls)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
@@ -337,10 +345,11 @@ class TestTrainingStep:
             return d_hidden, d_proj
 
         monkeypatch.setattr(distill, "contrastive_grads", nan_projection_grad)
-        trained, start_projection = student.copy(), projection.copy()
+        trained, start_projection = copy.deepcopy(student), projection.copy()
         with pytest.raises(ValueError, match="contrastive projection"):
             train_student(
-                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+                X, y, 1, trained, taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4, projection=projection,
+                contrastive_weight=0.5,
             )
         assert models_equal(trained, student)
         assert np.array_equal(projection, start_projection)
@@ -363,10 +372,11 @@ class TestTrainingStep:
             return d_hidden, d_proj
 
         monkeypatch.setattr(distill, "contrastive_grads", nan_grads)
-        trained, start_projection = student.copy(), projection.copy()
+        trained, start_projection = copy.deepcopy(student), projection.copy()
         with pytest.raises(ValueError, match=message):
             train_student(
-                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+                X, y, 1, trained, taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4, projection=projection,
+                contrastive_weight=0.5,
             )
         assert models_equal(trained, student)
         assert np.array_equal(projection, start_projection)
@@ -377,14 +387,14 @@ class TestTrainingStep:
         # their calls per step do
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
 
-        def profiled_calls(train, **kwargs):
+        def profiled_calls(train, teacher, **kwargs):
             profile = cProfile.Profile()
             proj = None if projection is None else projection.copy()
-            profile.runcall(train, X, y, 1, student.copy(), teacher, cfg, rng_for(3, "s"), projection=proj, **kwargs)
+            profile.runcall(train, X, y, 1, copy.deepcopy(student), teacher, cfg, rng_for(3, "s"), projection=proj, **kwargs)
             return pstats.Stats(profile).total_calls
 
-        reference = profiled_calls(per_batch_train_student, lr=0.4, beta=0.5)
-        assert profiled_calls(train_student, lr=0.4, contrastive_weight=0.5) <= 0.8 * reference
+        reference = profiled_calls(per_batch_train_student, teacher, lr=0.4, beta=0.5)
+        assert profiled_calls(train_student, taught(teacher, X, 1), lr=0.4, contrastive_weight=0.5) <= 0.8 * reference
 
 
 class TestCompactColumns:
@@ -399,17 +409,18 @@ class TestCompactColumns:
         columns = np.unique(X.indices)
         compact = init_model(student.spec, 3, seed=10, columns=columns)
         compact_teacher = None if teacher is None else init_model(teacher.spec, 3, seed=9, columns=columns)
-        start = student.copy()
+        start = copy.deepcopy(student)
 
         def proj():
             return None if projection is None else projection.copy()
 
+        X_full, X_compact = X[train], X[train][:, columns]
         full, full_projection = train_student(
-            X[train], y[train], 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=proj(),
+            X_full, y[train], 1, student, taught(teacher, X_full, 1), cfg, rng_for(3, "s"), lr=0.4, projection=proj(),
             contrastive_weight=0.5,
         )
         compact, compact_projection = train_student(
-            X[train][:, columns], y[train], 1, compact, compact_teacher, cfg, rng_for(3, "s"), lr=0.4,
+            X_compact, y[train], 1, compact, taught(compact_teacher, X_compact, 1), cfg, rng_for(3, "s"), lr=0.4,
             projection=proj(), contrastive_weight=0.5,
         )
         assert not models_equal(full, start)
@@ -460,7 +471,7 @@ class TestCrossValidatedRuns:
         cfg = DistillConfig(epochs=2)
         sequential = distill_sequential(corpus, folds, teacher, student, cfg, seed=7)
         relevance = cross_validated(corpus, folds, relevance_fit(teacher, student, cfg, 7))
-        assert sequential.canonical_rows() == relevance.canonical_rows()
+        assert canonical_rows(sequential) == canonical_rows(relevance)
 
     def test_binary_relevance_label_independence(self):
         # swapping label 0's targets must leave label 1's predictions alone
@@ -479,8 +490,8 @@ class TestCrossValidatedRuns:
         fit = relevance_fit(teacher, student, cfg, 9)
         preds_a = cross_validated(base, folds_a, fit)
         preds_b = cross_validated(flipped, folds_a, fit)
-        probs_a = {doc: p[1] for doc, p, _ in preds_a.canonical_rows()}
-        probs_b = {doc: p[1] for doc, p, _ in preds_b.canonical_rows()}
+        probs_a = {doc: p[1] for doc, p, _ in canonical_rows(preds_a)}
+        probs_b = {doc: p[1] for doc, p, _ in canonical_rows(preds_b)}
         assert probs_a == probs_b
 
     def test_sequential_carry_over_changes_later_labels(self, cv_setup):
@@ -490,8 +501,8 @@ class TestCrossValidatedRuns:
         corpus, folds, teacher, student, cfg = cv_setup
         sequential = distill_sequential(corpus, folds, teacher, student, cfg, seed=5)
         relevance = cross_validated(corpus, folds, relevance_fit(teacher, student, cfg, 5))
-        seq_rows = {doc: probs for doc, probs, _ in sequential.canonical_rows()}
-        rel_rows = {doc: probs for doc, probs, _ in relevance.canonical_rows()}
+        seq_rows = {doc: probs for doc, probs, _ in canonical_rows(sequential)}
+        rel_rows = {doc: probs for doc, probs, _ in canonical_rows(relevance)}
         first = [(seq_rows[d][0], rel_rows[d][0]) for d in seq_rows]
         second = [(seq_rows[d][1], rel_rows[d][1]) for d in seq_rows]
         assert all(a == b for a, b in first)
@@ -501,10 +512,10 @@ class TestCrossValidatedRuns:
         corpus, folds, teacher, student, cfg = cv_setup
         a = distill_sequential(corpus, folds, teacher, student, cfg, seed=1)
         b = distill_sequential(corpus, folds, teacher, student, cfg, seed=2)
-        keys_a = [(doc, tuple(t)) for doc, _, t in a.canonical_rows()]
-        keys_b = [(doc, tuple(t)) for doc, _, t in b.canonical_rows()]
+        keys_a = [(doc, tuple(t)) for doc, _, t in canonical_rows(a)]
+        keys_b = [(doc, tuple(t)) for doc, _, t in canonical_rows(b)]
         assert keys_a == keys_b
-        assert a.canonical_rows() != b.canonical_rows()
+        assert canonical_rows(a) != canonical_rows(b)
 
     def test_contrastive_variant_runs_complete(self, cv_setup):
         corpus, folds, teacher, student, cfg = cv_setup
@@ -541,7 +552,7 @@ class TestCrossValidatedRuns:
             corpus, folds, teacher, student, cfg, seed=5, label_order=[1, 0]
         )
         assert len(reversed_order) == len(forward_order)
-        assert forward_order.canonical_rows() != reversed_order.canonical_rows()
+        assert canonical_rows(forward_order) != canonical_rows(reversed_order)
 
     def test_invalid_label_order_rejected(self, cv_setup):
         corpus, folds, teacher, student, cfg = cv_setup
@@ -633,10 +644,10 @@ class TestWorkUnits:
 
         monkeypatch.setattr(distill, "_fold_features", recording_features)
         fits = [chains_fit(dataclasses.replace(cfg, max_length=n), 4, DIM) for n in max_lengths]
-        results = [result.canonical_rows() for result in distill.cross_validate(corpus, folds, fits)]
+        results = [canonical_rows(result) for result in distill.cross_validate(corpus, folds, fits)]
         assert len(built) == featurized * folds.k
-        assert [result.canonical_rows() for result in distill.cross_validate(corpus, folds, fits, workers=2)] == results
-        assert results == [cross_validated(corpus, folds, fit).canonical_rows() for fit in fits]
+        assert [canonical_rows(result) for result in distill.cross_validate(corpus, folds, fits, workers=2)] == results
+        assert results == [canonical_rows(cross_validated(corpus, folds, fit)) for fit in fits]
         assert (results[0] == results[1]) == (featurized == 1)
         if featurized == 2:
 
@@ -672,7 +683,7 @@ class TestFoldLoop:
         results = distill.cross_validate(corpus, folds, fits, workers=workers)
         assert type(results[1]) is ValueError and str(results[1]) == "unit broke"
         for fit, result in ((sequential, results[0]), (chains, results[2])):
-            assert result.canonical_rows() == cross_validated(corpus, folds, fit).canonical_rows()
+            assert canonical_rows(result) == canonical_rows(cross_validated(corpus, folds, fit))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failing_student_fails_every_output_of_its_fit(self, cv_setup, monkeypatch, workers):
@@ -696,10 +707,10 @@ class TestFoldLoop:
         assert len(results) == 5
         assert type(results[1]) is ArithmeticError and str(results[1]) == "student broke"
         assert results[2] is results[1]
-        assert results[0].canonical_rows() == cross_validated(corpus, folds, chains).canonical_rows()
+        assert canonical_rows(results[0]) == canonical_rows(cross_validated(corpus, folds, chains))
         for one, result in zip((contrastive, kd), results[3:]):
             solo = distill.distillation_fit(teacher, (one,), cfg, 5, False, DEFAULT_LR_SCALE)
-            assert result.canonical_rows() == cross_validated(corpus, folds, solo).canonical_rows()
+            assert canonical_rows(result) == canonical_rows(cross_validated(corpus, folds, solo))
 
     def test_shared_teacher_stays_frozen(self, cv_setup, monkeypatch):
         """A unit's two students train against one teacher, whose ``flat`` and
@@ -708,12 +719,13 @@ class TestFoldLoop:
         train = distill.train_student
         served = []  # per student trained: (the teacher, its bytes before, its bytes after)
 
-        def recording_train(X, y, label, model, frozen, *args, **kwargs):
-            if frozen is None:
-                return train(X, y, label, model, frozen, *args, **kwargs)
+        def recording_train(X, y, label, model, teacher, *args, **kwargs):
+            if teacher is None:
+                return train(X, y, label, model, teacher, *args, **kwargs)
+            frozen = teacher[0]
             before = frozen.flat.tobytes() + frozen.layers[0][0].tobytes()
-            trained = train(X, y, label, model, frozen, *args, **kwargs)
-            served.append((frozen, before, frozen.flat.tobytes() + frozen.layers[0][0].tobytes()))
+            trained = train(X, y, label, model, teacher, *args, **kwargs)
+            served.append((teacher, before, frozen.flat.tobytes() + frozen.layers[0][0].tobytes()))
             return trained
 
         monkeypatch.setattr(distill, "train_student", recording_train)
@@ -738,7 +750,7 @@ class TestFoldLoop:
         results = distill.cross_validate(corpus, folds, [dataclasses.replace(chains, fit_fold=fit_fold), chains])
         assert trained == [0, 1]
         assert str(results[0]) == "unit broke" and results[0].__traceback__ is None
-        assert results[1].canonical_rows() == distill.cross_validate(corpus, folds, [chains])[0].canonical_rows()
+        assert canonical_rows(results[1]) == canonical_rows(distill.cross_validate(corpus, folds, [chains])[0])
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_first_failing_unit_raises_whichever_fails_first(self, cv_setup, workers):
@@ -768,7 +780,7 @@ class TestFoldLoop:
         model = init_model(student, len(corpus.vocab), seed=1)
         model.flat = model.flat.copy()
         with pytest.raises(RuntimeError, match="is detached"):
-            train_student(X, corpus.label_matrix()[:, 0], 0, model, None, cfg, np.random.default_rng(0))
+            train_student(X, corpus.label_matrix()[:, 0], 0, model, None, cfg, np.random.default_rng(0), lr=0.1)
 
 
 class TestClassifierChains:
@@ -795,7 +807,7 @@ class TestClassifierChains:
         corpus = make_corpus(label_sets, ["A", "B"], texts=texts)
         folds = stratified_kfold(corpus, 4, seed=5)
         preds = cross_validated(corpus, folds, chains_fit(DistillConfig(epochs=8), 6, DIM))
-        per_doc = {doc: (p, t) for doc, p, t in preds.canonical_rows()}
+        per_doc = {doc: (p, t) for doc, p, t in canonical_rows(preds)}
         tp = fp = fn = 0
         for doc, (p, t) in per_doc.items():
             yhat = 1 if p[1] >= 0.5 else 0
@@ -812,7 +824,7 @@ class TestClassifierChains:
         corpus, folds, _, _, cfg = cv_setup
         a = cross_validated(corpus, folds, chains_fit(cfg, 4, DIM))
         b = cross_validated(corpus, folds, chains_fit(cfg, 4, DIM))
-        assert a.canonical_rows() == b.canonical_rows()
+        assert canonical_rows(a) == canonical_rows(b)
 
     def test_complete_prediction_set(self, cv_setup):
         corpus, folds, _, _, cfg = cv_setup

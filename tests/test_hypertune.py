@@ -12,7 +12,6 @@ from mldistill.hypertune import (
     HyperSpace,
     Particle,
     SwarmState,
-    apply_constraints,
     constrain_particle,
     decode,
     decode_values,
@@ -114,16 +113,22 @@ class TestVelocityUpdate:
         assert p.velocity[0] == pytest.approx(1.0)
 
 
-class TestApplyConstraints:
+def clamped(position, space):
+    """The position ``constrain_particle`` moves a still particle at ``position`` to."""
+    still = Particle(position=position, velocity=np.zeros(position.size), pbest_pos=position, pbest_score=0.0)
+    return constrain_particle(still, space).position
+
+
+class TestConstrainParticle:
     def test_in_bounds_unchanged(self):
         space = box(2)
         x = np.array([1.0, -2.0])
-        assert np.array_equal(apply_constraints(x, space), x)
+        assert np.array_equal(clamped(x, space), x)
 
     def test_clamping(self):
         space = HyperSpace((Dimension("a", 0.1, 5.0, "continuous"),))
-        assert apply_constraints(np.array([10.0]), space)[0] == 5.0
-        assert apply_constraints(np.array([-3.0]), space)[0] == 0.1
+        assert clamped(np.array([10.0]), space)[0] == 5.0
+        assert clamped(np.array([-3.0]), space)[0] == 0.1
 
 
 class TestEarlyStop:

@@ -14,6 +14,8 @@ from mldistill.metrics import (
 )
 from mldistill.predictions import PredictionSet
 
+from conftest import canonical_rows
+
 
 def build_prediction_set(probs, truth, labels=None, doc_ids=None, fold=0):
     """probs/truth: (n_docs, n_labels) nested lists."""
@@ -417,4 +419,4 @@ class TestListBasedEquality:
 
     def test_canonical_order_is_text_order(self):
         pred = build_prediction_set([[0.1]] * 4, [[0]] * 4, doc_ids=["9", "10", "d2", "d10"])
-        assert [row[0] for row in pred.canonical_rows()] == ["10", "9", "d10", "d2"]
+        assert [row[0] for row in canonical_rows(pred)] == ["10", "9", "d10", "d2"]

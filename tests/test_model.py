@@ -59,9 +59,9 @@ class TestInit:
         assert not np.shares_memory(W0, m.flat)
         m.flat[:] = np.arange(m.flat.size)  # encoder slice, then one slice per head
         assert np.array_equal(np.concatenate([v.ravel() for v in views]), m.flat)
-        copy = m.copy()
-        copy.flat[:] = -1.0
-        copy.layers[0][0][:] = -1.0
+        clone = copy.deepcopy(m)
+        clone.flat[:] = -1.0
+        clone.layers[0][0][:] = -1.0
         assert np.array_equal(m.flat, np.arange(m.flat.size)) and not (W0 == -1.0).any()
 
     def test_head_count_matches_labels(self):
@@ -134,7 +134,7 @@ class TestForward:
         m = init_model(tiny_spec(hidden=(5, 3), activation=activation), 2, seed=6)
         x = np.random.default_rng(6).normal(size=(4, 8)) * (np.arange(8) % 2)
         X = sparse_batches(sparse.csr_matrix(x), 4)[0] if as_batch else x
-        before = m.copy()
+        before = copy.deepcopy(m)
         data = X.data.copy() if as_batch else x.copy()
         cache = forward_batch(m, X, 1)
         for (W, b), (W0, b0) in zip(m.layers + m.heads, before.layers + before.heads):
@@ -204,8 +204,14 @@ class TestSoftmax:
         assert np.array_equal(z, before) and not np.shares_memory(out, z)
 
 
+def all_rows(block):
+    """A first-layer gradient over every row of the weights."""
+    return RowSliceGrad(rows=np.arange(len(block)), block=block, shape=block.shape)
+
+
 def dense_grads_like(model, scale=0.0):
     layers = [(np.full_like(W, scale), np.full_like(b, scale)) for W, b in model.layers]
+    layers[0] = (all_rows(layers[0][0]), layers[0][1])
     head = (np.full_like(model.heads[0][0], scale), np.full_like(model.heads[0][1], scale))
     return Gradients(layers=layers, head_label=0, head=head)
 
@@ -222,26 +228,30 @@ class TestSgdStep:
         m = init_model(tiny_spec(input_dim=1, hidden=(1,)), 1, seed=0)
         m.layers[0][0][...] = 1.0
         grads = dense_grads_like(m)
-        grads.layers[0][0][...] = 0.5
+        grads.layers[0][0].block[...] = 0.5
         sgd_step(m, grads, lr=0.1)
         assert m.layers[0][0][0, 0] == pytest.approx(0.95)
 
     def test_two_steps_equal_summed_deltas(self):
         m1 = init_model(tiny_spec(), 1, seed=9)
-        m2 = m1.copy()
+        m2 = copy.deepcopy(m1)
         rng = np.random.default_rng(2)
-        g1, g2 = (
-            Gradients(
-                layers=[(rng.normal(size=W.shape), rng.normal(size=b.shape)) for W, b in m1.layers],
-                head_label=0,
-                head=(rng.normal(size=(4, 2)), rng.normal(size=2)),
-            )
-            for _ in range(2)
-        )
+
+        def random_grads():
+            layers = [(rng.normal(size=W.shape), rng.normal(size=b.shape)) for W, b in m1.layers]
+            layers[0] = (all_rows(layers[0][0]), layers[0][1])
+            return Gradients(layers=layers, head_label=0, head=(rng.normal(size=(4, 2)), rng.normal(size=2)))
+
+        g1, g2 = random_grads(), random_grads()
         sgd_step(m1, g1, 0.3)
         sgd_step(m1, g2, 0.3)
+        (dW1, db1), *deeper1 = g1.layers
+        (dW2, db2), *deeper2 = g2.layers
         summed = Gradients(
-            layers=[(a[0] + b[0], a[1] + b[1]) for a, b in zip(g1.layers, g2.layers)],
+            layers=[
+                (all_rows(dW1.block + dW2.block), db1 + db2),
+                *((a + b, c + d) for (a, c), (b, d) in zip(deeper1, deeper2)),
+            ],
             head_label=0,
             head=(g1.head[0] + g2.head[0], g1.head[1] + g2.head[1]),
         )
@@ -253,8 +263,7 @@ class TestSgdStep:
     def test_nonfinite_gradient_names_layer(self):
         m = init_model(tiny_spec(), 1, seed=1)
         grads = dense_grads_like(m)
-        bad = grads.layers[0][0]
-        bad[0, 0] = np.nan
+        grads.layers[0][0].block[0, 0] = np.nan
         with pytest.raises(ValueError, match="encoder layer 0"):
             sgd_step(m, grads, 0.1)
 
@@ -280,7 +289,7 @@ class TestSgdStep:
             head=(rng.normal(size=(3, 2)), rng.normal(size=2)),
         )
         where(grads).flat[0] = np.nan
-        snapshot = m.copy()
+        snapshot = copy.deepcopy(m)
         with pytest.raises(ValueError, match=message):
             sgd_step(m, grads, 0.1)
         for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
@@ -309,7 +318,7 @@ class TestSgdStep:
         grads = dense_grads_like(m, scale=0.5)
         grads.layers[1][0].flat[0] = np.inf
         minus_inf(grads).flat[-1] = -np.inf
-        snapshot = m.copy()
+        snapshot = copy.deepcopy(m)
         with pytest.raises(ValueError, match=message):
             sgd_step(m, grads, 0.1)
         for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
@@ -322,7 +331,7 @@ class TestSgdStep:
         grads.layers[1][0].flat[0] = np.nan
         projection, d_projection = np.ones((5, 3)), np.zeros((5, 3))
         d_projection[2, 1] = np.inf
-        snapshot, start = m.copy(), projection.copy()
+        snapshot, start = copy.deepcopy(m), projection.copy()
         with pytest.raises(ValueError, match="contrastive projection"):
             sgd_step(m, grads, 0.1, projection, d_projection)
         for (W, b), (W0, b0) in zip(m.layers + m.heads, snapshot.layers + snapshot.heads):
@@ -427,8 +436,8 @@ class TestBatchBackward:
 
 class TestCopySafety:
     """A deep-copied or unpickled model is rebuilt through the packing, so
-    its dense arrays stay views into its own ``flat`` and it trains as
-    ``m.copy()`` does."""
+    its dense arrays stay views into its own ``flat`` and it trains as the
+    original does."""
 
     @staticmethod
     def ten_steps(m):
@@ -441,12 +450,12 @@ class TestCopySafety:
         return [a.tobytes() for pair in (*m.layers, *m.heads) for a in pair]
 
     @pytest.mark.parametrize("protocol", [None, 2, 3, 4, 5], ids=["deepcopy", *(f"pickle{p}" for p in range(2, 6))])
-    def test_clone_trains_like_copy(self, protocol):
+    def test_clone_trains_like_original(self, protocol):
         m = init_model(tiny_spec(hidden=(5, 3)), 2, seed=4)
         clone = copy.deepcopy(m) if protocol is None else pickle.loads(pickle.dumps(m, protocol=protocol))
         assert np.shares_memory(clone.flat, clone.layers[1][0]) and not np.shares_memory(clone.flat, m.flat)
         clone.check_packed()
-        assert self.ten_steps(clone) == self.ten_steps(m.copy())
+        assert self.ten_steps(clone) == self.ten_steps(m)
 
     @pytest.mark.parametrize("protocol", [2, 5])
     def test_unpickled_gradients_stay_packed(self, protocol):

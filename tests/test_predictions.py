@@ -12,6 +12,8 @@ from mldistill.errors import DataError
 from mldistill.metrics import full_report, render_report
 from mldistill.predictions import PredictionSet, read_predictions, write_predictions
 
+from conftest import canonical_rows
+
 
 def sample_set():
     pred = PredictionSet(["alpha", "beta"])
@@ -46,7 +48,7 @@ class TestPredictionSet:
             pred.add_many(["d1", "d1", "d0"], [0, 1, 0], [0.1, 0.2, 0.3], [0, 1, 0], [1, 1, 0])
         assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
         pred.add_many(["d1", "d0", "d1"], [1, 1, 0], [0.2, 0.4, 0.1], [1, 0, 0], [1, 0, 1])
-        assert pred.canonical_rows() == [("d0", [0.5, 0.4], [1, 0]), ("d1", [0.1, 0.2], [0, 1])]
+        assert canonical_rows(pred) == [("d0", [0.5, 0.4], [1, 0]), ("d1", [0.1, 0.2], [0, 1])]
         assert pred.fold_of == {"d0": 0, "d1": 1}
 
     def test_failed_add_documents_writes_nothing(self):
@@ -64,7 +66,7 @@ class TestPredictionSet:
             assert pred.doc_ids == ["d0"] and pred.fold_of == {"d0": 0} and len(pred) == 1
         pred.add_documents(["d2", "d1"], rows, bits, [-3, 2])
         pred.add_many(["d0"], [1], [0.6], [0], [0])
-        assert pred.canonical_rows() == [
+        assert canonical_rows(pred) == [
             ("d0", [0.5, 0.6], [1, 0]), ("d1", [0.3, 0.4], [1, 0]), ("d2", [0.1, 0.2], [0, 1]),
         ]
         assert pred.doc_ids == ["d0", "d2", "d1"] and pred.fold_of == {"d0": 0, "d2": -3, "d1": 2}
@@ -83,7 +85,7 @@ class TestRoundTrip:
         write_predictions(pred, path, meta={"version": "x"})
         again = read_predictions(path)
         assert again.labels == pred.labels
-        assert again.canonical_rows() == pred.canonical_rows()
+        assert canonical_rows(again) == canonical_rows(pred)
         assert again.fold_of == pred.fold_of
 
     def test_report_equal_after_round_trip(self, tmp_path):
@@ -182,7 +184,7 @@ class TestExternalFiles:
             encoding="utf-8",
         )
         pred = read_predictions(path)
-        assert pred.canonical_rows() == [("x", [0.5], [1])]
+        assert canonical_rows(pred) == [("x", [0.5], [1])]
         assert pred.fold_of == {"x": 2}
 
 
@@ -261,7 +263,7 @@ class TestStreamingRead:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got, expected = read_predictions(path), collect_then_add(path)
         assert got.labels == expected.labels
-        assert got.canonical_rows() == expected.canonical_rows()
+        assert canonical_rows(got) == canonical_rows(expected)
         assert got.fold_of == expected.fold_of
         assert got.doc_ids == expected.doc_ids
 
@@ -271,7 +273,7 @@ class TestStreamingRead:
         write_predictions(pred, path)
         calls = record_parse_calls(monkeypatch)
         again = read_predictions(path)
-        assert again.canonical_rows() == pred.canonical_rows()
+        assert canonical_rows(again) == canonical_rows(pred)
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)
 
     @pytest.mark.parametrize("with_header", [True, False])
@@ -396,7 +398,7 @@ def outcome(read, path):
         pred = read(path)
     except DataError as exc:
         return ("error", str(exc))
-    return ("ok", pred.labels, pred.canonical_rows(), pred.doc_ids, pred.fold_of)
+    return ("ok", pred.labels, canonical_rows(pred), pred.doc_ids, pred.fold_of)
 
 
 CHUNK = 8  # records per chunk in the fault matrix: 36 records span 5 chunks
@@ -646,7 +648,7 @@ class TestDocumentLane:
         calls = record_parse_calls(monkeypatch)
         again = read_predictions(path)
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS + 5]
-        assert again.canonical_rows() == pred.canonical_rows()
+        assert canonical_rows(again) == canonical_rows(pred)
         assert again.fold_of == pred.fold_of and again.doc_ids == pred.doc_ids
 
     def test_labels_that_json_escapes_take_the_lane(self, tmp_path, monkeypatch):
@@ -662,7 +664,7 @@ class TestDocumentLane:
         again = read_predictions(path)
         # the header and 4,095 records, then 1 line to a document boundary
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS + 1]
-        assert again.labels == pred.labels and again.canonical_rows() == pred.canonical_rows()
+        assert again.labels == pred.labels and canonical_rows(again) == canonical_rows(pred)
 
     @pytest.mark.parametrize(
         "num_labels, num_docs, built",
@@ -683,7 +685,7 @@ class TestDocumentLane:
         monkeypatch.setattr(predictions, "_document_pattern", lambda names: patterns.append(names) or build(names))
         again = read_predictions(path)
         assert patterns == ([pred.labels] if built else [])
-        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
+        assert canonical_rows(again) == canonical_rows(pred) and again.doc_ids == pred.doc_ids
 
     def test_repeated_header_label_reads_line_by_line(self, tmp_path, monkeypatch):
         # Both records of a repeated label fill its last column, so the
@@ -707,7 +709,7 @@ class TestArrayStorage:
             pred.add_many([f"d{i}"], [1], [i / 100], [i % 2], [i % 3])
             pred.add_many([f"d{i}"], [0], [1 - i / 100], [1 - i % 2], [i % 3])
         assert len(pred) == 200 and pred.num_docs == 100
-        assert pred.canonical_rows()[0] == ("d0", [1.0, 0.0], [1, 0])
+        assert canonical_rows(pred)[0] == ("d0", [1.0, 0.0], [1, 0])
         with pytest.raises(DataError, match="duplicate"):
             pred.add_many(["d57"], [1], [0.5], [1], [57 % 3])
 
@@ -810,7 +812,7 @@ class TestFastLane:
         calls = record_parse_calls(monkeypatch)
         again = read_predictions(path)
         assert calls == path.read_text(encoding="utf-8").splitlines(keepends=True)[: predictions.CHUNK_RECORDS]
-        assert again.canonical_rows() == pred.canonical_rows()
+        assert canonical_rows(again) == canonical_rows(pred)
         assert again.fold_of == pred.fold_of and again.doc_ids == pred.doc_ids
 
     def test_escaped_doc_id_sends_its_block_to_per_line_lane(self, tmp_path, monkeypatch):
@@ -832,7 +834,7 @@ class TestFastLane:
         assert len(escaped) == 1 and escaped[0] >= size
         block = escaped[0] // size * size
         assert calls == [*lines[:size], *lines[block : block + size]]
-        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
+        assert canonical_rows(again) == canonical_rows(pred) and again.doc_ids == pred.doc_ids
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_undecoded_byte_names_its_line(self, tmp_path, monkeypatch, block):
@@ -867,4 +869,4 @@ class TestFastLane:
         path = tmp_path / "pred.jsonl"
         write_predictions(pred, path)
         again = read_predictions(path)
-        assert again.canonical_rows() == pred.canonical_rows() and again.doc_ids == pred.doc_ids
+        assert canonical_rows(again) == canonical_rows(pred) and again.doc_ids == pred.doc_ids

@@ -6,7 +6,7 @@ import pytest
 from mldistill.splits import stratified_kfold, stratified_sample
 from mldistill.synthetic import generate_synthetic
 
-from conftest import make_corpus
+from conftest import fold_sizes, make_corpus
 
 
 def nested_counts_corpus():
@@ -38,7 +38,7 @@ class TestStratifiedKFold:
     def test_positive_counts_within_one_of_ideal(self, seed):
         corpus = nested_counts_corpus()
         folds = stratified_kfold(corpus, 5, seed=seed)
-        assert sorted(folds.fold_sizes()) == [20] * 5
+        assert sorted(fold_sizes(corpus, folds)) == [20] * 5
         matrix = corpus.label_matrix()
         for j, ideal in enumerate([10, 4, 2]):
             per_fold = [0] * 5
@@ -51,12 +51,12 @@ class TestStratifiedKFold:
     def test_leave_one_out(self):
         corpus = make_corpus([["A"]] * 3 + [[]] * 3, ["A"])
         folds = stratified_kfold(corpus, 6, seed=1)
-        assert folds.fold_sizes() == [1] * 6
+        assert fold_sizes(corpus, folds) == [1] * 6
 
     def test_partition_property(self, small_corpus):
         folds = stratified_kfold(small_corpus, 4, seed=3)
         assert set(folds.fold_of) == {d.id for d in small_corpus.documents}
-        sizes = folds.fold_sizes()
+        sizes = fold_sizes(small_corpus, folds)
         assert sum(sizes) == len(small_corpus)
         assert max(sizes) - min(sizes) <= 1
 
