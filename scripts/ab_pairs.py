@@ -15,7 +15,10 @@ the pair keeps both raw runs too.
 
 The workload's entry in `--out` records every pair, each side's median and
 quartiles (inclusive method) of every end-to-end metric with the bound
-`BENCHMARK.json` fixes for it, and the claim on `wall_s`: the change wins at
+`BENCHMARK.json` fixes for it, and whether the metric is resolved: it is
+not when the parent's quartile distance exceeds the bound times the
+parent's median, unless every change pair value beats every parent pair
+value.  It records the claim on `wall_s` too: the change wins at
 least nine tenths of the pairs, ties counting for neither, and the medians
 differ by more than the parent's quartile distance.  Entries of other
 workloads already in `--out` are kept.  The entry is rewritten after
@@ -82,14 +85,16 @@ def summarize(pairs, end_to_end):
     summary = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
-        sides = {}
-        for side in ("parent", "change"):
-            median, q1, q3 = spread([p[side][name] for p in pairs])
-            sides[side] = {"median": median, "q1": q1, "q3": q3}
+        parent, change = [p["parent"][name] for p in pairs], [p["change"][name] for p in pairs]
+        sides = {side: dict(zip(("median", "q1", "q3"), spread(values)))
+                 for side, values in (("parent", parent), ("change", change))}
         base, new = sides["parent"]["median"], sides["change"]["median"]
         worse = (new - base if lower else base - new) / base if base else 0.0
+        beats = max(change) < min(parent) if lower else min(change) > max(parent)
+        wide = sides["parent"]["q3"] - sides["parent"]["q1"] > metric["bound"] * abs(base)
         summary[name] = {**sides, "better": metric["better"], "bound": metric["bound"],
-                         "relative_worsening": worse, "within_bound": worse <= metric["bound"]}
+                         "relative_worsening": worse, "within_bound": worse <= metric["bound"],
+                         "resolved": beats or not wide}
     return summary
 
 

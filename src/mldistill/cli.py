@@ -296,7 +296,11 @@ def _cmd_stats(args: argparse.Namespace) -> Outputs:
     interval_self_check()
     groups = _read("replications", args.replications, read_replications)
     meta = {"version": mldistill.__version__, "source": str(args.replications)}
-    return [render_stats_report(groups, meta=meta)], [f"wrote {args.out / 'stats.txt'}"]
+    try:
+        report = render_stats_report(groups, meta=meta)
+    except OverflowError as exc:  # finite scores whose statistics leave a double's range
+        raise DataError(f"--replications {args.replications}: the scores' statistics overflow a float") from exc
+    return [report], [f"wrote {args.out / 'stats.txt'}"]
 
 
 # Each command and the files it writes in --out, which main checks first.

@@ -26,8 +26,9 @@ labels never interact, so two workers split an odd number of folds evenly.
 students each, and ``tune`` every particle of a swarm iteration.  Labels
 train in vocabulary order unless a permutation is given.  A distillation
 unit fine-tunes the teacher once per label and distills that frozen
-teacher into each of its students (with none, ``teacher_cv_predictions``
-records the teacher alone); the classifier-chains baseline trains one
+teacher into each of its students, each student step forwarding the
+teacher on its own batch (with none, ``teacher_cv_predictions`` records
+the teacher alone); the classifier-chains baseline trains one
 logistic classifier per label.  Epochs are innermost.  In the sequential
 variants the encoders persist across labels within a fold, which is the
 channel that carries cross-label information.
@@ -45,13 +46,11 @@ from mldistill import parallel
 from mldistill.config import DEFAULT_LR_SCALE, DistillConfig
 from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
-    BatchCache,
     EncoderSpec,
     ModelState,
     SparseBatch,
     backward_batch,
     forward_batch,
-    forward_rows,
     glorot_uniform,
     init_model,
     sgd_step,
@@ -198,7 +197,7 @@ def train_student(
     y: np.ndarray,
     label: int,
     student: ModelState,
-    teacher: tuple[ModelState, BatchCache] | None,
+    teacher: ModelState | None,
     cfg: DistillConfig,
     rng: np.random.Generator,
     lr: float,
@@ -207,14 +206,13 @@ def train_student(
 ) -> tuple[ModelState, np.ndarray | None]:
     """Train the student with the combined loss against a frozen teacher.
 
-    ``teacher`` is the frozen teacher and its ``forward_batch`` over the
-    whole split ``X``.  Its logits are read when ``alpha > 0`` and its hidden
-    state when a projection is given, each batch taking its rows of the
-    pass through ``forward_rows``.  ``teacher=None`` trains on the hard loss
-    alone at full weight, which is how the teacher itself is fine-tuned.
-    When a projection matrix is given, with its ``contrastive_weight`` beta,
-    the total loss becomes (1 - beta) * combined + beta * contrastive and
-    the projection is trained jointly.
+    A step forwards the teacher on its own batch when it reads the
+    teacher's logits (``alpha > 0``) or hidden state (a projection).
+    ``teacher=None`` trains on the hard loss alone at full weight, which is
+    how the teacher itself is fine-tuned.  When a projection matrix is
+    given, with its ``contrastive_weight`` beta, the total loss becomes
+    (1 - beta) * combined + beta * contrastive and the projection is
+    trained jointly.
 
     Each step checks every update, the projection's included, before it
     writes any of them, and works in place, bit for bit, on a student whose
@@ -231,12 +229,12 @@ def train_student(
         for rows, Xb in _epoch_batches(X, cfg.batch_size, rng):
             cache = forward_batch(student, Xb, label)
             if soft or contrastive:
-                teacher_hidden, teacher_logits = forward_rows(*teacher, rows)
-            dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_logits if soft else None, cfg)
+                teacher_cache = forward_batch(teacher, Xb, label)
+            dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_cache.logits if soft else None, cfg)
 
             dhidden = d_projection = None
             if contrastive:
-                d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_hidden, projection)
+                d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_cache.hidden, projection)
                 dlogits *= 1.0 - contrastive_weight
                 dhidden = (contrastive_weight / rows.size) * d_hidden_s
                 d_projection = (contrastive_weight / rows.size) * d_proj_sum
@@ -395,8 +393,6 @@ def distillation_fit(
     """Per label: fine-tune the teacher on the hard loss, then distill that
     frozen teacher into each student, a (spec, contrastive weight or None)
     pair, and record each student's validation probabilities, in order.
-    When a student reads the teacher's logits or hidden state, the teacher
-    is forwarded once over the training split for all of them.
 
     With no students the teacher's own probabilities are recorded.
     Sequential runs initialize once per fold and carry the encoders across
@@ -408,7 +404,6 @@ def distillation_fit(
     if any(spec.input_dim != teacher_spec.input_dim for spec, _ in students):
         raise ValueError("teacher and student must share the feature dimensionality")
     lr = cfg.learning_rate * lr_scale
-    reads_teacher = any(cfg.alpha > 0.0 or weight is not None for _, weight in students)
 
     def fit_fold(fold, X_train, Y_train, X_val, labels, columns):
         """Models drawn for the first of ``labels`` carry across the rest;
@@ -427,15 +422,13 @@ def distillation_fit(
             teacher, _ = train_student(
                 X_train, Y_train[:, j], j, teacher, None, cfg, rng_for(seed, "batches", "teacher", fold, j), lr=lr
             )
-            taught = (teacher, forward_batch(teacher, X_train, j)) if reads_teacher else None
             trained = [
                 train_student(
-                    X_train, Y_train[:, j], j, student, taught, cfg, rng_for(seed, "batches", "student", fold, j),
+                    X_train, Y_train[:, j], j, student, teacher, cfg, rng_for(seed, "batches", "student", fold, j),
                     lr=lr, projection=projection, contrastive_weight=weight,
                 )
                 for (student, projection), (_, weight) in zip(trained, students)
             ]
-            del taught  # the pass is not held while the next label's teacher trains
             recorded = [student for student, _ in trained] or [teacher]
             yield tuple(softmax(forward_batch(model, X_val, j).logits)[:, 1] for model in recorded)
 

@@ -245,22 +245,6 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     return BatchCache(activations=activations, logits=activations[-1] @ W_head + b_head, label=label)
 
 
-def forward_rows(model: ModelState, cache: BatchCache, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hidden, logits) of some rows of the batch ``cache`` was run on.
-
-    The first layer is a row-wise sparse product, so its output rows are
-    gathered from the cache.  The dense layers and the head run again on
-    the gathered rows, because BLAS may round a row differently in a batch
-    of another size.  The result has the bits ``forward_batch`` gives on
-    those rows alone.
-    """
-    a = cache.activations[1][rows]
-    for W, b in model.layers[1:]:
-        a = _dense_layer(a, W, b, model.spec.activation)
-    W_head, b_head = model.heads[cache.label]
-    return a, a @ W_head + b_head
-
-
 def softmax(logits) -> np.ndarray:
     """Softmax over the last axis, computed in the max-shifted stable form."""
     z = np.asarray(logits, dtype=np.float64)

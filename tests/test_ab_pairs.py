@@ -62,3 +62,41 @@ def test_balanced_run_order_and_side_means(tmp_path, monkeypatch):
     assert entry["summary"]["wall_s"]["parent"]["median"] == (9.0 + 96.0) / 2
     claim = entry["claim"]
     assert (claim["pairs"], claim["wins"], claim["losses"], claim["met"]) == (2, 1, 1, False)
+
+
+def test_metric_resolved_unless_parent_spread_exceeds_bound(tmp_path, monkeypatch):
+    """A metric whose parent quartile distance is wider than its bound times the
+    parent median is unresolved, unless every change pair beats every parent pair."""
+    ab_pairs = load_ab_pairs()
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    wide = [1.0, 2.0, 3.0, 4.0]  # quartile distance 1.5 around a median of 2.5
+    values = {  # per metric, each side's value at seeds 1 to 4
+        "wall_s": {"parent": wide, "change": [1.5, 2.5, 3.5, 4.5]},  # wide, overlapping
+        "setup_s": {"parent": wide, "change": [5.0, 6.0, 7.0, 8.0]},  # wide, every change pair worse
+        "predictions_per_s": {"parent": wide, "change": [5.0, 6.0, 7.0, 8.0]},  # wide, every change pair better
+        "peak_rss_mb": {"parent": [100.0, 101.0, 102.0, 103.0], "change": wide},  # narrow
+        "example_f1": {"parent": [0.5] * 4, "change": [0.5] * 4},  # no spread
+    }
+    assert set(values) == {metric["name"] for metric in end_to_end}
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / side
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        shutil.copy(ROOT / "BENCHMARK.json", tree)
+        trees[tree.resolve()] = side
+
+    def stub_run(tree, workload, seed, seconds):
+        side = trees[tree]
+        result = {name: sides[side][seed - 1] for name, sides in values.items()}
+        result.update(correct=True, attempted=1, failed=0, failures=[])
+        return result, {"source_digest": side}
+
+    monkeypatch.setattr(ab_pairs, "bench_run", stub_run)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w", "--seeds", "1-4", "--out", str(out)]
+    assert ab_pairs.main(argv) == 0
+    summary = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]["summary"]
+    assert {name: summary[name]["resolved"] for name in values} == {
+        "wall_s": False, "setup_s": False, "predictions_per_s": True, "peak_rss_mb": True, "example_f1": True,
+    }

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import mldistill
-from mldistill import cli, distill, experiment, parallel
+from mldistill import cli, distill, experiment, parallel, stats
 from mldistill.cli import main
 from mldistill.config import KEY_REGISTRY, MODE_VARIANTS, PRESETS, parse_config_file, resolve_config
 from mldistill.corpus import HashingTfidfVectorizer, tokenize
@@ -998,11 +998,10 @@ class TestAblate:
     def test_each_teacher_trains_once(self, tmp_path, monkeypatch):
         """On the pinned session's corpus (120 documents, 5 labels, 5 folds),
         ``ablate`` trains 50 teachers, a fold's and label's once in each of its
-        two fits, forwards each trained teacher once over its training split
-        for both its students, and featurizes each fold once, for both fits.
-        One fit per variant made 100 teachers and 20 featurizations, a feature
-        cache per process 10 featurizations, and a pass per student 100
-        teacher passes."""
+        two fits, forwards a trained teacher only on its students' batches,
+        never over a whole split, and featurizes each fold once, for both
+        fits.  One fit per variant made 100 teachers and 20 featurizations, and
+        a feature cache per process 10 featurizations."""
         data = tmp_path / "data"
         assert run_cli(["generate-synthetic", "--docs", 120, "--labels", 5, "--seed", 3, "--out", data]) == 0
         train, forward, fold_features = distill.train_student, distill.forward_batch, distill._fold_features
@@ -1029,7 +1028,7 @@ class TestAblate:
              "--run.preset", "trial_and_error", "--distill.epochs", 2, "--workers", 1]
         )
         assert code == 0
-        assert calls == {"teacher": 50, "teacher_passes": 50, "features": 5}
+        assert calls == {"teacher": 50, "teacher_passes": 0, "features": 5}
 
 
 class TestFoldFeatures:
@@ -1149,6 +1148,26 @@ class TestStatsCommand:
         assert code == 2
         assert f"line 2: score {score!r} is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scores", [("1e200", "1.1e200"), ("1e308", "-1e308")], ids=["close", "opposite"])
+    def test_overflowing_statistics_are_data_error(self, tmp_path, capsys, scores):
+        # finite scores whose squared deviations leave a double's range
+        reps = tmp_path / "reps.txt"
+        reps.write_text(f"a {scores[0]}\na {scores[1]}\nb 1\nb 2\n", encoding="utf-8")
+        code = run_cli(["stats", "--replications", reps, "--out", tmp_path / "stats"])
+        assert code == 2
+        assert f"data error: --replications {reps}: the scores' statistics overflow a float" in capsys.readouterr().err
+        assert not (tmp_path / "stats").exists()
+
+    def test_nonconverging_beta_stays_internal_error(self, tmp_path, capsys, monkeypatch):
+        def nonconverging(a, b, x):
+            raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+
+        monkeypatch.setattr(stats, "_betacf", nonconverging)
+        reps = tmp_path / "reps.txt"
+        reps.write_text("a 0.8\na 0.9\nb 0.1\nb 0.2\n", encoding="utf-8")
+        assert run_cli(["stats", "--replications", reps, "--out", tmp_path / "stats"]) == 3
+        assert "internal error: incomplete beta did not converge" in capsys.readouterr().err
+
 
 class TestConfigResolution:
     def test_presets_expand_exactly(self):
@@ -1244,6 +1263,17 @@ else:
             [sys.executable, "-c", script], env=env, capture_output=True, encoding="utf-8", timeout=120
         )
         assert result.returncode == 0, result.stderr
+
+    def test_readme_library_example_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", example], env=env, capture_output=True, encoding="utf-8", timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        assert 0.0 <= float(result.stdout) <= 1.0
 
     def test_bad_preset_rejected(self):
         with pytest.raises(UsageError):

@@ -28,6 +28,7 @@ from mldistill.metrics import example_f1
 from mldistill.model import (
     ModelState,
     RowSliceGrad,
+    SparseBatch,
     default_student_spec,
     default_teacher_spec,
     forward_batch,
@@ -59,12 +60,6 @@ def models_equal(a, b) -> bool:
 def relevance_fit(teacher, student, cfg, seed):
     """Binary-relevance KD: a fresh teacher and student per (fold, label)."""
     return distillation_fit(teacher, ((student, None),), cfg, seed, True, DEFAULT_LR_SCALE)
-
-
-def taught(teacher, X, label):
-    """``teacher`` and its forward pass over ``X``, as ``train_student`` takes
-    a teacher; no teacher stays None."""
-    return None if teacher is None else (teacher, forward_batch(teacher, X, label))
 
 
 def mean_hard_loss(model, X, y, label):
@@ -133,7 +128,7 @@ class TestStudentEquivalences:
         cfg = DistillConfig(alpha=0.0, epochs=2)
         with_teacher = init_model(default_student_spec(DIM), 3, seed=10)
         without_teacher = copy.deepcopy(with_teacher)
-        with_teacher, _ = train_student(X, y, 0, with_teacher, taught(teacher, X, 0), cfg, rng_for(1, "s"), lr=0.4)
+        with_teacher, _ = train_student(X, y, 0, with_teacher, teacher, cfg, rng_for(1, "s"), lr=0.4)
         without_teacher, _ = train_student(X, y, 0, without_teacher, None, cfg, rng_for(1, "s"), lr=0.4)
         assert models_equal(with_teacher, without_teacher)
 
@@ -157,7 +152,7 @@ class TestStudentEquivalences:
         teacher, _ = train_student(X, y, 0, teacher, None, DistillConfig(epochs=4), rng_for(2, "t"), lr=0.5)
         student = init_model(default_student_spec(DIM), 3, seed=10)
         cfg = DistillConfig(alpha=1.0, temperature=2.0, epochs=20)
-        student, _ = train_student(X, y, 0, student, taught(teacher, X, 0), cfg, rng_for(3, "s"), lr=1.0)
+        student, _ = train_student(X, y, 0, student, teacher, cfg, rng_for(3, "s"), lr=1.0)
         t_logits = forward_batch(teacher, X, 0).logits
         s_logits = forward_batch(student, X, 0).logits
         t_hard = np.argmax(t_logits, axis=1)
@@ -266,8 +261,8 @@ def _step_case(small_corpus, case, batch_size):
 
 
 class TestTrainingStep:
-    """``train_student`` reads the teacher's rows from one pass over the split,
-    gathers batches from one permutation per epoch and checks updates before
+    """``train_student`` forwards the teacher on each step's batch, gathers
+    batches from one permutation per epoch and checks updates before
     writing them; none of that may move a bit."""
 
     # 60 documents: 7 leaves a partial last batch of 4, and 1 runs every
@@ -281,7 +276,7 @@ class TestTrainingStep:
             projection=None if projection is None else projection.copy(), beta=0.5,
         )
         new_student, new_projection = train_student(
-            X, y, 1, copy.deepcopy(student), taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4,
+            X, y, 1, copy.deepcopy(student), teacher, cfg, rng_for(3, "s"), lr=0.4,
             projection=None if projection is None else projection.copy(), contrastive_weight=0.5,
         )
         assert models_equal(new_student, ref_student)
@@ -290,26 +285,28 @@ class TestTrainingStep:
             assert np.array_equal(new_projection, ref_projection)
 
     @pytest.mark.parametrize("case", ["kd_alpha_half", "kd_contrastive", "kd_alpha_zero"])
-    def test_teacher_not_forwarded(self, small_corpus, monkeypatch, case):
+    def test_teacher_forwarded_per_step(self, small_corpus, monkeypatch, case):
+        # a step forwards the teacher on its own batch, when it reads the teacher's logits or hidden state
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
-        teacher_pass = taught(teacher, X, 1)
-        roles = []
+        calls = []
 
-        def counting_forward(model, *args):
-            roles.append(model.spec.role)
-            return forward_batch(model, *args)
+        def counting_forward(model, Xb, label):
+            calls.append((model.spec.role, Xb))
+            return forward_batch(model, Xb, label)
 
         monkeypatch.setattr(distill, "forward_batch", counting_forward)
         train_student(
-            X, y, 1, student, teacher_pass, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
+            X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection, contrastive_weight=0.5
         )
-        assert roles == ["student"] * 2 * 9  # two epochs of ceil(60 / 7) batches
+        per_step = ["student"] if case == "kd_alpha_zero" else ["student", "teacher"]
+        assert [role for role, _ in calls] == per_step * 2 * 9  # two epochs of ceil(60 / 7) batches
+        assert all(isinstance(Xb, SparseBatch) for _, Xb in calls)
+        assert all(Xb is calls[i - 1][1] for i, (role, Xb) in enumerate(calls) if role == "teacher")
 
     @pytest.mark.parametrize("case", ["no_teacher", "kd_alpha_half"])
     def test_one_set_operation_per_epoch(self, small_corpus, monkeypatch, case):
         # the batches' active columns are planned once per epoch, not per step
         X, y, student, teacher, projection, cfg = _step_case(small_corpus, case, 7)
-        teacher_pass = taught(teacher, X, 1)
         calls = []
         unique = np.unique
 
@@ -318,7 +315,7 @@ class TestTrainingStep:
             return unique(*args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting_unique)
-        train_student(X, y, 1, student, teacher_pass, cfg, rng_for(3, "s"), lr=0.4)
+        train_student(X, y, 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4)
         assert len(calls) == cfg.epochs
         assert calls == [X.nnz] * len(calls)
 
@@ -348,7 +345,7 @@ class TestTrainingStep:
         trained, start_projection = copy.deepcopy(student), projection.copy()
         with pytest.raises(ValueError, match="contrastive projection"):
             train_student(
-                X, y, 1, trained, taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4, projection=projection,
+                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection,
                 contrastive_weight=0.5,
             )
         assert models_equal(trained, student)
@@ -375,7 +372,7 @@ class TestTrainingStep:
         trained, start_projection = copy.deepcopy(student), projection.copy()
         with pytest.raises(ValueError, match=message):
             train_student(
-                X, y, 1, trained, taught(teacher, X, 1), cfg, rng_for(3, "s"), lr=0.4, projection=projection,
+                X, y, 1, trained, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=projection,
                 contrastive_weight=0.5,
             )
         assert models_equal(trained, student)
@@ -394,7 +391,7 @@ class TestTrainingStep:
             return pstats.Stats(profile).total_calls
 
         reference = profiled_calls(per_batch_train_student, teacher, lr=0.4, beta=0.5)
-        assert profiled_calls(train_student, taught(teacher, X, 1), lr=0.4, contrastive_weight=0.5) <= 0.8 * reference
+        assert profiled_calls(train_student, teacher, lr=0.4, contrastive_weight=0.5) <= 0.8 * reference
 
 
 class TestCompactColumns:
@@ -416,11 +413,11 @@ class TestCompactColumns:
 
         X_full, X_compact = X[train], X[train][:, columns]
         full, full_projection = train_student(
-            X_full, y[train], 1, student, taught(teacher, X_full, 1), cfg, rng_for(3, "s"), lr=0.4, projection=proj(),
+            X_full, y[train], 1, student, teacher, cfg, rng_for(3, "s"), lr=0.4, projection=proj(),
             contrastive_weight=0.5,
         )
         compact, compact_projection = train_student(
-            X_compact, y[train], 1, compact, taught(compact_teacher, X_compact, 1), cfg, rng_for(3, "s"), lr=0.4,
+            X_compact, y[train], 1, compact, compact_teacher, cfg, rng_for(3, "s"), lr=0.4,
             projection=proj(), contrastive_weight=0.5,
         )
         assert not models_equal(full, start)
@@ -722,10 +719,9 @@ class TestFoldLoop:
         def recording_train(X, y, label, model, teacher, *args, **kwargs):
             if teacher is None:
                 return train(X, y, label, model, teacher, *args, **kwargs)
-            frozen = teacher[0]
-            before = frozen.flat.tobytes() + frozen.layers[0][0].tobytes()
+            before = teacher.flat.tobytes() + teacher.layers[0][0].tobytes()
             trained = train(X, y, label, model, teacher, *args, **kwargs)
-            served.append((teacher, before, frozen.flat.tobytes() + frozen.layers[0][0].tobytes()))
+            served.append((teacher, before, teacher.flat.tobytes() + teacher.layers[0][0].tobytes()))
             return trained
 
         monkeypatch.setattr(distill, "train_student", recording_train)

@@ -15,7 +15,6 @@ from mldistill.model import (
     default_student_spec,
     default_teacher_spec,
     forward_batch,
-    forward_rows,
     glorot_uniform,
     init_model,
     sgd_step,
@@ -142,18 +141,6 @@ class TestForward:
         assert np.array_equal(X.data if as_batch else x, data)
         for a in cache.activations[1:]:
             assert not any(np.shares_memory(a, p) for W, b in m.layers + m.heads for p in (W, b))
-
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_forward_rows_leaves_cache_unchanged(self, activation):
-        m = init_model(tiny_spec(hidden=(5, 3), activation=activation), 2, seed=7)
-        cache = forward_batch(m, np.random.default_rng(7).normal(size=(6, 8)), 1)
-        before = [a.copy() for a in cache.activations[1:]] + [cache.logits.copy()]
-        rows = np.array([4, 1, 4])
-        first = forward_rows(m, cache, rows)
-        second = forward_rows(m, cache, rows)
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-        for a, a0 in zip(cache.activations[1:] + [cache.logits], before):
-            assert np.array_equal(a, a0)
 
     def test_bad_label_rejected(self):
         m = init_model(tiny_spec(), 2, seed=5)
