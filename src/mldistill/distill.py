@@ -48,7 +48,6 @@ from mldistill.corpus import Corpus, HashingTfidfVectorizer, tokenize
 from mldistill.model import (
     EncoderSpec,
     ModelState,
-    SparseBatch,
     backward_batch,
     forward_batch,
     glorot_uniform,
@@ -159,33 +158,6 @@ def contrastive_grads(
 # ---------------------------------------------------------------------------
 
 
-def _epoch_batches(
-    X: sparse.csr_matrix, batch_size: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, SparseBatch]]:
-    """Seeded shuffle once per epoch; yields (row ids, rows of X) per batch,
-    the last partial batch kept.
-
-    The matrix is permuted once per epoch and split into contiguous row
-    ranges of it by ``sparse_batches``, which plans every batch's active
-    columns at once: the same rows in the same order as indexing the rows
-    of every batch, with no per-step sparse matrix or set operation.
-    """
-    n = X.shape[0]
-    order = rng.permutation(n)
-    for start, batch in zip(range(0, n, batch_size), sparse_batches(_permute_rows(X, order), batch_size)):
-        yield order[start : start + batch_size], batch
-
-
-def _permute_rows(X: sparse.csr_matrix, order: np.ndarray) -> sparse.csr_matrix:
-    """``X[order]``, array for array, for a permutation ``order``, by numpy gathers."""
-    lengths = np.diff(X.indptr)[order]
-    indptr = np.zeros(order.size + 1, dtype=X.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    take = np.repeat(X.indptr[order] - indptr[:-1], lengths)
-    take += np.arange(take.size, dtype=take.dtype)
-    return sparse.csr_matrix((X.data.take(take), X.indices.take(take), indptr), shape=X.shape)
-
-
 def _onehot(y: np.ndarray) -> np.ndarray:
     out = np.zeros((y.shape[0], 2))
     out[np.arange(y.shape[0]), y.astype(np.int64)] = 1.0
@@ -226,18 +198,18 @@ def train_student(
     contrastive = teacher is not None and projection is not None
     targets = _onehot(y)
     for _ in range(cfg.epochs):
-        for rows, Xb in _epoch_batches(X, cfg.batch_size, rng):
+        for Xb in sparse_batches(X, cfg.batch_size, rng.permutation(n)):
             cache = forward_batch(student, Xb, label)
             if soft or contrastive:
                 teacher_cache = forward_batch(teacher, Xb, label)
-            dlogits = kd_loss_grad(cache.logits, targets[rows], teacher_cache.logits if soft else None, cfg)
+            dlogits = kd_loss_grad(cache.logits, targets[Xb.rows], teacher_cache.logits if soft else None, cfg)
 
             dhidden = d_projection = None
             if contrastive:
                 d_hidden_s, d_proj_sum = contrastive_grads(cache.hidden, teacher_cache.hidden, projection)
                 dlogits *= 1.0 - contrastive_weight
-                dhidden = (contrastive_weight / rows.size) * d_hidden_s
-                d_projection = (contrastive_weight / rows.size) * d_proj_sum
+                dhidden = (contrastive_weight / Xb.rows.size) * d_hidden_s
+                d_projection = (contrastive_weight / Xb.rows.size) * d_proj_sum
             grads = backward_batch(student, cache, dlogits, dhidden_extra=dhidden)
             student = sgd_step(student, grads, lr, projection, d_projection)
     return student, projection
@@ -494,8 +466,8 @@ def _train_logistic(
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
-        for rows, Xb in _epoch_batches(X, batch_size, rng):
-            g = (_sigmoid(Xb @ w + b) - y[rows]) / rows.size
+        for Xb in sparse_batches(X, batch_size, rng.permutation(X.shape[0])):
+            g = (_sigmoid(Xb @ w + b) - y[Xb.rows]) / Xb.rows.size
             w[Xb.active] -= lr * (Xb.active_block().T @ g)
             b -= lr * float(g.sum())
     return w, b

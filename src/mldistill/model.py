@@ -139,14 +139,16 @@ def _dense_layer(a, W: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray
 
 @dataclass
 class SparseBatch:
-    """Consecutive rows of a CSR matrix and the plan of the columns they touch.
+    """Rows of a CSR matrix, in a given order, and the plan of the columns they touch.
 
-    ``indptr``/``indices``/``data`` are the rows' CSR arrays, ``indptr``
-    starting at 0.  ``active`` holds the sorted ids of the columns the rows
-    touch; ``nz_rows`` and ``nz_cols`` give each stored value's row and its
-    column's position in ``active``.  Batches come from ``sparse_batches``.
+    ``rows`` holds their ids in the matrix and ``indptr``/``indices``/``data``
+    their CSR arrays in that order, ``indptr`` starting at 0.  ``active``
+    holds the sorted ids of the columns the rows touch; ``nz_rows`` and
+    ``nz_cols`` give each stored value's row and its column's position in
+    ``active``.  Batches come from ``sparse_batches``.
     """
 
+    rows: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
@@ -178,13 +180,20 @@ class SparseBatch:
         return block
 
 
-def sparse_batches(X: sparse.csr_matrix, batch_size: int) -> list[SparseBatch]:
-    """Split ``X`` into batches of ``batch_size`` consecutive rows, the last
-    one partial (an empty ``X`` is one empty batch), and plan every batch's
-    active columns with one set operation over all of them."""
+def sparse_batches(X: sparse.csr_matrix, batch_size: int, order: np.ndarray) -> list[SparseBatch]:
+    """Split the rows of ``X``, in the order of the permutation ``order``,
+    into batches of ``batch_size``, the last one partial (an empty ``X`` is
+    one empty batch).  The rows' values are gathered once, as ``X[order]``
+    holds them, and every batch's active columns are planned with one set
+    operation over all of them."""
     n, dim = X.shape
-    indptr, indices, data = X.indptr, X.indices, X.data
-    nz_row = np.repeat(np.arange(n), np.diff(indptr))
+    lengths = np.diff(X.indptr)[order]
+    indptr = np.zeros(n + 1, dtype=X.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    take = np.repeat(X.indptr[order] - indptr[:-1], lengths)
+    take += np.arange(take.size, dtype=take.dtype)
+    indices, data = X.indices.take(take), X.data.take(take)
+    nz_row = np.repeat(np.arange(n), lengths)
     nz_batch = nz_row // batch_size
     # keys sort by batch, then by column: each batch's active columns are a
     # contiguous run of the unique keys
@@ -200,6 +209,7 @@ def sparse_batches(X: sparse.csr_matrix, batch_size: int) -> list[SparseBatch]:
         lo, hi = indptr[start], indptr[stop]
         batches.append(
             SparseBatch(
+                rows=order[start:stop],
                 indptr=indptr[start : stop + 1] - lo,
                 indices=indices[lo:hi],
                 data=data[lo:hi],
@@ -237,7 +247,7 @@ def forward_batch(model: ModelState, X, label: int) -> BatchCache:
     if X.shape[1] != model.layers[0][0].shape[0]:
         raise ValueError(f"feature dim {X.shape[1]} != first layer rows {model.layers[0][0].shape[0]}")
     if not isinstance(X, SparseBatch):
-        X = sparse_batches(sparse.csr_matrix(X), max(X.shape[0], 1))[0]
+        X = sparse_batches(sparse.csr_matrix(X), max(X.shape[0], 1), np.arange(X.shape[0]))[0]
     activations = [X]
     for W, b in model.layers:
         activations.append(_dense_layer(activations[-1], W, b, model.spec.activation))

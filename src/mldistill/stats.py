@@ -157,12 +157,19 @@ class AnovaResult:
     df_within: int
 
 
+def _sum(xs) -> float:
+    total = sum(xs)
+    if not math.isfinite(total):  # a plain sum of finite scores overflows without raising
+        raise OverflowError("the sum of the scores overflows a float")
+    return total
+
+
 def _mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs)
+    return _sum(xs) / len(xs)
 
 
 def _sample_var(xs: list[float], mean: float) -> float:
-    return sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+    return _sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 
 
 def describe(scores: list[float]) -> DescribeResult:
@@ -227,10 +234,10 @@ def anova(groups: list[list[float]]) -> AnovaResult:
     if n_total <= k:
         raise ValueError("ANOVA needs more scores than groups")
 
-    grand = sum(sum(g) for g in groups) / n_total
+    grand = _sum(sum(g) for g in groups) / n_total
     means = [_mean(g) for g in groups]
-    ss_between = sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
-    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    ss_between = _sum(len(g) * (m - grand) ** 2 for g, m in zip(groups, means))
+    ss_within = _sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
     df_between = k - 1
     df_within = n_total - k
 

@@ -1148,9 +1148,13 @@ class TestStatsCommand:
         assert code == 2
         assert f"line 2: score {score!r} is not a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scores", [("1e200", "1.1e200"), ("1e308", "-1e308")], ids=["close", "opposite"])
+    @pytest.mark.parametrize(
+        "scores",
+        [("1e200", "1.1e200"), ("1e308", "-1e308"), ("1e308", "1e308"), ("1.1e154", "-1.1e154")],
+        ids=["close", "opposite", "sum", "squares_sum"],
+    )
     def test_overflowing_statistics_are_data_error(self, tmp_path, capsys, scores):
-        # finite scores whose squared deviations leave a double's range
+        # finite scores whose squared deviations, their sum, or the scores' sum leave a double's range
         reps = tmp_path / "reps.txt"
         reps.write_text(f"a {scores[0]}\na {scores[1]}\nb 1\nb 2\n", encoding="utf-8")
         code = run_cli(["stats", "--replications", reps, "--out", tmp_path / "stats"])

@@ -226,7 +226,7 @@ def check_gradients(trials: int, seed: int, kinds=("hard", "soft", "kd", "contra
         x = rng.normal(size=width)
         if compact:
             x[rng.choice(width, size=int(rng.integers(1, width)), replace=False)] = 0.0
-        (x,) = sparse_batches(sparse.csr_matrix(x[None]), 1)
+        (x,) = sparse_batches(sparse.csr_matrix(x[None]), 1, np.arange(1))
         z_t = rng.normal(scale=2, size=2)
         h_t = rng.normal(size=teacher_width)
         y = int(rng.integers(0, 2))

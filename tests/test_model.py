@@ -132,7 +132,7 @@ class TestForward:
     def test_leaves_model_and_input_unchanged(self, activation, as_batch):
         m = init_model(tiny_spec(hidden=(5, 3), activation=activation), 2, seed=6)
         x = np.random.default_rng(6).normal(size=(4, 8)) * (np.arange(8) % 2)
-        X = sparse_batches(sparse.csr_matrix(x), 4)[0] if as_batch else x
+        X = sparse_batches(sparse.csr_matrix(x), 4, np.arange(4))[0] if as_batch else x
         before = copy.deepcopy(m)
         data = X.data.copy() if as_batch else x.copy()
         cache = forward_batch(m, X, 1)
@@ -483,23 +483,28 @@ def random_csr(n, dim, index_dtype, seed, unsorted=False):
 
 
 class TestSparseBatches:
-    """Every batch of a plan must equal, bit for bit, the same rows as a
-    scipy CSR matrix: its products (which call scipy's kernels directly),
-    its active columns and its dense active block."""
+    """Every batch of a plan must equal, bit for bit, the same rows of the
+    scipy CSR matrix ``X[order]``: its products (which call scipy's kernels
+    directly), its active columns and its dense active block."""
 
     # 23 rows: batches of 5 leave a partial last batch of 3; 23 is one batch
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("batch_size", [5, 1, 23])
     @pytest.mark.parametrize("unsorted", [False, True])
-    def test_batches_equal_csr_rows(self, index_dtype, batch_size, unsorted):
+    @pytest.mark.parametrize("permuted", [False, True], ids=["identity", "permuted"])
+    def test_batches_equal_csr_rows(self, index_dtype, batch_size, unsorted, permuted):
         n, dim = 23, 40
         X = random_csr(n, dim, index_dtype, seed=batch_size, unsorted=unsorted)
         rng = np.random.default_rng(1)
         weights = [rng.normal(size=(dim, 6)), rng.normal(size=(dim, 1)), rng.normal(size=dim)]
-        batches = sparse_batches(X, batch_size)
+        order = rng.permutation(n) if permuted else np.arange(n)
+        batches = sparse_batches(X, batch_size, order)
         assert len(batches) == -(-n // batch_size)
         for b, batch in enumerate(batches):
-            rows = X[b * batch_size : (b + 1) * batch_size]
+            ids = order[b * batch_size : (b + 1) * batch_size]
+            rows = X[order][b * batch_size : (b + 1) * batch_size]
+            assert np.array_equal(batch.rows, ids)
+            # scipy narrows int64 indices that fit to int32; the batch keeps X's
             assert batch.shape == rows.shape and batch.indices.dtype == index_dtype
             for W in weights:
                 ref = rows @ W
@@ -510,11 +515,11 @@ class TestSparseBatches:
             assert np.array_equal(batch.active_block(), rows.toarray()[:, batch.active])
 
     def test_empty_matrix_is_one_empty_batch(self):
-        (batch,) = sparse_batches(sparse.csr_matrix((0, 6)), 1)
+        (batch,) = sparse_batches(sparse.csr_matrix((0, 6)), 1, np.arange(0))
         assert batch.shape == (0, 6) and batch.active.size == 0
         assert (batch @ np.ones((6, 3))).shape == (0, 3)
 
     def test_dimension_mismatch_rejected(self):
-        (batch,) = sparse_batches(sparse.csr_matrix(np.eye(3)), 3)
+        (batch,) = sparse_batches(sparse.csr_matrix(np.eye(3)), 3, np.arange(3))
         with pytest.raises(ValueError):
             batch @ np.ones((4, 2))

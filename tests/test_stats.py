@@ -166,6 +166,12 @@ class TestAnova:
             r = anova(groups)
             assert 0.0 <= r.eta_squared <= 1.0
 
+    def test_overflowing_grand_sum_raises(self):
+        # every group's sum is finite, but their total is not: equal groups
+        # must not read as an infinite F
+        with pytest.raises(OverflowError):
+            anova([[8e307, 8e307], [8e307, 8e307]])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             anova([[1.0, 2.0]])
